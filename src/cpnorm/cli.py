@@ -17,11 +17,7 @@ from .fileio import (
     GENERATOR_KINDS,
     build_run_record,
     canonical_json,
-    encode_config,
-    encode_cross_validation,
-    encode_diagnostics,
     encode_norm_result,
-    encode_oracle,
     generate_map,
     load_hermitian,
     load_map,
@@ -46,11 +42,10 @@ def _cmd_gen(args) -> int:
     matrix = load_matrix(args.matrix) if args.matrix else None
     mapfile = generate_map(args.n, args.m, args.k, args.seed, kind=args.kind,
                            matrix=matrix)
-    text = serialize_map(mapfile)
     if args.out:
         save_map(mapfile, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize_map(mapfile))
     return 0
 
 
@@ -73,7 +68,7 @@ def _cmd_compute(args) -> int:
     record = build_run_record(
         mapfile,
         "compute",
-        {"p": float(args.p), "q": float(args.q), "config": encode_config(config),
+        {"p": float(args.p), "q": float(args.q), "config": config,
          "seed": args.seed},
         result=encode_norm_result(result),
     )
@@ -105,7 +100,7 @@ def _cmd_diagnose(args) -> int:
         "diagnose",
         {"p": float(args.p), "q": float(args.q), "trials": args.trials,
          "samples": args.samples, "seed": args.seed},
-        diagnostics=encode_diagnostics(report),
+        diagnostics=report,
     )
     _emit(canonical_json(record), args.out)
     return 0
@@ -124,8 +119,8 @@ def _cmd_verify(args) -> int:
         {"p": float(args.p), "q": float(args.q), "budget": args.budget,
          "tol": args.tol, "seed": args.seed},
         result=encode_norm_result(power),
-        oracle=encode_oracle(oracle),
-        cross_validation=encode_cross_validation(cv),
+        oracle=oracle,
+        cross_validation=cv,
     )
     _emit(canonical_json(record), args.out)
     for message in cv.messages:

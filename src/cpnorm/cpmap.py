@@ -156,16 +156,19 @@ def embed_nonnegative_matrix(a) -> CPMap:
     return CPMap(ops)
 
 
+def _gaussian_kraus(rng, n: int, m: int, k: int) -> list:
+    """k complex Gaussian m x n Kraus operators drawn from ``rng``."""
+    return [
+        (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
+        for _ in range(k)
+    ]
+
+
 def random_cpmap(n: int, m: int, k: int, seed) -> CPMap:
     """Seeded CP map with k complex Gaussian Kraus operators of shape m x n."""
     if n < 1 or m < 1 or k < 1:
         raise InvalidInput(f"dimensions must be positive, got n={n} m={m} k={k}")
-    rng = as_rng(seed)
-    ops = [
-        (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
-        for _ in range(k)
-    ]
-    return CPMap(ops)
+    return CPMap(_gaussian_kraus(as_rng(seed), n, m, k))
 
 
 def objective(phi: CPMap, a, p, q) -> float:

@@ -2,11 +2,14 @@
 
 Map files and run records are canonical JSON: sorted keys, two-space
 indent, complex entries as [re, im] pairs, non-finite floats as strings.
+Records are derived from the package's dataclasses, one key per field;
+only the power-method result is reshaped (``encode_norm_result``).
 Parsing followed by serialization is byte-identical on canonical input.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -17,10 +20,8 @@ import numpy as np
 from . import __about__
 from .config import subseed
 from .errors import InvalidInput
-from .cpmap import CPMap, StructuralVerdict, embed_nonnegative_matrix
-from .hilbert import ContractionReport, DiagnosticsReport
-from .oracle import CrossValidation, OracleResult
-from .power import NormResult, PowerConfig, PowerTrace
+from .cpmap import CPMap, _gaussian_kraus, embed_nonnegative_matrix
+from .power import NormResult, PowerTrace
 
 FORMAT_VERSION = 1
 
@@ -51,11 +52,6 @@ class MapFile:
         )
 
 
-def encode_complex_matrix(a) -> list:
-    mat = np.asarray(a, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-
-
 def decode_complex_matrix(entries, rows: int, cols: int, where: str) -> np.ndarray:
     try:
         arr = np.asarray(entries, dtype=np.float64)
@@ -75,22 +71,37 @@ def _require_field(obj: dict, name: str, where: str):
     return obj[name]
 
 
-def parse_map(text: str, source: str = "<string>") -> MapFile:
-    """Parse a map file, reporting the offending line or field on failure."""
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _read_json(source, text: str | None = None):
+    """Decode ``text``, or the file ``source`` when no text is given.
+
+    Syntax errors become ``InvalidInput`` naming the source, line and column.
+    """
+    if text is None:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(
             f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+
+
+def parse_map(text: str, source: str = "<string>") -> MapFile:
+    """Parse a map file, reporting the offending line or field on failure."""
+    obj = _read_json(source, text)
     if not isinstance(obj, dict):
         raise InvalidInput(f"{source}: top level must be an object")
     version = _require_field(obj, "version", source)
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise InvalidInput(f"{source}: unsupported version {version!r}")
     n = _require_field(obj, "n", source)
     m = _require_field(obj, "m", source)
-    if not (isinstance(n, int) and isinstance(m, int) and n >= 1 and m >= 1):
+    if not (_is_int(n) and _is_int(m) and n >= 1 and m >= 1):
         raise InvalidInput(f"{source}: fields 'n' and 'm' must be positive integers")
     kraus_raw = _require_field(obj, "kraus", source)
     if not isinstance(kraus_raw, list) or not kraus_raw:
@@ -106,14 +117,7 @@ def parse_map(text: str, source: str = "<string>") -> MapFile:
 
 
 def serialize_map(mapfile: MapFile) -> str:
-    obj = {
-        "version": mapfile.version,
-        "n": mapfile.n,
-        "m": mapfile.m,
-        "kraus": [encode_complex_matrix(v) for v in mapfile.kraus],
-        "metadata": mapfile.metadata,
-    }
-    return canonical_json(obj)
+    return canonical_json(mapfile)
 
 
 def load_map(path) -> MapFile:
@@ -128,13 +132,7 @@ def save_map(mapfile: MapFile, path) -> None:
 
 def load_matrix(path) -> np.ndarray:
     """Read a plain 2-d JSON array of reals (nonnegative-matrix input files)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(
-                f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-            )
+    obj = _read_json(path)
     try:
         mat = np.asarray(obj, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -146,13 +144,7 @@ def load_matrix(path) -> np.ndarray:
 
 def load_hermitian(path) -> np.ndarray:
     """Read an n x n matrix of [re, im] pairs (start-matrix files)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(
-                f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-            )
+    obj = _read_json(path)
     arr = np.asarray(obj, dtype=object)
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise InvalidInput(f"{path}: expected an n x n matrix of [re, im] pairs")
@@ -187,30 +179,21 @@ def generate_map(n: int, m: int, k: int, seed: int, kind: str = "generic",
     if kind == "generic" and k > n * m:
         raise InvalidInput(f"generic kind requires k <= n*m = {n * m}, got k={k}")
 
-    rng = subseed(seed, "generate", kind)
-    ops = [
-        (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
-        for _ in range(k)
-    ]
+    ops = _gaussian_kraus(subseed(seed, "generate", kind), n, m, k)
     if kind == "positively_improving":
         # eps-scaled depolarizing block: adds eps * tr(A) * I to every output
-        eps = 0.2
-        for i in range(m):
-            for j in range(n):
-                v = np.zeros((m, n), dtype=np.complex128)
-                v[i, j] = math.sqrt(eps)
-                ops.append(v)
+        ops += embed_nonnegative_matrix(np.full((m, n), 0.2)).kraus
     metadata = {"kind": kind, "name": f"{kind}-n{n}-m{m}-k{k}-seed{seed}", "seed": seed}
-    return MapFile(
-        version=FORMAT_VERSION,
-        n=n,
-        m=m,
-        kraus=tuple(np.asarray(v) for v in ops),
-        metadata=metadata,
-    )
+    return MapFile(version=FORMAT_VERSION, n=n, m=m, kraus=tuple(ops),
+                   metadata=metadata)
 
 
 def _jsonable(x):
+    """Plain-JSON form of a record value.
+
+    Dataclasses become objects keyed by their fields, matrices nested lists
+    of [re, im] pairs, enums their values, non-finite floats strings.
+    """
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -230,6 +213,11 @@ def _jsonable(x):
         return "inf" if f > 0 else "-inf"
     if x is None or isinstance(x, str):
         return x
+    if isinstance(x, np.ndarray):
+        mat = np.asarray(x, dtype=np.complex128)
+        return _jsonable(np.stack([mat.real, mat.imag], axis=-1).tolist())
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
@@ -237,127 +225,41 @@ def canonical_json(obj) -> str:
     return json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def encode_verdict(v: StructuralVerdict) -> dict:
-    return {
-        "property": v.property,
-        "verdict": v.verdict,
-        "trials": v.trials,
-        "witness": None if v.witness is None else encode_complex_matrix(v.witness),
-        "margin": v.margin,
-    }
-
-
-def encode_contraction(c: ContractionReport | None) -> dict | None:
-    if c is None:
-        return None
-    return {
-        "diameter_lower_bound": c.diameter_lower_bound,
-        "kappa_lower": c.kappa_lower,
-        "sample_count": c.sample_count,
-        "diameter_upper_bound": c.diameter_upper_bound,
-        "kappa_upper": c.kappa_upper,
-        "improving": c.improving,
-        "adjoint": encode_contraction(c.adjoint),
-        "kappa_step_upper": c.kappa_step_upper,
-        "step_certified": c.step_certified,
-        "upper_source": c.upper_source,
-    }
-
-
-def encode_trace_summary(trace: PowerTrace) -> dict:
+def encode_norm_result(result: NormResult) -> dict:
+    """The result section: ``NormResult`` with its trace status lifted to the
+    top and the trace rows summarised by their count and final row."""
+    trace = result.trace
     last = trace.rows[-1]
     return {
-        "rows": len(trace.rows),
+        "norm_estimate": result.norm_estimate,
+        "maximizer": result.maximizer,
+        "iterations": result.iterations,
         "status": trace.status,
         "termination_reason": trace.termination_reason,
-        "final_objective": last.objective,
-        "final_frobenius_step": last.frobenius_step,
-        "final_hilbert_step": last.hilbert_step,
-        "final_residual": last.residual,
-    }
-
-
-def encode_norm_result(result: NormResult) -> dict:
-    return {
-        "norm_estimate": result.norm_estimate,
-        "maximizer": encode_complex_matrix(result.maximizer),
-        "iterations": result.iterations,
-        "status": result.trace.status,
-        "termination_reason": result.trace.termination_reason,
-        "warnings": list(result.warnings),
-        "trace": encode_trace_summary(result.trace),
-        "contraction": encode_contraction(result.contraction),
-    }
-
-
-def encode_diagnostics(report: DiagnosticsReport) -> dict:
-    return {
-        "p": report.p,
-        "q": report.q,
-        "fully_indecomposable": encode_verdict(report.fully_indecomposable),
-        "positively_improving": encode_verdict(report.positively_improving),
-        "adjoint_positively_improving": encode_verdict(
-            report.adjoint_positively_improving
-        ),
-        "contraction": encode_contraction(report.contraction),
-    }
-
-
-def encode_oracle(result: OracleResult) -> dict:
-    return {
-        "best_value": result.best_value,
-        "best_point": encode_complex_matrix(result.best_point),
-        "restarts": result.restarts,
-        "budget_used": result.budget_used,
-        "method": result.method,
-        "best_from_psd_starts": result.best_from_psd_starts,
-        "best_from_hermitian_starts": result.best_from_hermitian_starts,
-    }
-
-
-def encode_cross_validation(cv: CrossValidation) -> dict:
-    return {
-        "status": cv.status,
-        "certified": cv.certified,
-        "power_value": cv.power_value,
-        "oracle_value": cv.oracle_value,
-        "difference": cv.difference,
-        "tol": cv.tol,
-        "maximizer_distance": cv.maximizer_distance,
-        "messages": list(cv.messages),
-    }
-
-
-def encode_config(config: PowerConfig) -> dict:
-    return {
-        "p": config.p,
-        "q": config.q,
-        "tol_fixed_point": config.tol_fixed_point,
-        "tol_objective": config.tol_objective,
-        "max_iter": config.max_iter,
-        "start": None if config.start is None else encode_complex_matrix(config.start),
-        "seed": config.seed,
-        "with_contraction": config.with_contraction,
-        "contraction_samples": config.contraction_samples,
+        "warnings": result.warnings,
+        "trace": {
+            "rows": len(trace.rows),
+            "status": trace.status,
+            "termination_reason": trace.termination_reason,
+            "final_objective": last.objective,
+            "final_frobenius_step": last.frobenius_step,
+            "final_hilbert_step": last.hilbert_step,
+            "final_residual": last.residual,
+        },
+        "contraction": result.contraction,
     }
 
 
 def build_run_record(mapfile: MapFile, command: str, inputs: dict, **sections) -> dict:
-    """Assemble a self-contained record: tool version, input echo, results."""
+    """Assemble a self-contained record: tool version, input echo, results.
+
+    Values may be dataclasses or matrices; ``canonical_json`` encodes them.
+    """
     record = {
         "version": FORMAT_VERSION,
         "tool": {"name": "cpnorm", "version": __about__.__version__},
         "command": command,
-        "input": {
-            "map": {
-                "version": mapfile.version,
-                "n": mapfile.n,
-                "m": mapfile.m,
-                "kraus": [encode_complex_matrix(v) for v in mapfile.kraus],
-                "metadata": mapfile.metadata,
-            },
-            **inputs,
-        },
+        "input": {"map": mapfile, **inputs},
     }
     record.update(sections)
     return record

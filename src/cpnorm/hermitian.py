@@ -1,8 +1,8 @@
 """Hermitian and positive semidefinite matrix algebra.
 
 All operations work on plain complex ndarrays and are pure functions of
-their inputs; ``HermitianMatrix`` is the validating container used at IO
-boundaries. Eigendecompositions are canonicalized (descending eigenvalues,
+their inputs; ``require_hermitian`` validates matrices at IO boundaries.
+Eigendecompositions are canonicalized (descending eigenvalues,
 fixed eigenvector phases) so repeated runs produce identical output.
 """
 
@@ -36,7 +36,7 @@ def require_hermitian(m, rtol: float = HERMITIZE_RTOL) -> np.ndarray:
     Deviation from M^dag below ``rtol * ||M||_F`` is symmetrized away;
     anything larger is rejected because it usually signals an IO bug.
     """
-    a = np.asarray(getattr(m, "mat", m), dtype=np.complex128)
+    a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
@@ -49,38 +49,6 @@ def require_hermitian(m, rtol: float = HERMITIZE_RTOL) -> np.ndarray:
             f"matrix is not Hermitian: ||M - M^dag||_F = {deviation:.3e}"
         )
     return hermitian_part(a)
-
-
-class HermitianMatrix:
-    """Square complex matrix with enforced Hermitian symmetry.
-
-    Construction symmetrizes inputs whose deviation from the conjugate
-    transpose is below tolerance and rejects anything beyond it. The stored
-    array is read-only.
-    """
-
-    __slots__ = ("_mat",)
-
-    def __init__(self, entries, rtol: float = HERMITIZE_RTOL):
-        mat = require_hermitian(entries, rtol=rtol)
-        mat.setflags(write=False)
-        self._mat = mat
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self._mat
-
-    @property
-    def dim(self) -> int:
-        return self._mat.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return np.array(self._mat, copy=True)
-        return np.array(self._mat, dtype=dtype, copy=True)
-
-    def __repr__(self):
-        return f"HermitianMatrix(dim={self.dim})"
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,6 @@ DESK_SCALE_LIMIT = 6
 
 
 class OracleMethod(Enum):
-    RANDOM_SEARCH = "random_search"
     PROJECTED_ASCENT = "projected_ascent"
     SPECTRAL_GRID = "spectral_grid"
 
@@ -189,11 +188,12 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
 def spectral_grid_max(phi: CPMap, p, q, grid: int = 64, seed=0) -> OracleResult:
     """Exact-reduction oracle for maps that send diagonals to diagonals.
 
-    For such maps the maximizer can be taken diagonal with a nonincreasing
-    nonnegative spectrum, so the search space shrinks to n-1 ratio
-    parameters in [0, 1]. The grid search is followed by a local simplex
-    refinement. Raises ``NotApplicable`` if random diagonal probes produce
-    non-diagonal images.
+    For such maps the maximizer can be taken diagonal with a nonnegative
+    spectrum. Scaled so that its largest entry is 1, that spectrum lies on
+    one of the n faces of the unit cube that touch the all-ones corner, so
+    the grid covers each face in turn: n * grid^(n-1) points. The grid search
+    is followed by a local simplex refinement. Raises ``NotApplicable`` if
+    random diagonal probes produce non-diagonal images.
     """
     n = phi.input_dim
     if n > DESK_SCALE_LIMIT:
@@ -212,45 +212,38 @@ def spectral_grid_max(phi: CPMap, p, q, grid: int = 64, seed=0) -> OracleResult:
 
     used = 0
 
-    def value_of(ratios: np.ndarray):
+    def value_of(x: np.ndarray):
         nonlocal used
         used += 1
-        lam = np.cumprod(np.concatenate([[1.0], np.clip(ratios, 0.0, 1.0)]))
-        lam = lam / np.linalg.norm(lam, ord=sp.p)
+        lam = np.abs(x)
+        nrm = np.linalg.norm(lam, ord=sp.p)
+        if nrm == 0.0:
+            return -math.inf, lam
+        lam = lam / nrm
         return schatten_norm(phi.apply(np.diag(lam).astype(np.complex128)), sq.p), lam
 
-    if n == 1:
-        best_value, best_lam = value_of(np.empty(0))
-        return OracleResult(
-            best_value=best_value,
-            best_point=np.diag(best_lam).astype(np.complex128),
-            restarts=1,
-            budget_used=used,
-            method=OracleMethod.SPECTRAL_GRID,
-            best_from_psd_starts=best_value,
+    best_value, best_lam = value_of(np.ones(n))
+    best_x = np.ones(n)
+    if n > 1:
+        axes_count = n - 1
+        grid = max(2, min(grid, int(round((200000 / n) ** (1.0 / axes_count)))))
+        axis = np.linspace(0.0, 1.0, grid)
+        for face in range(n):
+            for idx in np.ndindex((grid,) * axes_count):
+                x = np.insert(axis[list(idx)], face, 1.0)
+                val, lam = value_of(x)
+                if val > best_value:
+                    best_value, best_x, best_lam = val, x, lam
+
+        res = optimize.minimize(
+            lambda t: -value_of(t)[0],
+            best_x,
+            method="Nelder-Mead",
+            options={"maxiter": 400 * n, "xatol": 1e-12, "fatol": 1e-14},
         )
-
-    axes_count = n - 1
-    grid = max(2, min(grid, int(round(200000 ** (1.0 / axes_count)))))
-    axis = np.linspace(0.0, 1.0, grid)
-    best_value = -math.inf
-    best_ratios = None
-    best_lam = None
-    for idx in np.ndindex((grid,) * axes_count):
-        ratios = axis[list(idx)]
-        val, lam = value_of(ratios)
+        val, lam = value_of(res.x)
         if val > best_value:
-            best_value, best_ratios, best_lam = val, ratios, lam
-
-    res = optimize.minimize(
-        lambda t: -value_of(t)[0],
-        best_ratios,
-        method="Nelder-Mead",
-        options={"maxiter": 400 * axes_count, "xatol": 1e-12, "fatol": 1e-14},
-    )
-    val, lam = value_of(res.x)
-    if val > best_value:
-        best_value, best_lam = val, lam
+            best_value, best_lam = val, lam
     return OracleResult(
         best_value=best_value,
         best_point=np.diag(best_lam).astype(np.complex128),

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
 from .errors import DegenerateMap, DimMismatch, InvalidInput, ZeroInput
-from .cpmap import CPMap, objective
+from .cpmap import CPMap
 from .hermitian import (
     eig_decompose,
     hermitian_part,
@@ -65,12 +66,15 @@ class PowerConfig:
     def __post_init__(self):
         as_exponent(self.p)
         as_exponent(self.q)
-        if self.tol_fixed_point <= 0 or self.tol_objective <= 0:
-            raise InvalidInput("tolerances must be positive")
+        for tol in (self.tol_fixed_point, self.tol_objective):
+            if not (math.isfinite(tol) and tol > 0):
+                raise InvalidInput("tolerances must be positive and finite")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, Integral):
+            raise InvalidInput(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise InvalidInput("max_iter must be at least 1")
         if self.start is not None:
-            dec = psd_spectrum(require_hermitian(self.start))
+            dec = psd_spectrum(self.start)
             if dec.eigenvalues[0] <= 0:
                 raise ZeroInput("start matrix must be nonzero")
 
@@ -138,13 +142,21 @@ def critical_point_residual(phi: CPMap, a, p, q) -> float:
     mat = require_hermitian(a)
     if abs(schatten_norm(mat, sp.p) - 1.0) > 1e-9:
         raise InvalidInput("residual is defined on unit Schatten-p norm matrices")
-    value = objective(phi, mat, sp, sq)
-    image = phi.apply(mat)
+    return _evaluate(phi, mat, sp, sq)[1]
+
+
+def _evaluate(phi: CPMap, a: np.ndarray, sp: SchattenExponent,
+              sq: SchattenExponent) -> tuple[float, float]:
+    """Objective and critical-point residual at a trusted Hermitian iterate.
+
+    Shares one application of the map and one pull-back between the two.
+    """
+    image = phi.apply(a)
     if numerical_rank(image) == 0:
         raise DegenerateMap("the map annihilates this point")
+    value = schatten_norm(image, sq.p) / schatten_norm(a, sp.p)
     lhs = phi.adjoint_apply(duality_map(image, sq))
-    rhs = value * duality_map(mat, sp)
-    return float(np.linalg.norm(lhs - rhs))
+    return value, float(np.linalg.norm(lhs - value * duality_map(a, sp)))
 
 
 def _repair_cone(a: np.ndarray):
@@ -178,12 +190,10 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
     if config.start is None:
         a = default_start(n, sp)
     else:
-        mat = require_hermitian(config.start)
+        # PowerConfig validated the start; only its size depends on the map
+        mat = hermitian_part(np.asarray(config.start, dtype=np.complex128))
         if mat.shape[0] != n:
             raise DimMismatch(f"start must be {n}x{n}, got {mat.shape}")
-        dec = psd_spectrum(mat)
-        if dec.eigenvalues[0] <= 0:
-            raise ZeroInput("start matrix must be nonzero")
         a = mat / schatten_norm(mat, sp.p)
 
     run_warnings: list[str] = []
@@ -193,9 +203,8 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
             "maximum is not certified"
         )
 
-    f_prev = objective(phi, a, sp, sq)
-    rows = [TraceRow(0, f_prev, math.nan, math.nan,
-                     critical_point_residual(phi, a, sp, sq))]
+    f_prev, residual = _evaluate(phi, a, sp, sq)
+    rows = [TraceRow(0, f_prev, math.nan, math.nan, residual)]
     status = IterationStatus.MAX_ITER_REACHED
     reason = None
     iterations = 0
@@ -214,8 +223,7 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
             break
         frobenius_step = float(np.linalg.norm(nxt - a))
         hilbert_step = hilbert_distance(nxt, a).value
-        f_cur = objective(phi, nxt, sp, sq)
-        residual = critical_point_residual(phi, nxt, sp, sq)
+        f_cur, residual = _evaluate(phi, nxt, sp, sq)
         rows.append(TraceRow(k, f_cur, hilbert_step, frobenius_step, residual))
         a = nxt
         iterations = k

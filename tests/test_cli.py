@@ -85,6 +85,14 @@ class TestCompute:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("flag", ["--tol", "--tol-objective"])
+    def test_nan_tolerance_exit_3(self, capsys, identity_map_file, flag):
+        code, out, err = run_cli(capsys, ["compute", "--map", identity_map_file,
+                                          "--p", "3", "--q", "2", flag, "nan"])
+        assert code == 3
+        assert out == ""
+        assert "tolerances" in err
+
     def test_max_iter_exit_2(self, capsys, generic_map_file):
         code, out, _ = run_cli(capsys, ["compute", "--map", generic_map_file,
                                         "--p", "3", "--q", "2", "--max-iter", "1"])

@@ -1,14 +1,23 @@
 """Map file formats, generation kinds, record encoding."""
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from cpnorm import (
+    ContractionReport,
+    CrossValidation,
+    DiagnosticsReport,
     InvalidInput,
     MapFile,
+    OracleMethod,
+    OracleResult,
+    PowerConfig,
+    StructuralProperty,
+    StructuralVerdict,
     Verdict,
     check_positively_improving,
     depolarizing_channel,
@@ -61,6 +70,14 @@ class TestParseErrors:
     def test_bad_dimensions(self):
         with pytest.raises(InvalidInput, match="'n' and 'm'"):
             parse_map(json.dumps({"version": 1, "n": 0, "m": 2, "kraus": [[]]}))
+
+    @pytest.mark.parametrize("field", ["version", "n", "m"])
+    def test_boolean_integer_fields_rejected(self, field):
+        obj = {"version": 1, "n": 1, "m": 1, "kraus": [[[[1.0, 0.0]]]]}
+        parse_map(json.dumps(obj))
+        obj[field] = True
+        with pytest.raises(InvalidInput):
+            parse_map(json.dumps(obj))
 
     def test_kraus_shape_mismatch_names_operator(self):
         obj = {
@@ -124,3 +141,93 @@ class TestCanonicalJson:
         back = parse_map(serialize_map(mf))
         for v, w in zip(back.kraus, mf.kraus):
             assert np.array_equal(v, w)
+
+
+def _layout(expected) -> str:
+    return json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+_TRIVIAL_CONTRACTION = {
+    "adjoint": None, "diameter_lower_bound": 0.0, "diameter_upper_bound": None,
+    "improving": None, "kappa_lower": 0.0, "kappa_step_upper": None,
+    "kappa_upper": None, "sample_count": 0, "step_certified": False,
+    "upper_source": "trivial",
+}
+
+
+class TestRecordLayout:
+    """Records carry one key per dataclass field, matrices as [re, im] rows."""
+
+    def test_verdict_with_witness(self):
+        v = StructuralVerdict(
+            StructuralProperty.POSITIVELY_IMPROVING, Verdict.COUNTEREXAMPLE_FOUND,
+            trials=3, witness=np.array([[1.0, 0.5j], [-0.5j, 0.0]]), margin=-0.25,
+        )
+        assert canonical_json(v) == _layout({
+            "margin": -0.25, "property": "positively_improving", "trials": 3,
+            "verdict": "counterexample_found",
+            "witness": [[[1.0, 0.0], [0.0, 0.5]], [[-0.0, -0.5], [0.0, 0.0]]],
+        })
+
+    def test_contraction_with_adjoint_and_nonfinite(self):
+        c = ContractionReport(
+            diameter_lower_bound=math.inf, kappa_lower=1.0, sample_count=4,
+            kappa_upper=math.nan, improving=Verdict.PROBABLY_TRUE,
+            adjoint=ContractionReport(0.0, 0.0, 0), kappa_step_upper=0.5,
+            step_certified=True, upper_source="improving-slice",
+        )
+        assert canonical_json(c) == _layout({
+            "adjoint": _TRIVIAL_CONTRACTION, "diameter_lower_bound": "inf",
+            "diameter_upper_bound": None, "improving": "probably_true",
+            "kappa_lower": 1.0, "kappa_step_upper": 0.5, "kappa_upper": "nan",
+            "sample_count": 4, "step_certified": True,
+            "upper_source": "improving-slice",
+        })
+
+    def test_oracle_result(self):
+        r = OracleResult(
+            best_value=1.5, best_point=np.array([[1.0]]), restarts=7,
+            budget_used=123, method=OracleMethod.PROJECTED_ASCENT,
+            best_from_psd_starts=1.5,
+        )
+        assert canonical_json(r) == _layout({
+            "best_from_hermitian_starts": None, "best_from_psd_starts": 1.5,
+            "best_point": [[[1.0, 0.0]]], "best_value": 1.5, "budget_used": 123,
+            "method": "projected_ascent", "restarts": 7,
+        })
+
+    def test_cross_validation(self):
+        cv = CrossValidation("WARN", False, 1.25, 1.5, 0.25, 1e-4, None,
+                             ("estimates disagree",))
+        assert canonical_json(cv) == _layout({
+            "certified": False, "difference": 0.25, "maximizer_distance": None,
+            "messages": ["estimates disagree"], "oracle_value": 1.5,
+            "power_value": 1.25, "status": "WARN", "tol": 1e-4,
+        })
+
+    def test_power_config_with_start(self):
+        config = PowerConfig(p=3.0, q=2.0, max_iter=50, start=np.array([[2.0]]), seed=4)
+        assert canonical_json(config) == _layout({
+            "contraction_samples": 64, "max_iter": 50, "p": 3.0, "q": 2.0,
+            "seed": 4, "start": [[[2.0, 0.0]]], "tol_fixed_point": 1e-10,
+            "tol_objective": 1e-12, "with_contraction": True,
+        })
+
+    def test_diagnostics_report(self):
+        fi = StructuralVerdict(StructuralProperty.FULLY_INDECOMPOSABLE,
+                               Verdict.PROBABLY_TRUE, trials=2)
+        pi = StructuralVerdict(StructuralProperty.POSITIVELY_IMPROVING,
+                               Verdict.PROBABLY_TRUE, trials=5, margin=0.125)
+        report = DiagnosticsReport(fi, pi, pi, ContractionReport(0.0, 0.0, 0),
+                                   p=3.0, q=2.0)
+        pi_record = {"margin": 0.125, "property": "positively_improving",
+                     "trials": 5, "verdict": "probably_true", "witness": None}
+        assert canonical_json(report) == _layout({
+            "adjoint_positively_improving": pi_record,
+            "contraction": _TRIVIAL_CONTRACTION,
+            "fully_indecomposable": {
+                "margin": None, "property": "fully_indecomposable", "trials": 2,
+                "verdict": "probably_true", "witness": None,
+            },
+            "p": 3.0, "positively_improving": pi_record, "q": 2.0,
+        })

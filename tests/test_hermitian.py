@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cpnorm import (
-    HermitianMatrix,
     InvalidInput,
     DimMismatch,
     NotPsd,
@@ -17,34 +16,32 @@ from cpnorm import (
     numerical_rank,
     random_hermitian,
     random_psd,
+    require_hermitian,
 )
 from helpers import loewner_pair
 
 
 class TestHermitianMatrix:
+    """Validation of Hermitian inputs at the IO boundary (``require_hermitian``)."""
+
     def test_symmetrizes_small_drift(self):
         base = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, 3.0]])
         noisy = base + np.array([[0, 1e-13], [0, 0]])
-        h = HermitianMatrix(noisy)
-        assert np.array_equal(h.mat, h.mat.conj().T)
-        assert h.dim == 2
+        mat = require_hermitian(noisy)
+        assert np.array_equal(mat, mat.conj().T)
+        assert mat.shape == (2, 2)
 
     def test_rejects_large_asymmetry(self):
         with pytest.raises(InvalidInput):
-            HermitianMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            require_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidInput):
-            HermitianMatrix(np.zeros((2, 3)))
+            require_hermitian(np.zeros((2, 3)))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInput):
-            HermitianMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_stored_matrix_is_readonly(self):
-        h = HermitianMatrix(np.eye(2))
-        with pytest.raises(ValueError):
-            h.mat[0, 0] = 5.0
+            require_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestEigDecompose:

@@ -93,6 +93,23 @@ class TestSpectralGrid:
         assert res.best_value == pytest.approx(9.0)
 
 
+    def test_asymmetric_diagonal_maximizer(self):
+        # the maximizer puts its weight on the largest diagonal entry, which
+        # is not the first one
+        a = np.diag([1.0, 2.0, 0.5])
+        res = spectral_grid_max(embed_nonnegative_matrix(a), 3, 2)
+        expected, _ = classical_pq_norm(a, 3, 2)
+        assert res.best_value == pytest.approx(expected, rel=1e-9)
+        assert res.best_value == pytest.approx(2.0052550726, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_nonnegative_matches_classical(self, seed):
+        a = np.random.default_rng(seed).uniform(0.0, 1.0, (3, 3))
+        res = spectral_grid_max(embed_nonnegative_matrix(a), 3, 2, grid=24)
+        expected, _ = classical_pq_norm(a, 3, 2)
+        assert res.best_value == pytest.approx(expected, rel=1e-8)
+
+
 class TestClassicalIteration:
     def test_matches_embedded_map(self):
         a = np.array([[1.0, 1.0], [0.0, 1.0]])

@@ -166,6 +166,21 @@ class TestRunPowerMethod:
         with pytest.raises(InvalidInput):
             PowerConfig(p=3, q=2, max_iter=0)
 
+    @pytest.mark.parametrize("field", ["tol_fixed_point", "tol_objective"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_tolerance_rejected(self, field, value):
+        with pytest.raises(InvalidInput):
+            PowerConfig(p=3, q=2, **{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, "5", True, None])
+    def test_non_integer_max_iter_rejected(self, value):
+        with pytest.raises(InvalidInput):
+            PowerConfig(p=3, q=2, max_iter=value)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        cfg = PowerConfig(p=3, q=2, max_iter=np.int64(4), with_contraction=False)
+        assert run_power_method(identity_channel(2), cfg).iterations <= 4
+
     def test_default_start_is_unit_interior(self):
         a = default_start(3, 2.5)
         assert schatten_norm(a, 2.5) == pytest.approx(1.0, abs=1e-12)
