@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .config import DISTANCE_OVERFLOW, RANK_RTOL, subseed
 from .errors import DimMismatch, InvalidInput, ZeroInput
@@ -20,11 +19,16 @@ from .cpmap import (
     CPMap,
     StructuralVerdict,
     Verdict,
+    _rank_one_extreme,
     check_fully_indecomposable,
     check_positively_improving,
 )
 from .hermitian import psd_spectrum, random_psd, random_unit_vector, _spectral_cutoff
 from .schatten import as_exponent
+
+# Best samples from which the slice-peak search starts; from the best sample
+# alone it ends at a lower local maximum on about 2% of generated maps.
+_PEAK_STARTS = 8
 
 
 @dataclass(frozen=True)
@@ -168,39 +172,23 @@ def step_contraction_bound(kappa: float, kappa_adjoint: float, p, q) -> float:
     return kappa * kappa_adjoint * (sq.p - 1.0) / (sp.p - 1.0)
 
 
-def _max_output_eigenvalue(phi: CPMap, z: np.ndarray) -> float:
-    n = phi.input_dim
-    x = z[:n] + 1j * z[n:]
-    nrm = np.linalg.norm(x)
-    if nrm == 0:
-        return 0.0
-    x = x / nrm
-    return float(np.linalg.eigvalsh(phi.apply(np.outer(x, x.conj())))[-1])
-
-
 def _slice_peak(phi: CPMap, samples: int, rng) -> float:
-    """Largest output eigenvalue over sampled trace-one rank-one inputs.
+    """Largest output eigenvalue over trace-one rank-one inputs.
 
     The maximum of lambda_max(phi(A)) over the trace-one slice is attained
-    at a rank-one extreme point because the function is convex in A, so
-    searching unit vectors is exact up to optimization error.
+    at a rank-one extreme point because the function is convex in A. The
+    function has several local maxima, so the alternating eigenvector search
+    ``_rank_one_extreme`` runs from each of the best ``_PEAK_STARTS`` of
+    ``samples`` random unit vectors; it only ever raises its start.
     """
     n = phi.input_dim
-    best = -np.inf
-    best_z = None
+    scored = []
     for _ in range(samples):
         x = random_unit_vector(n, rng)
-        val = float(np.linalg.eigvalsh(phi.apply(np.outer(x, x.conj())))[-1])
-        if val > best:
-            best = val
-            best_z = np.concatenate([x.real, x.imag])
-    res = optimize.minimize(
-        lambda z: -_max_output_eigenvalue(phi, z),
-        best_z,
-        method="Nelder-Mead",
-        options={"maxiter": 200 * n, "xatol": 1e-10, "fatol": 1e-14},
-    )
-    return max(best, float(-res.fun))
+        scored.append((float(np.linalg.eigvalsh(phi.apply(np.outer(x, x.conj())))[-1]), x))
+    scored.sort(key=lambda s: -s[0])
+    refined = (_rank_one_extreme(phi, x, top=True)[0] for _, x in scored[:_PEAK_STARTS])
+    return max(scored[0][0], *refined)
 
 
 def _same_part_pair(n: int, r: int, rng):
@@ -231,7 +219,8 @@ def estimate_diameter(
     When the positively-improving check passes, a finite upper bound is
     added: the diameter is at most twice the log-ratio of the extreme
     output eigenvalues over the trace-one slice, estimated from samples
-    and local refinement, with a safety factor of 2 on the ratio.
+    refined by alternating eigenvector updates, with a safety factor of 2
+    on the ratio.
     """
     if samples < 1:
         raise InvalidInput("samples must be at least 1")

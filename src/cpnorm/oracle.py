@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import optimize
 
 from .config import subseed
 from .errors import DegenerateMap, DeskScaleExceeded, InvalidInput, NotApplicable, NotPsd
@@ -113,6 +112,8 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
         )
     if budget < 1:
         raise InvalidInput("budget must be at least 1")
+    from scipy import optimize
+
     sp = as_exponent(p)
     sq = as_exponent(q)
     dim = n * n
@@ -234,6 +235,8 @@ def spectral_grid_max(phi: CPMap, p, q, grid: int = 64, seed=0) -> OracleResult:
                 val, lam = value_of(x)
                 if val > best_value:
                     best_value, best_x, best_lam = val, x, lam
+
+        from scipy import optimize
 
         res = optimize.minimize(
             lambda t: -value_of(t)[0],

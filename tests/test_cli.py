@@ -1,12 +1,18 @@
 """CLI behaviour: subcommands, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cpnorm import MapFile, identity_channel
+from cpnorm import MapFile, generate_map, identity_channel
 from cpnorm.cli import main
 from cpnorm.fileio import save_map
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -23,6 +29,22 @@ def generic_map_file(tmp_path):
                  "--out", str(path)])
     assert code == 0
     return str(path)
+
+
+@pytest.fixture()
+def improving_map_file(tmp_path):
+    path = tmp_path / "improving.json"
+    save_map(generate_map(3, 3, 3, 2, kind="positively_improving"), path)
+    return str(path)
+
+
+def run_python(code, tmp_path, *argv):
+    """Run ``python -c code`` in a fresh interpreter that imports cpnorm from src."""
+    env = os.environ.copy()
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONWARNINGS"] = "default"
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
 
 
 def run_cli(capsys, argv):
@@ -179,3 +201,28 @@ class TestVerify:
                                         "--p", "3", "--q", "2"])
         assert code == 3
         assert "error:" in err
+
+
+class TestFreshInterpreter:
+    def test_scipy_optimize_not_loaded(self, tmp_path, improving_map_file):
+        code = (
+            "import sys\n"
+            "import cpnorm\n"
+            "from cpnorm import cli\n"
+            "path = sys.argv[1]\n"
+            "assert cli.main(['compute', '--map', path, '--p', '3', '--q', '2']) == 0\n"
+            "assert cli.main(['diagnose', '--map', path, '--p', '3', '--q', '2',\n"
+            "                 '--trials', '8', '--samples', '16']) == 0\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        proc = run_python(code, tmp_path, improving_map_file)
+        assert proc.returncode == 0, proc.stderr
+        assert '"improving-slice"' in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_diagnose_warns_once_about_redundant_kraus(self, tmp_path, improving_map_file):
+        code = "import sys\nfrom cpnorm.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        proc = run_python(code, tmp_path, "diagnose", "--map", improving_map_file,
+                          "--p", "3", "--q", "2", "--trials", "8", "--samples", "16")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("KrausRedundancyWarning") == 1

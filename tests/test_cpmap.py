@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpnorm import (
     CPMap,
@@ -22,7 +24,9 @@ from cpnorm import (
     random_cpmap,
     random_hermitian,
     random_psd,
+    random_unit_vector,
 )
+from cpnorm.cpmap import _rank_one_extreme
 
 
 class TestConstruction:
@@ -194,6 +198,54 @@ class TestPositivelyImproving:
         phi = CPMap([np.array([[1.0, 2.0], [0.5, 1.5]])])
         verdict = check_positively_improving(phi, trials=16, seed=0)
         assert verdict.verdict is Verdict.COUNTEREXAMPLE_FOUND
+
+
+def _extreme_at(phi, x):
+    """(smallest, largest) eigenvalue of phi(xx^dag), as the search computes them."""
+    w = np.linalg.eigh(phi.apply(np.outer(x, x.conj())))[0]
+    return float(w[0]), float(w[-1])
+
+
+class TestRankOneExtreme:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_kraus_peak_is_top_singular_value_squared(self, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        peak, x = _rank_one_extreme(CPMap([v]), random_unit_vector(4, rng), top=True)
+        sigma = np.linalg.svd(v, compute_uv=False)[0]
+        assert peak == pytest.approx(sigma**2, rel=1e-12)
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_depolarizing_margin_equals_peak(self, n):
+        phi = depolarizing_channel(n)
+        x = random_unit_vector(n, n)
+        margin, _ = _rank_one_extreme(phi, x, top=False)
+        peak, _ = _rank_one_extreme(phi, x, top=True)
+        assert margin == pytest.approx(1.0 / n, rel=1e-12)
+        assert peak == pytest.approx(1.0 / n, rel=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 4),
+        k=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_never_worse_than_samples(self, n, m, k, seed):
+        phi = random_cpmap(n, m, min(k, n * m), seed)
+        rng = np.random.default_rng(seed)
+        starts = [random_unit_vector(n, rng) for _ in range(8)]
+        extremes = [_extreme_at(phi, x) for x in starts]
+        low = min(range(8), key=lambda i: extremes[i][0])
+        high = max(range(8), key=lambda i: extremes[i][1])
+        margin, x_low = _rank_one_extreme(phi, starts[low], top=False)
+        peak, x_high = _rank_one_extreme(phi, starts[high], top=True)
+        assert margin <= extremes[low][0]
+        assert peak >= extremes[high][1]
+        scale = max(1.0, peak)
+        assert margin == pytest.approx(_extreme_at(phi, x_low)[0], abs=1e-12 * scale)
+        assert peak == pytest.approx(_extreme_at(phi, x_high)[1], abs=1e-12 * scale)
 
 
 class TestEmbedding:

@@ -1,17 +1,21 @@
 """Hilbert projective metric, diameter estimation, contraction bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cpnorm import (
+    CPMap,
     InvalidInput,
+    KrausRedundancyWarning,
     Verdict,
     ZeroInput,
     contraction_report,
     depolarizing_channel,
     estimate_diameter,
+    generate_map,
     hilbert_distance,
     identity_channel,
     m_ratio,
@@ -182,6 +186,18 @@ class TestContractionReport:
         assert rep.step_certified
         assert rep.kappa_step_upper == pytest.approx(1.0 / 3.0)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_generated_improving_map_reaches_sampled_tier(self, n):
+        with pytest.warns(KrausRedundancyWarning):
+            phi = generate_map(n, n, n, 5, kind="positively_improving").to_cpmap()
+        rep = contraction_report(phi, 3, 2, samples=16, seed=1)
+        assert rep.upper_source == "improving-slice"
+        for side in (rep, rep.adjoint):
+            assert side.upper_source == "improving-slice"
+            assert side.improving is Verdict.PROBABLY_TRUE
+            assert math.isfinite(side.kappa_upper) and side.kappa_upper < 1.0
+        assert rep.step_certified
+
 
 class TestSampledContractionRatio:
     def test_strict_contraction_for_improving_map(self):
@@ -217,6 +233,17 @@ class TestDiagnostics:
         )
         assert report.fully_indecomposable.verdict is Verdict.COUNTEREXAMPLE_FOUND
         assert report.positively_improving.verdict is Verdict.COUNTEREXAMPLE_FOUND
+
+    def test_redundant_kraus_warns_only_at_construction(self):
+        ops = [np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+               np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])]
+        with pytest.warns(KrausRedundancyWarning):
+            phi = CPMap(ops)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_diagnostics(phi, 3, 2, fi_trials=4, pi_trials=8, samples=8)
+            phi.adjoint().adjoint()
+        assert caught == []
 
     def test_deterministic(self):
         phi = random_cpmap(2, 2, 4, 5)
