@@ -29,6 +29,14 @@ from .schatten import as_exponent, schatten_norm
 _SEARCH_RTOL = 1e-13
 
 
+def _require_dim(a, dim: int, what: str) -> np.ndarray:
+    """Validated dim x dim Hermitian input of the map or its adjoint."""
+    mat = require_hermitian(a)
+    if mat.shape[0] != dim:
+        raise DimMismatch(f"{what} expects {dim}x{dim} input, got {mat.shape}")
+    return mat
+
+
 class CPMap:
     """Completely positive map A -> sum_i V_i A V_i^dag.
 
@@ -87,11 +95,10 @@ class CPMap:
 
     def apply(self, a) -> np.ndarray:
         """Evaluate the map on an n x n Hermitian matrix."""
-        mat = require_hermitian(a)
-        if mat.shape[0] != self._n:
-            raise DimMismatch(
-                f"map expects {self._n}x{self._n} input, got {mat.shape}"
-            )
+        return self._apply(_require_dim(a, self._n, "map"))
+
+    def _apply(self, mat: np.ndarray) -> np.ndarray:
+        """``apply`` on a trusted n x n Hermitian matrix."""
         out = np.zeros((self._m, self._m), dtype=np.complex128)
         for v in self._kraus:
             out += v @ mat @ v.conj().T
@@ -99,11 +106,10 @@ class CPMap:
 
     def adjoint_apply(self, b) -> np.ndarray:
         """Evaluate the adjoint map B -> sum_i V_i^dag B V_i."""
-        mat = require_hermitian(b)
-        if mat.shape[0] != self._m:
-            raise DimMismatch(
-                f"adjoint expects {self._m}x{self._m} input, got {mat.shape}"
-            )
+        return self._adjoint_apply(_require_dim(b, self._m, "adjoint"))
+
+    def _adjoint_apply(self, mat: np.ndarray) -> np.ndarray:
+        """``adjoint_apply`` on a trusted m x m Hermitian matrix."""
         out = np.zeros((self._n, self._n), dtype=np.complex128)
         for v in self._kraus:
             out += v.conj().T @ mat @ v

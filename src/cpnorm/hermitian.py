@@ -1,9 +1,12 @@
 """Hermitian and positive semidefinite matrix algebra.
 
 All operations work on plain complex ndarrays and are pure functions of
-their inputs; ``require_hermitian`` validates matrices at IO boundaries.
-Eigendecompositions are canonicalized (descending eigenvalues,
-fixed eigenvector phases) so repeated runs produce identical output.
+their inputs. Public functions validate their arguments through
+``require_hermitian``; the private kernels behind them (``_eig_decompose``,
+``_psd_spectrum``, ``_rank``) trust theirs, so hot loops that already hold
+validated Hermitian matrices call the kernels directly. Eigendecompositions
+are canonicalized (descending eigenvalues, fixed eigenvector phases) so
+repeated runs produce identical output.
 """
 
 from __future__ import annotations
@@ -30,6 +33,12 @@ def frobenius_inner(a, b) -> float:
     return float(np.real(np.sum(np.conj(np.asarray(a)) * np.asarray(b))))
 
 
+def _require_finite(a: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
+        raise InvalidInput("matrix contains non-finite entries")
+    return a
+
+
 def require_hermitian(m, rtol: float = HERMITIZE_RTOL) -> np.ndarray:
     """Validate a square matrix and return its symmetrized copy.
 
@@ -41,8 +50,7 @@ def require_hermitian(m, rtol: float = HERMITIZE_RTOL) -> np.ndarray:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise InvalidInput("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInput("matrix contains non-finite entries")
+    _require_finite(a)
     deviation = np.linalg.norm(a - a.conj().T)
     if deviation > rtol * np.linalg.norm(a):
         raise InvalidInput(
@@ -69,21 +77,33 @@ def eig_decompose(a) -> EigDecomp:
     Deterministic for a fixed input: eigenvalues sorted descending, and each
     eigenvector's first significant component rotated to be real positive.
     """
-    m = require_hermitian(a)
+    return _eig_decompose(require_hermitian(a))
+
+
+def _eig_decompose(m: np.ndarray) -> EigDecomp:
+    """``eig_decompose`` of a trusted Hermitian matrix.
+
+    The first component above 1e-8 of its column's largest magnitude is the
+    pivot. Its magnitude comes from ``np.hypot``, which rounds like the
+    scalar ``abs`` and so keeps the phases those of a column-by-column loop.
+    """
     vals, vecs = np.linalg.eigh(m)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        significant = np.flatnonzero(np.abs(col) > 1e-8 * np.abs(col).max())
-        pivot = col[significant[0]]
-        vecs[:, j] = col * (np.conj(pivot) / abs(pivot))
-    return EigDecomp(vals, vecs)
+    vecs = vecs[:, ::-1]
+    mag = np.abs(vecs)
+    first = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
+    pivot = vecs[first, np.arange(vecs.shape[1])]
+    return EigDecomp(vals[::-1].copy(),
+                     vecs * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag)))
 
 
 def _spectral_cutoff(vals: np.ndarray, tol: float) -> float:
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    return tol * max(1.0, scale)
+    """tol * max(1, |lambda|_max) of a sorted, nonempty spectrum."""
+    return tol * max(1.0, abs(float(vals[0])), abs(float(vals[-1])))
+
+
+def _rank(vals: np.ndarray, tol: float = RANK_RTOL) -> int:
+    """Count of eigenvalues with |lambda_i| > tol * max(1, |lambda|_max)."""
+    return int(np.count_nonzero(np.abs(vals) > _spectral_cutoff(vals, tol)))
 
 
 def psd_spectrum(a, tol: float = RANK_RTOL) -> EigDecomp:
@@ -91,7 +111,12 @@ def psd_spectrum(a, tol: float = RANK_RTOL) -> EigDecomp:
 
     Eigenvalues below ``-tol * max(1, |lambda|_max)`` raise ``NotPsd``.
     """
-    dec = eig_decompose(a)
+    return _psd_spectrum(require_hermitian(a), tol)
+
+
+def _psd_spectrum(m: np.ndarray, tol: float = RANK_RTOL) -> EigDecomp:
+    """``psd_spectrum`` of a trusted Hermitian matrix."""
+    dec = _eig_decompose(m)
     cutoff = _spectral_cutoff(dec.eigenvalues, tol)
     if dec.eigenvalues[-1] < -cutoff:
         raise NotPsd(
@@ -130,8 +155,7 @@ def loewner_geq(a, b, tol: float = 1e-9) -> bool:
 
 def numerical_rank(a, tol: float = RANK_RTOL) -> int:
     """Count of eigenvalues with |lambda_i| > tol * max(1, |lambda|_max)."""
-    vals = np.linalg.eigvalsh(require_hermitian(a))
-    return int(np.count_nonzero(np.abs(vals) > _spectral_cutoff(vals, tol)))
+    return _rank(np.linalg.eigvalsh(require_hermitian(a)), tol)
 
 
 class PsdKind(Enum):
@@ -150,7 +174,7 @@ def classify_psd(a, tol: float = RANK_RTOL) -> PsdClass:
     """Classify a Hermitian matrix against the PSD cone at rank tolerance."""
     vals = np.linalg.eigvalsh(require_hermitian(a))
     cutoff = _spectral_cutoff(vals, tol)
-    rank = int(np.count_nonzero(np.abs(vals) > cutoff))
+    rank = _rank(vals, tol)
     if vals[0] < -cutoff:
         kind = PsdKind.INDEFINITE
     elif rank == vals.size and vals[0] > cutoff:

@@ -23,7 +23,14 @@ from .cpmap import (
     check_fully_indecomposable,
     check_positively_improving,
 )
-from .hermitian import psd_spectrum, random_psd, random_unit_vector, _spectral_cutoff
+from .hermitian import (
+    _psd_spectrum,
+    _spectral_cutoff,
+    hermitian_part,
+    psd_spectrum,
+    random_psd,
+    random_unit_vector,
+)
 from .schatten import as_exponent
 
 # Best samples from which the slice-peak search starts; from the best sample
@@ -107,6 +114,11 @@ def hilbert_distance(a, b, tol: float = RANK_RTOL) -> HilbertDistance:
     db = psd_spectrum(b, tol)
     if da.eigenvalues.size != db.eigenvalues.size:
         raise DimMismatch("hilbert_distance needs matrices of equal dimension")
+    return _hilbert_distance(da, db, tol)
+
+
+def _hilbert_distance(da, db, tol: float = RANK_RTOL) -> HilbertDistance:
+    """``hilbert_distance`` from the ``psd_spectrum`` of two same-size matrices."""
     ra = _rank_of(da, tol)
     rb = _rank_of(db, tol)
     if ra == 0 and rb == 0:
@@ -115,7 +127,7 @@ def hilbert_distance(a, b, tol: float = RANK_RTOL) -> HilbertDistance:
         return HilbertDistance(math.inf, False)
     a_mat = da.reconstruct()
     b_mat = db.reconstruct()
-    ds = psd_spectrum(a_mat + b_mat, tol)
+    ds = _psd_spectrum(hermitian_part(a_mat + b_mat), tol)
     if not ra == rb == _rank_of(ds, tol):
         return HilbertDistance(math.inf, False)
     n = da.eigenvalues.size
@@ -123,7 +135,7 @@ def hilbert_distance(a, b, tol: float = RANK_RTOL) -> HilbertDistance:
         basis = ds.eigenvectors[:, :ra]
         a_mat = basis.conj().T @ a_mat @ basis
         b_mat = basis.conj().T @ b_mat @ basis
-        db = psd_spectrum(b_mat, tol)
+        db = _psd_spectrum(hermitian_part(b_mat), tol)
     w = np.linalg.eigvalsh(_inv_sqrt_conjugate(a_mat, db))
     if w[0] <= 0.0:
         return HilbertDistance(math.inf, False)

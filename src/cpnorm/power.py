@@ -17,16 +17,25 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DegenerateMap, DimMismatch, InvalidInput, ZeroInput
-from .cpmap import CPMap
+from .cpmap import CPMap, _require_dim
 from .hermitian import (
-    eig_decompose,
+    EigDecomp,
+    _eig_decompose,
+    _psd_spectrum,
+    _rank,
+    _require_finite,
     hermitian_part,
-    numerical_rank,
     psd_spectrum,
     require_hermitian,
 )
-from .hilbert import ContractionReport, contraction_report, hilbert_distance
-from .schatten import SchattenExponent, as_exponent, duality_map, schatten_norm
+from .hilbert import ContractionReport, _hilbert_distance, contraction_report
+from .schatten import (
+    SchattenExponent,
+    _duality_map,
+    _spectrum_norm,
+    as_exponent,
+    schatten_norm,
+)
 
 # Eigenvalues of an iterate may drift this far below zero before the run is
 # flagged as having left the cone.
@@ -90,9 +99,18 @@ class TraceRow:
 
 @dataclass(frozen=True, eq=False)
 class PowerTrace:
-    rows: tuple[TraceRow, ...]
+    """Per-iteration rows of one run, held as one read-only (rows, 5) float64
+    array whose columns follow the ``TraceRow`` fields; a kept result costs
+    one small array rather than a tuple of row objects."""
+
+    table: np.ndarray
     status: IterationStatus
     termination_reason: str | None
+
+    @property
+    def rows(self) -> tuple[TraceRow, ...]:
+        """The table as ``TraceRow``s of Python ints and floats."""
+        return tuple(TraceRow(int(k), *rest) for k, *rest in self.table.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,11 +142,14 @@ def power_step(phi: CPMap, a, p, q) -> np.ndarray:
     """
     sp = as_exponent(p)
     sq = as_exponent(q)
-    image = phi.apply(a)
-    if numerical_rank(image) == 0:
+    # A map with huge Kraus operators overflows to inf; the kernels below
+    # would not notice.
+    image = _require_finite(phi.apply(a))
+    if _rank(np.linalg.eigvalsh(image)) == 0:
         raise DegenerateMap("the map annihilates this starting point")
-    pulled_back = phi.adjoint_apply(duality_map(image, sq))
-    return duality_map(pulled_back, SchattenExponent(sp.p_star, sp.p))
+    pulled_back = phi._adjoint_apply(_duality_map(_psd_spectrum(image), sq))
+    return _duality_map(_psd_spectrum(_require_finite(pulled_back)),
+                        SchattenExponent(sp.p_star, sp.p))
 
 
 def critical_point_residual(phi: CPMap, a, p, q) -> float:
@@ -140,38 +161,49 @@ def critical_point_residual(phi: CPMap, a, p, q) -> float:
     sp = as_exponent(p)
     sq = as_exponent(q)
     mat = require_hermitian(a)
-    if abs(schatten_norm(mat, sp.p) - 1.0) > 1e-9:
+    vals = np.linalg.eigvalsh(mat)
+    if abs(_spectrum_norm(vals, sp.p) - 1.0) > 1e-9:
         raise InvalidInput("residual is defined on unit Schatten-p norm matrices")
-    return _evaluate(phi, mat, sp, sq)[1]
+    return _evaluate(phi, _require_dim(mat, phi.input_dim, "map"), vals, None, sp, sq)[1]
 
 
-def _evaluate(phi: CPMap, a: np.ndarray, sp: SchattenExponent,
-              sq: SchattenExponent) -> tuple[float, float]:
+def _evaluate(phi: CPMap, a: np.ndarray, vals: np.ndarray, dec: EigDecomp | None,
+              sp: SchattenExponent, sq: SchattenExponent
+              ) -> tuple[float, float, EigDecomp]:
     """Objective and critical-point residual at a trusted Hermitian iterate.
 
-    Shares one application of the map and one pull-back between the two.
+    ``vals`` are the ``eigvalsh`` eigenvalues of ``a`` and ``dec`` its
+    ``psd_spectrum``; when None, ``dec`` is computed after the image's checks,
+    as the public calls order them, and is returned either way. One
+    application of the map, one ``eigvalsh`` of the image and one pull-back
+    serve both values.
     """
-    image = phi.apply(a)
-    if numerical_rank(image) == 0:
+    image = _require_finite(phi._apply(a))
+    image_vals = np.linalg.eigvalsh(image)
+    if _rank(image_vals) == 0:
         raise DegenerateMap("the map annihilates this point")
-    value = schatten_norm(image, sq.p) / schatten_norm(a, sp.p)
-    lhs = phi.adjoint_apply(duality_map(image, sq))
-    return value, float(np.linalg.norm(lhs - value * duality_map(a, sp)))
+    value = _spectrum_norm(image_vals, sq.p) / _spectrum_norm(vals, sp.p)
+    lhs = phi._adjoint_apply(_duality_map(_psd_spectrum(image), sq))
+    if dec is None:
+        dec = _psd_spectrum(a)
+    return value, float(np.linalg.norm(lhs - value * _duality_map(dec, sp))), dec
 
 
 def _repair_cone(a: np.ndarray):
-    """Re-symmetrize and clamp tiny negative drift; report real escapes."""
-    mat = hermitian_part(a)
-    vals = np.linalg.eigvalsh(mat)
+    """Clamp tiny negative drift of a trusted iterate.
+
+    Returns the iterate and its eigenvalues, or None when it has really left
+    the cone.
+    """
+    vals = np.linalg.eigvalsh(a)
     if vals[0] < -_CONE_DRIFT_TOL:
-        return mat, True
+        return None
     if vals[0] < 0.0:
-        dec = eig_decompose(mat)
+        dec = _eig_decompose(a)
         clipped = np.clip(dec.eigenvalues, 0.0, None)
-        mat = hermitian_part(
-            (dec.eigenvectors * clipped) @ dec.eigenvectors.conj().T
-        )
-    return mat, False
+        a = hermitian_part((dec.eigenvectors * clipped) @ dec.eigenvectors.conj().T)
+        vals = np.linalg.eigvalsh(a)
+    return a, vals
 
 
 def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
@@ -203,17 +235,19 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
             "maximum is not certified"
         )
 
-    f_prev, residual = _evaluate(phi, a, sp, sq)
-    rows = [TraceRow(0, f_prev, math.nan, math.nan, residual)]
+    # Each iterate is decomposed once: its eigenvalues give its Schatten-p
+    # norm, and its PSD spectrum serves J_p in the residual and both ends of
+    # the Hilbert steps into and out of it.
+    f_prev, residual, dec = _evaluate(phi, a, np.linalg.eigvalsh(a), None, sp, sq)
+    rows = [(0, f_prev, math.nan, math.nan, residual)]
     status = IterationStatus.MAX_ITER_REACHED
     reason = None
     iterations = 0
     prev_settled = prev_stalled = False
 
     for k in range(1, config.max_iter + 1):
-        nxt = power_step(phi, a, sp, sq)
-        nxt, escaped = _repair_cone(nxt)
-        if escaped:
+        repaired = _repair_cone(power_step(phi, a, sp, sq))
+        if repaired is None:
             status = IterationStatus.LEFT_CONE
             reason = None
             run_warnings.append(
@@ -221,10 +255,12 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
                 "the run was aborted"
             )
             break
+        nxt, vals = repaired
         frobenius_step = float(np.linalg.norm(nxt - a))
-        hilbert_step = hilbert_distance(nxt, a).value
-        f_cur, residual = _evaluate(phi, nxt, sp, sq)
-        rows.append(TraceRow(k, f_cur, hilbert_step, frobenius_step, residual))
+        nxt_dec = _psd_spectrum(nxt)
+        hilbert_step = _hilbert_distance(nxt_dec, dec).value
+        f_cur, residual, dec = _evaluate(phi, nxt, vals, nxt_dec, sp, sq)
+        rows.append((k, f_cur, hilbert_step, frobenius_step, residual))
         a = nxt
         iterations = k
         settled = frobenius_step <= config.tol_fixed_point
@@ -254,11 +290,13 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
                 "certified"
             )
 
+    table = np.array(rows, dtype=np.float64)
+    table.setflags(write=False)
     return NormResult(
-        norm_estimate=rows[-1].objective,
+        norm_estimate=rows[-1][1],
         maximizer=a,
         iterations=iterations,
-        trace=PowerTrace(tuple(rows), status, reason),
+        trace=PowerTrace(table, status, reason),
         contraction=contraction,
         warnings=tuple(run_warnings),
     )

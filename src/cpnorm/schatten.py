@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidExponent, ZeroInput
-from .hermitian import hermitian_part, psd_spectrum, require_hermitian
+from .hermitian import EigDecomp, hermitian_part, psd_spectrum, require_hermitian
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,12 @@ def schatten_norm(a, p) -> float:
     p = float(p)
     if math.isnan(p) or p < 1.0:
         raise InvalidExponent(f"Schatten norms need p >= 1, got {p}")
-    vals = np.abs(np.linalg.eigvalsh(require_hermitian(a)))
+    return _spectrum_norm(np.linalg.eigvalsh(require_hermitian(a)), p)
+
+
+def _spectrum_norm(eigenvalues: np.ndarray, p: float) -> float:
+    """``schatten_norm`` from the eigenvalues of a trusted matrix, p >= 1."""
+    vals = np.abs(eigenvalues)
     top = float(vals.max())
     if top == 0.0:
         return 0.0
@@ -64,7 +69,11 @@ def duality_map(a, p) -> np.ndarray:
     for p > 1), and the result is invariant under positive scaling of A.
     """
     exp = as_exponent(p)
-    dec = psd_spectrum(a)
+    return _duality_map(psd_spectrum(a), exp)
+
+
+def _duality_map(dec: EigDecomp, exp: SchattenExponent) -> np.ndarray:
+    """``duality_map`` from the ``psd_spectrum`` of a trusted matrix."""
     top = dec.eigenvalues[0]
     if top <= 0.0:
         raise ZeroInput("duality map is undefined at the zero matrix")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cpnorm import MapFile, generate_map, identity_channel
+from cpnorm import CPMap, MapFile, generate_map, identity_channel, random_cpmap
 from cpnorm.cli import main
 from cpnorm.fileio import save_map
 
@@ -121,6 +121,17 @@ class TestCompute:
         assert code == 2
         rec = json.loads(out)
         assert rec["result"]["status"] == "max_iter_reached"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_map_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        huge = CPMap([1e160 * v for v in random_cpmap(3, 3, 2, 1).kraus])
+        save_map(MapFile.from_cpmap(huge, {"name": "huge"}), path)
+        code, out, err = run_cli(capsys, ["compute", "--map", str(path),
+                                          "--p", "3", "--q", "2"])
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err
 
     def test_missing_file_exit_3(self, capsys):
         code, _, err = run_cli(capsys, ["compute", "--map", "/nonexistent.json",

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpnorm import (
     InvalidInput,
@@ -84,6 +86,59 @@ class TestEigDecompose:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInput):
             eig_decompose(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def _phase_loop(a):
+    """Reference: canonical phases set one eigenvector column at a time."""
+    vals, vecs = np.linalg.eigh(require_hermitian(a))
+    vals = vals[::-1].copy()
+    vecs = vecs[:, ::-1].copy()
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
+        significant = np.flatnonzero(np.abs(col) > 1e-8 * np.abs(col).max())
+        pivot = col[significant[0]]
+        vecs[:, j] = col * (np.conj(pivot) / abs(pivot))
+    return vals, vecs
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Gaussian Hermitian matrices at several scales, some of them permuted
+    block-diagonal so that eigenvectors have exactly zero leading entries,
+    some with repeated eigenvalues."""
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = random_hermitian(n, rng)
+    shape = draw(st.sampled_from(["dense", "blocks", "repeated"]))
+    if shape == "blocks":
+        cut = draw(st.integers(0, n))
+        m[:cut, cut:] = 0.0
+        m[cut:, :cut] = 0.0
+        perm = rng.permutation(n)
+        m = m[np.ix_(perm, perm)]
+    elif shape == "repeated":
+        q, _ = np.linalg.qr(m + 1j * np.eye(n))
+        m = (q * rng.integers(-2, 3, n)) @ q.conj().T
+    return m * draw(st.sampled_from([1e-12, 1.0, 1e12]))
+
+
+class TestCanonicalPhase:
+    @settings(max_examples=300)
+    @given(hermitian_matrices())
+    def test_matches_column_loop_bitwise(self, m):
+        vals, vecs = _phase_loop(m)
+        dec = eig_decompose(m)
+        assert dec.eigenvalues.tobytes() == vals.tobytes()
+        assert dec.eigenvectors.tobytes() == vecs.tobytes()
+
+    @settings(max_examples=300)
+    @given(hermitian_matrices())
+    def test_first_significant_component_real_positive(self, m):
+        vecs = eig_decompose(m).eigenvectors
+        for col in vecs.T:
+            pivot = col[np.flatnonzero(np.abs(col) > 1e-8 * np.abs(col).max())[0]]
+            assert pivot.real > 0.0
+            assert abs(pivot.imag) <= 1e-15 * pivot.real
 
 
 class TestMatrixPower:

@@ -8,16 +8,21 @@ import pytest
 from cpnorm import (
     CPMap,
     DegenerateMap,
+    DimMismatch,
     InvalidInput,
     IterationStatus,
     NotPsd,
     PowerConfig,
     ZeroInput,
+    TraceRow,
     critical_point_residual,
     default_start,
     depolarizing_channel,
+    eig_decompose,
+    hilbert_distance,
     identity_channel,
     numerical_rank,
+    objective,
     power_step,
     random_cpmap,
     run_power_method,
@@ -64,6 +69,17 @@ class TestPowerStep:
         corner = CPMap([np.array([[1.0, 0.0]])])
         with pytest.raises(DegenerateMap):
             power_step(corner, np.diag([0.0, 1.0]), 3, 2)
+
+    def test_wrong_dimension_raises_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            power_step(random_cpmap(3, 3, 2, 0), default_start(4, 3), 3, 2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_image_raises_invalid_input(self):
+        phi = random_cpmap(3, 3, 2, 1)
+        huge = CPMap([1e160 * v for v in phi.kraus])
+        with pytest.raises(InvalidInput, match="non-finite"):
+            power_step(huge, default_start(3, 3), 3, 2)
 
 
 class TestRunPowerMethod:
@@ -181,6 +197,27 @@ class TestRunPowerMethod:
         cfg = PowerConfig(p=3, q=2, max_iter=np.int64(4), with_contraction=False)
         assert run_power_method(identity_channel(2), cfg).iterations <= 4
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_map_raises_invalid_input(self):
+        phi = random_cpmap(3, 3, 3, 5)
+        huge = CPMap([1e160 * v for v in phi.kraus])
+        with pytest.raises(InvalidInput, match="non-finite"):
+            run_power_method(huge, PowerConfig(p=3, q=2, with_contraction=False))
+
+    def test_trace_is_one_float_array(self):
+        res = run_power_method(random_cpmap(3, 3, 3, 6),
+                               PowerConfig(p=3, q=2, with_contraction=False))
+        table = res.trace.table
+        assert table.dtype == np.float64
+        assert table.shape == (res.iterations + 1, 5)
+        assert not table.flags.writeable
+        rows = res.trace.rows
+        assert all(isinstance(row, TraceRow) for row in rows)
+        assert [row.k for row in rows] == list(range(res.iterations + 1))
+        assert all(type(row.k) is int and type(row.residual) is float for row in rows)
+        assert math.isnan(rows[0].hilbert_step) and math.isnan(rows[0].frobenius_step)
+        assert rows[-1].objective == res.norm_estimate
+
     def test_default_start_is_unit_interior(self):
         a = default_start(3, 2.5)
         assert schatten_norm(a, 2.5) == pytest.approx(1.0, abs=1e-12)
@@ -210,3 +247,43 @@ class TestResidual:
         phi = identity_channel(2)
         with pytest.raises(InvalidInput):
             critical_point_residual(phi, 2.0 * np.eye(2), 3, 2)
+
+    def test_wrong_dimension_raises_dim_mismatch(self):
+        phi = random_cpmap(3, 3, 2, 0)
+        with pytest.raises(DimMismatch):
+            critical_point_residual(phi, default_start(4, 3), 3, 2)
+
+
+def _replay(phi, p, q, iterations):
+    """The iteration rebuilt from public functions: trace rows and final iterate."""
+    a = default_start(phi.input_dim, p)
+    rows = [TraceRow(0, objective(phi, a, p, q), math.nan, math.nan,
+                     critical_point_residual(phi, a, p, q))]
+    for k in range(1, iterations + 1):
+        nxt = power_step(phi, a, p, q)
+        if np.linalg.eigvalsh(nxt)[0] < 0.0:
+            dec = eig_decompose(nxt)
+            clipped = np.clip(dec.eigenvalues, 0.0, None)
+            nxt = (dec.eigenvectors * clipped) @ dec.eigenvectors.conj().T
+            nxt = (nxt + nxt.conj().T) / 2
+        rows.append(TraceRow(k, objective(phi, nxt, p, q),
+                             hilbert_distance(nxt, a).value,
+                             float(np.linalg.norm(nxt - a)),
+                             critical_point_residual(phi, nxt, p, q)))
+        a = nxt
+    return rows, a
+
+
+class TestReplay:
+    """``run_power_method`` shares decompositions between the steps of its
+    loop; the values it records are bit for bit those of the public calls."""
+
+    @pytest.mark.parametrize("p,q", [(3.0, 2.0), (2.0, 3.0)])
+    @pytest.mark.parametrize("n,k,seed", [(2, 3, 0), (3, 3, 1), (4, 2, 2), (5, 5, 3)])
+    def test_rows_and_maximizer_bitwise(self, n, k, seed, p, q):
+        phi = random_cpmap(n, n, k, seed)
+        res = run_power_method(phi, PowerConfig(p=p, q=q, with_contraction=False))
+        rows, a = _replay(phi, p, q, res.iterations)
+        # repr is exact for floats, and unlike == it matches nan with nan
+        assert repr(res.trace.rows) == repr(tuple(rows))
+        assert res.maximizer.tobytes() == a.tobytes()
