@@ -6,6 +6,7 @@ import numpy as np
 
 # Single rank/PSD knob: eigenvalues with magnitude below
 # RANK_RTOL * max(1, |lambda|_max) count as zero everywhere in the package.
+# Its only reader is hermitian._spectral_cutoff.
 RANK_RTOL = 1e-10
 
 # Constructor gate: matrices whose Hermitian deviation ||M - M^dag||_F exceeds

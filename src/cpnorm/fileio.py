@@ -30,12 +30,12 @@ GENERATOR_KINDS = ("generic", "positively_improving", "diagonal_from_matrix")
 
 @dataclass(frozen=True, eq=False)
 class MapFile:
-    """Parsed map file: Kraus operators plus free-form metadata."""
+    """Parsed map file: the (k, m, n) Kraus stack plus free-form metadata."""
 
     version: int
     n: int
     m: int
-    kraus: tuple
+    kraus: np.ndarray
     metadata: dict
 
     def to_cpmap(self) -> CPMap:
@@ -106,10 +106,10 @@ def parse_map(text: str, source: str = "<string>") -> MapFile:
     kraus_raw = _require_field(obj, "kraus", source)
     if not isinstance(kraus_raw, list) or not kraus_raw:
         raise InvalidInput(f"{source}: field 'kraus' must be a nonempty list")
-    kraus = tuple(
+    kraus = np.stack([
         decode_complex_matrix(entry, m, n, f"{source}: kraus[{i}]")
         for i, entry in enumerate(kraus_raw)
-    )
+    ])
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):
         raise InvalidInput(f"{source}: field 'metadata' must be an object")
@@ -182,10 +182,9 @@ def generate_map(n: int, m: int, k: int, seed: int, kind: str = "generic",
     ops = _gaussian_kraus(subseed(seed, "generate", kind), n, m, k)
     if kind == "positively_improving":
         # eps-scaled depolarizing block: adds eps * tr(A) * I to every output
-        ops += embed_nonnegative_matrix(np.full((m, n), 0.2)).kraus
+        ops = np.concatenate([ops, embed_nonnegative_matrix(np.full((m, n), 0.2)).kraus])
     metadata = {"kind": kind, "name": f"{kind}-n{n}-m{m}-k{k}-seed{seed}", "seed": seed}
-    return MapFile(version=FORMAT_VERSION, n=n, m=m, kraus=tuple(ops),
-                   metadata=metadata)
+    return MapFile(version=FORMAT_VERSION, n=n, m=m, kraus=ops, metadata=metadata)
 
 
 def _jsonable(x):

@@ -39,24 +39,28 @@ def _require_finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def require_hermitian(m, rtol: float = HERMITIZE_RTOL) -> np.ndarray:
-    """Validate a square matrix and return its symmetrized copy.
+def require_hermitian(m) -> np.ndarray:
+    """Validate a square matrix and return its finite symmetrized copy.
 
-    Deviation from M^dag below ``rtol * ||M||_F`` is symmetrized away;
-    anything larger is rejected because it usually signals an IO bug.
+    Deviation from M^dag below ``HERMITIZE_RTOL * ||M||_F`` is symmetrized
+    away; anything larger is rejected because it usually signals an IO bug.
+    A finite ||M||_F bounds every entry far below where the symmetrization
+    overflows; otherwise the copy itself is checked for finiteness.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise InvalidInput("matrix dimension must be at least 1")
-    _require_finite(a)
-    deviation = np.linalg.norm(a - a.conj().T)
-    if deviation > rtol * np.linalg.norm(a):
-        raise InvalidInput(
-            f"matrix is not Hermitian: ||M - M^dag||_F = {deviation:.3e}"
-        )
-    return hermitian_part(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = np.linalg.norm(a - a.conj().T)
+        size = np.linalg.norm(a)
+        if deviation > HERMITIZE_RTOL * size:
+            raise InvalidInput(
+                f"matrix is not Hermitian: ||M - M^dag||_F = {deviation:.3e}"
+            )
+        sym = hermitian_part(a)
+    return sym if np.isfinite(size) else _require_finite(sym)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,28 +100,29 @@ def _eig_decompose(m: np.ndarray) -> EigDecomp:
                      vecs * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag)))
 
 
-def _spectral_cutoff(vals: np.ndarray, tol: float) -> float:
-    """tol * max(1, |lambda|_max) of a sorted, nonempty spectrum."""
-    return tol * max(1.0, abs(float(vals[0])), abs(float(vals[-1])))
+def _spectral_cutoff(vals: np.ndarray) -> float:
+    """RANK_RTOL * max(1, |lambda|_max) of a sorted, nonempty spectrum: the
+    one cutoff behind every rank, PSD and part-of-the-cone decision."""
+    return RANK_RTOL * max(1.0, abs(float(vals[0])), abs(float(vals[-1])))
 
 
-def _rank(vals: np.ndarray, tol: float = RANK_RTOL) -> int:
-    """Count of eigenvalues with |lambda_i| > tol * max(1, |lambda|_max)."""
-    return int(np.count_nonzero(np.abs(vals) > _spectral_cutoff(vals, tol)))
+def _rank(vals: np.ndarray) -> int:
+    """Count of eigenvalues above ``_spectral_cutoff`` in magnitude."""
+    return int(np.count_nonzero(np.abs(vals) > _spectral_cutoff(vals)))
 
 
-def psd_spectrum(a, tol: float = RANK_RTOL) -> EigDecomp:
+def psd_spectrum(a) -> EigDecomp:
     """Eigendecomposition of a PSD matrix with small negatives clamped to 0.
 
-    Eigenvalues below ``-tol * max(1, |lambda|_max)`` raise ``NotPsd``.
+    Eigenvalues below ``-_spectral_cutoff`` raise ``NotPsd``.
     """
-    return _psd_spectrum(require_hermitian(a), tol)
+    return _psd_spectrum(require_hermitian(a))
 
 
-def _psd_spectrum(m: np.ndarray, tol: float = RANK_RTOL) -> EigDecomp:
+def _psd_spectrum(m: np.ndarray) -> EigDecomp:
     """``psd_spectrum`` of a trusted Hermitian matrix."""
     dec = _eig_decompose(m)
-    cutoff = _spectral_cutoff(dec.eigenvalues, tol)
+    cutoff = _spectral_cutoff(dec.eigenvalues)
     if dec.eigenvalues[-1] < -cutoff:
         raise NotPsd(
             f"matrix is not PSD: smallest eigenvalue {dec.eigenvalues[-1]:.3e}"
@@ -125,12 +130,12 @@ def _psd_spectrum(m: np.ndarray, tol: float = RANK_RTOL) -> EigDecomp:
     return EigDecomp(np.clip(dec.eigenvalues, 0.0, None), dec.eigenvectors)
 
 
-def matrix_power(a, t: float, tol: float = RANK_RTOL) -> np.ndarray:
+def matrix_power(a, t: float) -> np.ndarray:
     """A**t for PSD A through the spectral calculus Q diag(lambda**t) Q^dag."""
     t = float(t)
     if not np.isfinite(t) or t <= 0:
         raise InvalidInput(f"exponent must be a positive real, got {t}")
-    dec = psd_spectrum(a, tol)
+    dec = psd_spectrum(a)
     return hermitian_part(
         (dec.eigenvectors * dec.eigenvalues**t) @ dec.eigenvectors.conj().T
     )
@@ -144,18 +149,19 @@ def abs_matrix(a) -> np.ndarray:
     )
 
 
-def loewner_geq(a, b, tol: float = 1e-9) -> bool:
-    """True when A - B is PSD at tolerance, i.e. lambda_min(A - B) >= -tol."""
+def loewner_geq(a, b) -> bool:
+    """True when A - B is PSD, i.e. lambda_min(A - B) >= -_spectral_cutoff."""
     am = require_hermitian(a)
     bm = require_hermitian(b)
     if am.shape != bm.shape:
         raise DimMismatch(f"shapes {am.shape} and {bm.shape} differ")
-    return bool(np.linalg.eigvalsh(am - bm)[0] >= -tol)
+    vals = np.linalg.eigvalsh(am - bm)
+    return bool(vals[0] >= -_spectral_cutoff(vals))
 
 
-def numerical_rank(a, tol: float = RANK_RTOL) -> int:
-    """Count of eigenvalues with |lambda_i| > tol * max(1, |lambda|_max)."""
-    return _rank(np.linalg.eigvalsh(require_hermitian(a)), tol)
+def numerical_rank(a) -> int:
+    """Count of eigenvalues above ``_spectral_cutoff`` in magnitude."""
+    return _rank(np.linalg.eigvalsh(require_hermitian(a)))
 
 
 class PsdKind(Enum):
@@ -170,11 +176,11 @@ class PsdClass:
     rank: int
 
 
-def classify_psd(a, tol: float = RANK_RTOL) -> PsdClass:
-    """Classify a Hermitian matrix against the PSD cone at rank tolerance."""
+def classify_psd(a) -> PsdClass:
+    """Classify a Hermitian matrix against the PSD cone at ``_spectral_cutoff``."""
     vals = np.linalg.eigvalsh(require_hermitian(a))
-    cutoff = _spectral_cutoff(vals, tol)
-    rank = _rank(vals, tol)
+    cutoff = _spectral_cutoff(vals)
+    rank = _rank(vals)
     if vals[0] < -cutoff:
         kind = PsdKind.INDEFINITE
     elif rank == vals.size and vals[0] > cutoff:

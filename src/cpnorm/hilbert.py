@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DISTANCE_OVERFLOW, RANK_RTOL, subseed
+from .config import DISTANCE_OVERFLOW, subseed
 from .errors import DimMismatch, InvalidInput, ZeroInput
 from .cpmap import (
     CPMap,
@@ -25,6 +25,7 @@ from .cpmap import (
 )
 from .hermitian import (
     _psd_spectrum,
+    _rank,
     _spectral_cutoff,
     hermitian_part,
     psd_spectrum,
@@ -37,6 +38,10 @@ from .schatten import as_exponent
 # alone it ends at a lower local maximum on about 2% of generated maps.
 _PEAK_STARTS = 8
 
+# Random unit vectors sampled by the positively-improving check and by the
+# slice-peak search when ``estimate_diameter`` builds its upper bound.
+_REFINE_TRIALS = 128
+
 
 @dataclass(frozen=True)
 class HilbertDistance:
@@ -46,24 +51,19 @@ class HilbertDistance:
     same_part: bool
 
 
-def _rank_of(dec, tol: float = RANK_RTOL) -> int:
-    cutoff = _spectral_cutoff(dec.eigenvalues, tol)
-    return int(np.count_nonzero(dec.eigenvalues > cutoff))
-
-
-def same_part(a, b, tol: float = RANK_RTOL) -> bool:
-    """True when the PSD inputs have equal ranges at rank tolerance.
+def same_part(a, b) -> bool:
+    """True when the PSD inputs have equal ranges at the rank cutoff.
 
     For PSD matrices the two-sided sandwich cB <= A <= CB is equivalent to
     range equality, which is decided by comparing the numerical ranks of A,
     B, and A + B.
     """
-    da = psd_spectrum(a, tol)
-    db = psd_spectrum(b, tol)
+    da = psd_spectrum(a)
+    db = psd_spectrum(b)
     if da.eigenvalues.size != db.eigenvalues.size:
         raise DimMismatch("same_part needs matrices of equal dimension")
-    ds = psd_spectrum(da.reconstruct() + db.reconstruct(), tol)
-    return _rank_of(da, tol) == _rank_of(db, tol) == _rank_of(ds, tol)
+    ds = psd_spectrum(da.reconstruct() + db.reconstruct())
+    return _rank(da.eigenvalues) == _rank(db.eigenvalues) == _rank(ds.eigenvalues)
 
 
 def _inv_sqrt_conjugate(a_mat: np.ndarray, dec_b) -> np.ndarray:
@@ -73,69 +73,69 @@ def _inv_sqrt_conjugate(a_mat: np.ndarray, dec_b) -> np.ndarray:
     return s.conj().T @ a_mat @ s
 
 
-def m_ratio(a, b, tol: float = RANK_RTOL) -> float:
+def m_ratio(a, b) -> float:
     """inf { lam > 0 : A <= lam B } on the PSD cone; inf when unbounded.
 
     Finite exactly when range(A) is contained in range(B); singular B is
     handled by compressing both matrices to an orthonormal basis of its
     range.
     """
-    da = psd_spectrum(a, tol)
-    db = psd_spectrum(b, tol)
+    da = psd_spectrum(a)
+    db = psd_spectrum(b)
     if da.eigenvalues.size != db.eigenvalues.size:
         raise DimMismatch("m_ratio needs matrices of equal dimension")
-    rb = _rank_of(db, tol)
+    rb = _rank(db.eigenvalues)
     if rb == 0:
         raise ZeroInput("m_ratio denominator must be a nonzero PSD matrix")
-    if _rank_of(da, tol) == 0:
+    if _rank(da.eigenvalues) == 0:
         return 0.0
     n = da.eigenvalues.size
     a_mat = da.reconstruct()
     if rb < n:
         null_basis = db.eigenvectors[:, rb:]
         leak = np.linalg.eigvalsh(null_basis.conj().T @ a_mat @ null_basis)[-1]
-        if leak > _spectral_cutoff(da.eigenvalues, tol):
+        if leak > _spectral_cutoff(da.eigenvalues):
             return math.inf
         basis = db.eigenvectors[:, :rb]
         a_mat = basis.conj().T @ a_mat @ basis
-        db = psd_spectrum(basis.conj().T @ db.reconstruct() @ basis, tol)
+        db = psd_spectrum(basis.conj().T @ db.reconstruct() @ basis)
     w = np.linalg.eigvalsh(_inv_sqrt_conjugate(a_mat, db))
     return float(w[-1])
 
 
-def hilbert_distance(a, b, tol: float = RANK_RTOL) -> HilbertDistance:
+def hilbert_distance(a, b) -> HilbertDistance:
     """d(A,B) = ln( M(A/B) * M(B/A) ), computed on the common range.
 
     Scale invariant in both arguments, zero when both inputs are zero, and
     infinite across parts. On a shared range the value reduces to the log
     of the spectral spread of B^{-1/2} A B^{-1/2}.
     """
-    da = psd_spectrum(a, tol)
-    db = psd_spectrum(b, tol)
+    da = psd_spectrum(a)
+    db = psd_spectrum(b)
     if da.eigenvalues.size != db.eigenvalues.size:
         raise DimMismatch("hilbert_distance needs matrices of equal dimension")
-    return _hilbert_distance(da, db, tol)
+    return _hilbert_distance(da, db)
 
 
-def _hilbert_distance(da, db, tol: float = RANK_RTOL) -> HilbertDistance:
+def _hilbert_distance(da, db) -> HilbertDistance:
     """``hilbert_distance`` from the ``psd_spectrum`` of two same-size matrices."""
-    ra = _rank_of(da, tol)
-    rb = _rank_of(db, tol)
+    ra = _rank(da.eigenvalues)
+    rb = _rank(db.eigenvalues)
     if ra == 0 and rb == 0:
         return HilbertDistance(0.0, True)
     if ra == 0 or rb == 0:
         return HilbertDistance(math.inf, False)
     a_mat = da.reconstruct()
     b_mat = db.reconstruct()
-    ds = _psd_spectrum(hermitian_part(a_mat + b_mat), tol)
-    if not ra == rb == _rank_of(ds, tol):
+    ds = _psd_spectrum(hermitian_part(a_mat + b_mat))
+    if not ra == rb == _rank(ds.eigenvalues):
         return HilbertDistance(math.inf, False)
     n = da.eigenvalues.size
     if ra < n:
         basis = ds.eigenvectors[:, :ra]
         a_mat = basis.conj().T @ a_mat @ basis
         b_mat = basis.conj().T @ b_mat @ basis
-        db = _psd_spectrum(hermitian_part(b_mat), tol)
+        db = _psd_spectrum(hermitian_part(b_mat))
     w = np.linalg.eigvalsh(_inv_sqrt_conjugate(a_mat, db))
     if w[0] <= 0.0:
         return HilbertDistance(math.inf, False)
@@ -218,7 +218,6 @@ def estimate_diameter(
     samples: int = 64,
     seed=0,
     improving: StructuralVerdict | None = None,
-    refine_trials: int = 128,
 ) -> ContractionReport:
     """Monte Carlo bounds on the projective diameter of a CP map.
 
@@ -254,7 +253,7 @@ def estimate_diameter(
     kappa_lower = 1.0 if unbounded else math.tanh(worst / 4.0)
 
     if improving is None:
-        improving = check_positively_improving(phi, trials=refine_trials, seed=seed)
+        improving = check_positively_improving(phi, trials=_REFINE_TRIALS, seed=seed)
 
     diameter_upper = None
     kappa_upper = None
@@ -264,7 +263,7 @@ def estimate_diameter(
         and improving.margin is not None
         and improving.margin > 0.0
     ):
-        peak = _slice_peak(phi, refine_trials, subseed(seed, "slice-peak"))
+        peak = _slice_peak(phi, _REFINE_TRIALS, subseed(seed, "slice-peak"))
         diameter_upper = 2.0 * math.log(2.0 * peak / improving.margin)
         kappa_upper = math.tanh(diameter_upper / 4.0)
         source = "improving-slice"

@@ -18,6 +18,7 @@ from cpnorm import (
     depolarizing_channel,
     embed_nonnegative_matrix,
     frobenius_inner,
+    hermitian_part,
     identity_channel,
     numerical_rank,
     objective,
@@ -179,7 +180,8 @@ class TestFullyIndecomposable:
 
     def test_never_certifies(self):
         verdict = check_fully_indecomposable(depolarizing_channel(2), trials=4, seed=1)
-        assert verdict.verdict is not Verdict.CERTIFIED
+        assert verdict.verdict is Verdict.PROBABLY_TRUE
+        assert set(Verdict) == {Verdict.PROBABLY_TRUE, Verdict.COUNTEREXAMPLE_FOUND}
 
 
 class TestPositivelyImproving:
@@ -246,6 +248,81 @@ class TestRankOneExtreme:
         scale = max(1.0, peak)
         assert margin == pytest.approx(_extreme_at(phi, x_low)[0], abs=1e-12 * scale)
         assert peak == pytest.approx(_extreme_at(phi, x_high)[1], abs=1e-12 * scale)
+
+
+def _loop_apply(ops, a):
+    """Reference: the per-operator sum over a tuple of separate operators."""
+    out = np.zeros((ops[0].shape[0],) * 2, dtype=np.complex128)
+    for v in ops:
+        out += v @ a @ v.conj().T
+    return hermitian_part(out)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestKrausStack:
+    """The (k, m, n) stack against per-operator code over separate operators."""
+
+    @pytest.mark.filterwarnings("ignore::cpnorm.errors.KrausRedundancyWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 4),
+        k=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_apply_matches_per_operator_loop(self, n, m, k, seed):
+        phi = random_cpmap(n, m, k, seed)
+        ops = tuple(phi.kraus)
+        adj_ops = tuple(v.conj().T for v in ops)
+        a = random_hermitian(n, seed)
+        b = random_hermitian(m, seed)
+        assert phi.kraus.shape == (k, m, n)
+        assert _bits(phi.apply(a)) == _bits(_loop_apply(ops, a))
+        assert _bits(phi.adjoint_apply(b)) == _bits(_loop_apply(adj_ops, b))
+        assert _bits(phi.adjoint().apply(b)) == _bits(_loop_apply(adj_ops, b))
+        assert _bits(phi.adjoint().adjoint_apply(a)) == _bits(_loop_apply(ops, a))
+        assert _bits(phi.adjoint().adjoint().apply(a)) == _bits(_loop_apply(ops, a))
+
+    def test_depolarizing_operators_in_loop_order(self):
+        n = 3
+        old = []
+        for i in range(n):
+            for j in range(n):
+                v = np.zeros((n, n), dtype=np.complex128)
+                v[i, j] = 1.0 / np.sqrt(n)
+                old.append(v)
+        assert _bits(depolarizing_channel(n).kraus) == _bits(np.stack(old))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_depolarizing_rejects_nonpositive_dimension(self, n):
+        with pytest.raises(InvalidInput):
+            depolarizing_channel(n)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_embedding_operators_in_loop_order(self, seed):
+        rng = np.random.default_rng(seed)
+        mat = rng.uniform(0.0, 2.0, (3, 4)) * (rng.uniform(size=(3, 4)) < 0.6)
+        mat[0, 0] = 1.5
+        old = []
+        for i in range(3):
+            for j in range(4):
+                if mat[i, j] > 0:
+                    v = np.zeros((3, 4), dtype=np.complex128)
+                    v[i, j] = np.sqrt(mat[i, j])
+                    old.append(v)
+        assert _bits(embed_nonnegative_matrix(mat).kraus) == _bits(np.stack(old))
+
+    def test_stack_is_read_only(self):
+        ops = np.stack([np.eye(2, dtype=np.complex128), np.diag([0.0, 1.0 + 0j])])
+        phi = CPMap(ops)
+        for stack in (phi.kraus, phi.adjoint().kraus):
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 2.0
+        ops[0, 0, 0] = 2.0  # the caller's array is copied, not frozen
+        assert phi.kraus[0, 0, 0] == 1.0
 
 
 class TestEmbedding:

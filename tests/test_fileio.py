@@ -26,6 +26,7 @@ from cpnorm import (
     objective,
     parse_map,
     serialize_map,
+    subseed,
 )
 from cpnorm.fileio import canonical_json, load_map, save_map
 
@@ -107,6 +108,21 @@ class TestGeneration:
             phi = mf.to_cpmap()
         verdict = check_positively_improving(phi, trials=64, seed=0)
         assert verdict.verdict is Verdict.PROBABLY_TRUE
+
+    def test_positively_improving_operators_in_loop_order(self):
+        n, m, k, seed = 2, 3, 2, 5
+        rng = subseed(seed, "generate", "positively_improving")
+        old = [
+            (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
+            for _ in range(k)
+        ]
+        for i in range(m):
+            for j in range(n):
+                v = np.zeros((m, n), dtype=np.complex128)
+                v[i, j] = np.sqrt(0.2)
+                old.append(v)
+        mf = generate_map(n, m, k, seed=seed, kind="positively_improving")
+        assert mf.kraus.tobytes() == np.stack(old).tobytes()
 
     def test_diagonal_embedding_matches_matrix_objective(self):
         a = np.array([[1.0, 1.0], [0.0, 1.0]])

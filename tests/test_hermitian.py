@@ -13,6 +13,7 @@ from cpnorm import (
     abs_matrix,
     classify_psd,
     eig_decompose,
+    hilbert_distance,
     loewner_geq,
     matrix_power,
     numerical_rank,
@@ -44,6 +45,23 @@ class TestHermitianMatrix:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInput):
             require_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_rejects_overflowing_non_hermitian(self):
+        # both norms of the Hermitian test overflow to inf, so only the
+        # finiteness of the symmetrized copy catches this matrix
+        with pytest.raises(InvalidInput):
+            require_hermitian(np.array([[1e308, 1e308], [0.0, 1e308]]))
+
+    def test_rank_of_overflowing_matrix_is_rejected(self):
+        with pytest.raises(InvalidInput):
+            numerical_rank(np.array([[1e308, 1e308], [0.0, 1e308]]))
+
+    def test_distance_of_overflowing_matrices_is_rejected(self):
+        with pytest.raises(InvalidInput):
+            hilbert_distance(1e308 * np.diag([1.0, 0.5]), 1e308 * np.diag([0.3, 1.0]))
+        # one decade lower nothing overflows: ln((1/0.3) / (0.5/1))
+        d = hilbert_distance(1e307 * np.diag([1.0, 0.5]), 1e307 * np.diag([0.3, 1.0]))
+        assert d.value == pytest.approx(np.log(1.0 / 0.15), rel=1e-12)
 
 
 class TestEigDecompose:
@@ -199,8 +217,8 @@ class TestAbsMatrix:
     @pytest.mark.parametrize("seed", range(20))
     def test_dominates_plus_minus(self, seed):
         a = random_hermitian(4, seed)
-        assert loewner_geq(abs_matrix(a), a, tol=1e-9)
-        assert loewner_geq(abs_matrix(a), -a, tol=1e-9)
+        assert loewner_geq(abs_matrix(a), a)
+        assert loewner_geq(abs_matrix(a), -a)
 
 
 class TestLoewner:
