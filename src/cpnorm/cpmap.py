@@ -16,9 +16,9 @@ import numpy as np
 from .config import as_rng, subseed
 from .errors import DimMismatch, InvalidInput, KrausRedundancyWarning, ZeroInput
 from .hermitian import (
+    _rank,
     _spectral_cutoff,
     hermitian_part,
-    numerical_rank,
     random_psd,
     random_unit_vector,
     require_hermitian,
@@ -241,8 +241,8 @@ def check_fully_indecomposable(phi: CPMap, trials: int = 64, seed=0) -> Structur
         for t in range(trials):
             a = random_psd(n, r, subseed(seed, "fully-indecomposable", r, t))
             total += 1
-            out = phi.adjoint_apply(phi.apply(a))
-            if numerical_rank(out) <= r:
+            out = phi._adjoint_apply(phi._apply(a))
+            if _rank(np.linalg.eigvalsh(out)) <= r:
                 return StructuralVerdict(
                     StructuralProperty.FULLY_INDECOMPOSABLE,
                     Verdict.COUNTEREXAMPLE_FOUND,
@@ -252,6 +252,11 @@ def check_fully_indecomposable(phi: CPMap, trials: int = 64, seed=0) -> Structur
     return StructuralVerdict(
         StructuralProperty.FULLY_INDECOMPOSABLE, Verdict.PROBABLY_TRUE, trials=total
     )
+
+
+def _projector(x: np.ndarray) -> np.ndarray:
+    """x x^dag symmetrized exactly, as ``require_hermitian`` returns it."""
+    return hermitian_part(np.outer(x, x.conj()))
 
 
 def _rank_one_extreme(phi: CPMap, x: np.ndarray, top: bool) -> tuple[float, np.ndarray]:
@@ -268,12 +273,12 @@ def _rank_one_extreme(phi: CPMap, x: np.ndarray, top: bool) -> tuple[float, np.n
     """
     pick = -1 if top else 0
     sign = 1.0 if top else -1.0
-    w, vecs = np.linalg.eigh(phi.apply(np.outer(x, x.conj())))
+    w, vecs = np.linalg.eigh(phi._apply(_projector(x)))
     value = float(w[pick])
     for _ in range(200 * phi.input_dim):
         u = vecs[:, pick]
-        cand = np.linalg.eigh(phi.adjoint_apply(np.outer(u, u.conj())))[1][:, pick]
-        w, cand_vecs = np.linalg.eigh(phi.apply(np.outer(cand, cand.conj())))
+        cand = np.linalg.eigh(phi._adjoint_apply(_projector(u)))[1][:, pick]
+        w, cand_vecs = np.linalg.eigh(phi._apply(_projector(cand)))
         gain = sign * (float(w[pick]) - value)
         if gain <= 0.0:
             break
@@ -299,7 +304,7 @@ def check_positively_improving(phi: CPMap, trials: int = 256, seed=0) -> Structu
     for _ in range(trials):
         x = random_unit_vector(n, rng)
         rho = np.outer(x, x.conj())
-        vals = np.linalg.eigvalsh(phi.apply(rho))
+        vals = np.linalg.eigvalsh(phi._apply(hermitian_part(rho)))
         if vals[0] <= _spectral_cutoff(vals):
             return StructuralVerdict(
                 StructuralProperty.POSITIVELY_IMPROVING,
@@ -315,7 +320,7 @@ def check_positively_improving(phi: CPMap, trials: int = 256, seed=0) -> Structu
     value, x = _rank_one_extreme(phi, worst_x, top=False)
     refined = min(worst_val, value)
     rho = np.outer(x, x.conj())
-    vals = np.linalg.eigvalsh(phi.apply(rho))
+    vals = np.linalg.eigvalsh(phi._apply(hermitian_part(rho)))
     if refined <= _spectral_cutoff(vals):
         return StructuralVerdict(
             StructuralProperty.POSITIVELY_IMPROVING,

@@ -44,8 +44,10 @@ def require_hermitian(m) -> np.ndarray:
 
     Deviation from M^dag below ``HERMITIZE_RTOL * ||M||_F`` is symmetrized
     away; anything larger is rejected because it usually signals an IO bug.
-    A finite ||M||_F bounds every entry far below where the symmetrization
-    overflows; otherwise the copy itself is checked for finiteness.
+    When ||M||_F overflows, the test is redone on M scaled by a power of two,
+    which is exact. A finite ||M||_F bounds every entry far below where the
+    symmetrization overflows; otherwise the copy itself is checked for
+    finiteness.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -55,7 +57,15 @@ def require_hermitian(m) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         deviation = np.linalg.norm(a - a.conj().T)
         size = np.linalg.norm(a)
-        if deviation > HERMITIZE_RTOL * size:
+        if np.isinf(size) and np.all(np.isfinite(a)):
+            # both norms can overflow, and inf > inf is false
+            top = max(np.abs(a.real).max(), np.abs(a.imag).max())
+            s = a * np.ldexp(1.0, -int(np.frexp(top)[1]))
+            rejected = (np.linalg.norm(s - s.conj().T)
+                        > HERMITIZE_RTOL * np.linalg.norm(s))
+        else:
+            rejected = deviation > HERMITIZE_RTOL * size
+        if rejected:
             raise InvalidInput(
                 f"matrix is not Hermitian: ||M - M^dag||_F = {deviation:.3e}"
             )

@@ -19,6 +19,7 @@ from .cpmap import (
     CPMap,
     StructuralVerdict,
     Verdict,
+    _projector,
     _rank_one_extreme,
     check_fully_indecomposable,
     check_positively_improving,
@@ -197,7 +198,7 @@ def _slice_peak(phi: CPMap, samples: int, rng) -> float:
     scored = []
     for _ in range(samples):
         x = random_unit_vector(n, rng)
-        scored.append((float(np.linalg.eigvalsh(phi.apply(np.outer(x, x.conj())))[-1]), x))
+        scored.append((float(np.linalg.eigvalsh(phi._apply(_projector(x)))[-1]), x))
     scored.sort(key=lambda s: -s[0])
     refined = (_rank_one_extreme(phi, x, top=True)[0] for _, x in scored[:_PEAK_STARTS])
     return max(scored[0][0], *refined)
@@ -210,7 +211,7 @@ def _same_part_pair(n: int, r: int, rng):
     basis, _ = np.linalg.qr(g)
     a = basis @ random_psd(r, r, rng) @ basis.conj().T
     b = basis @ random_psd(r, r, rng) @ basis.conj().T
-    return a, b
+    return hermitian_part(a), hermitian_part(b)
 
 
 def estimate_diameter(
@@ -242,7 +243,8 @@ def estimate_diameter(
     drawn = 0
     for j in range(samples):
         a, b = _same_part_pair(n, 1 + j % n, rng)
-        d = hilbert_distance(phi.apply(a), phi.apply(b))
+        d = _hilbert_distance(_psd_spectrum(phi._apply(a)),
+                              _psd_spectrum(phi._apply(b)))
         drawn += 1
         if not d.same_part or d.value > DISTANCE_OVERFLOW:
             unbounded = True

@@ -47,10 +47,22 @@ class TestHermitianMatrix:
             require_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_rejects_overflowing_non_hermitian(self):
-        # both norms of the Hermitian test overflow to inf, so only the
-        # finiteness of the symmetrized copy catches this matrix
+        # both norms of the Hermitian test overflow to inf, and so does the
+        # symmetrized copy
         with pytest.raises(InvalidInput):
             require_hermitian(np.array([[1e308, 1e308], [0.0, 1e308]]))
+
+    def test_rejects_non_hermitian_when_norms_overflow(self):
+        # every entry and the symmetrized copy are finite, but ||M||_F and
+        # ||M - M^dag||_F both overflow; the test is redone at a power-of-two
+        # scale
+        with pytest.raises(InvalidInput, match="not Hermitian"):
+            require_hermitian(np.array([[0.0, 1e200], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("off", [1e200, 1e200j, 1e200 + 1e200j])
+    def test_accepts_hermitian_when_norms_overflow(self, off):
+        m = np.array([[1e200, off], [np.conj(off), -1e200]])
+        assert np.array_equal(require_hermitian(m), m)
 
     def test_rank_of_overflowing_matrix_is_rejected(self):
         with pytest.raises(InvalidInput):

@@ -3,6 +3,9 @@ power iteration, cross-validation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cpnorm import (
     CPMap,
@@ -19,9 +22,59 @@ from cpnorm import (
     objective,
     oracle_max,
     random_cpmap,
+    random_hermitian,
     run_power_method,
     spectral_grid_max,
 )
+from cpnorm.oracle import _herm_to_vec, _value_and_grad
+
+
+def central_grad(g, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of g at x: the reference for the oracle's
+    analytic gradient."""
+    grad = np.empty(x.size)
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        grad[i] = (g(xp) - g(xm)) / (2.0 * h)
+    return grad
+
+
+class CountingMap(CPMap):
+    """A CP map that counts calls of its public ``apply``."""
+
+    __slots__ = ("applies",)
+
+    def __init__(self, kraus):
+        super().__init__(kraus)
+        self.applies = 0
+
+    def apply(self, a):
+        self.applies += 1
+        return super().apply(a)
+
+
+class TestGradient:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_central_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 2 + seed % 5, 1 + (seed * 5) % 6
+        phi = random_cpmap(n, m, min(1 + seed % 4, n * m), seed)
+        p, q = rng.uniform(1.2, 5.0, size=2)
+        x = random_hermitian(n, seed)
+        assert np.linalg.eigvalsh(x)[0] < 0 < np.linalg.eigvalsh(x)[-1]
+        value, grad = _value_and_grad(phi, p, q, _herm_to_vec(x))
+        reference = central_grad(lambda t: _value_and_grad(phi, p, q, t)[0],
+                                 _herm_to_vec(x))
+        assert value == pytest.approx(objective(phi, x, p, q), rel=1e-12)
+        assert np.linalg.norm(grad - reference) <= 1e-6 * np.linalg.norm(reference)
+
+    def test_zero_point_applies_no_map(self):
+        phi = CountingMap(random_cpmap(2, 2, 2, 0).kraus)
+        assert _value_and_grad(phi, 3.0, 2.0, np.zeros(4)) is None
+        assert phi.applies == 0
 
 
 class TestOracleMax:
@@ -65,9 +118,31 @@ class TestOracleMax:
         assert r1.budget_used == r2.budget_used
         assert np.array_equal(r1.best_point, r2.best_point)
 
+    @pytest.mark.parametrize("n, m, k, budget", [(1, 1, 1, 100), (2, 3, 2, 300),
+                                                (3, 3, 3, 4000)])
+    def test_budget_used_counts_map_applications(self, n, m, k, budget):
+        phi = CountingMap(random_cpmap(n, m, k, n + m + k).kraus)
+        res = oracle_max(phi, 3, 2, budget=budget, seed=1)
+        assert phi.applies == res.budget_used
+
     def test_desk_scale_guard(self):
         with pytest.raises(DeskScaleExceeded):
             oracle_max(random_cpmap(7, 7, 1, 0), 3, 2)
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    a=st.integers(2, 4).flatmap(
+        lambda n: arrays(np.float64, (n, n), elements=st.floats(0.05, 1.0))
+    ).filter(lambda a: not np.array_equal(a, a.T)),
+    q=st.floats(1.2, 4.0),
+    gap=st.floats(0.1, 3.0),
+)
+def test_oracle_matches_classical_on_asymmetric_matrices(a, q, gap):
+    p = q + gap
+    expected, _ = classical_pq_norm(a, p, q)
+    res = oracle_max(embed_nonnegative_matrix(a), p, q)
+    assert res.best_value == pytest.approx(expected, rel=1e-8)
 
 
 class TestSpectralGrid:
