@@ -2,6 +2,8 @@
 
 Map files and run records are canonical JSON: sorted keys, two-space
 indent, complex entries as [re, im] pairs, non-finite floats as strings.
+Any list nested at most two deep prints on one line, so a complex matrix
+prints one row of [re, im] pairs per line and a real matrix on one line.
 Records are derived from the package's dataclasses, one key per field;
 only the power-method result is reshaped (``encode_norm_result``).
 Parsing followed by serialization is byte-identical on canonical input.
@@ -220,8 +222,33 @@ def _jsonable(x):
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
+_INLINE = json.JSONEncoder(allow_nan=False).encode
+
+
+def _is_row(x: list) -> bool:
+    """True for a list nested at most two deep: scalars, or lists of scalars."""
+    return not any(
+        isinstance(v, dict)
+        or isinstance(v, list) and any(isinstance(w, (list, dict)) for w in v)
+        for v in x
+    )
+
+
+def _encode(x, indent: str) -> str:
+    inner = indent + "  "
+    if isinstance(x, dict) and x:
+        items = (f"{inner}{_INLINE(k)}: {_encode(x[k], inner)}" for k in sorted(x))
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(x, list) and not _is_row(x):
+        items = (inner + _encode(v, inner) for v in x)
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return _INLINE(x)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Canonical text of a record: objects indented by two spaces with sorted
+    keys, and each list nested at most two deep on one line."""
+    return _encode(_jsonable(obj), "") + "\n"
 
 
 def encode_norm_result(result: NormResult) -> dict:

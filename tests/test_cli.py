@@ -12,6 +12,8 @@ from cpnorm import CPMap, MapFile, generate_map, identity_channel, random_cpmap
 from cpnorm.cli import main
 from cpnorm.fileio import save_map
 
+from helpers import loop_apply, records_close
+
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -237,3 +239,31 @@ class TestFreshInterpreter:
                           "--p", "3", "--q", "2", "--trials", "8", "--samples", "16")
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.count("KrausRedundancyWarning") == 1
+
+
+class TestKernelRecords:
+    """Records of the two-product Kraus kernels against the per-operator loop.
+
+    The kernels sum in another order, so records may differ in the last
+    digits only. ``compute`` records also carry the final Frobenius and
+    Hilbert steps and the residual: differences of iterates near 1e-10, whose
+    rounding of about 1e-16 is about 1e-6 of them.
+    """
+
+    @pytest.mark.filterwarnings("ignore::cpnorm.errors.KrausRedundancyWarning")
+    @pytest.mark.parametrize("command, fixture, rtol", [
+        ("compute", "generic_map_file", 1e-4),
+        ("diagnose", "generic_map_file", 1e-12),
+        ("diagnose", "improving_map_file", 1e-12),
+    ])
+    def test_record_matches_loop_kernel(self, capsys, monkeypatch, request,
+                                        command, fixture, rtol):
+        argv = [command, "--map", request.getfixturevalue(fixture),
+                "--p", "3", "--q", "2"]
+        _, kernel, _ = run_cli(capsys, argv)
+        monkeypatch.setattr(CPMap, "_apply",
+                            lambda self, a: loop_apply(tuple(self.kraus), a))
+        monkeypatch.setattr(CPMap, "_adjoint_apply", lambda self, b: loop_apply(
+            tuple(v.conj().T for v in self.kraus), b))
+        _, loop, _ = run_cli(capsys, argv)
+        assert records_close(kernel, loop, rtol)

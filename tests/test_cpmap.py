@@ -18,7 +18,6 @@ from cpnorm import (
     depolarizing_channel,
     embed_nonnegative_matrix,
     frobenius_inner,
-    hermitian_part,
     identity_channel,
     numerical_rank,
     objective,
@@ -28,6 +27,8 @@ from cpnorm import (
     random_unit_vector,
 )
 from cpnorm.cpmap import _rank_one_extreme
+
+from helpers import loop_apply
 
 
 class TestConstruction:
@@ -117,6 +118,24 @@ class TestAdjoint:
         np.testing.assert_allclose(
             phi.adjoint_apply(np.array([[3.0]])), np.diag([3.0, 0.0]), atol=1e-14
         )
+
+    @pytest.mark.filterwarnings("ignore::cpnorm.errors.KrausRedundancyWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        m=st.integers(1, 5),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_adjoint_identity_relative(self, n, m, k, seed):
+        phi = random_cpmap(n, m, k, seed)
+        rng = np.random.default_rng(seed)
+        a, b = random_hermitian(n, rng), random_hermitian(m, rng)
+        lhs = frobenius_inner(phi.apply(a), b)
+        rhs = frobenius_inner(a, phi.adjoint_apply(b))
+        weight = float(np.sum(np.abs(phi.kraus) ** 2))
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(b) * weight
+        assert _bits(phi.adjoint().adjoint().kraus) == _bits(phi.kraus)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_adjoint_identity(self, seed):
@@ -250,16 +269,28 @@ class TestRankOneExtreme:
         assert peak == pytest.approx(_extreme_at(phi, x_high)[1], abs=1e-12 * scale)
 
 
-def _loop_apply(ops, a):
-    """Reference: the per-operator sum over a tuple of separate operators."""
-    out = np.zeros((ops[0].shape[0],) * 2, dtype=np.complex128)
-    for v in ops:
-        out += v @ a @ v.conj().T
-    return hermitian_part(out)
-
-
 def _bits(a) -> bytes:
     return np.ascontiguousarray(a).tobytes()
+
+
+def _five_paths(phi, a, b):
+    """Every way to apply ``phi`` to ``a`` or its adjoint to ``b``, each paired
+    with the per-operator reference, the reference operators and its input."""
+    ops = tuple(phi.kraus)
+    adj_ops = tuple(v.conj().T for v in ops)
+    adj = phi.adjoint()
+    return [
+        (phi.apply(a), ops, a),
+        (phi.adjoint_apply(b), adj_ops, b),
+        (adj.apply(b), adj_ops, b),
+        (adj.adjoint_apply(a), ops, a),
+        (adj.adjoint().apply(a), ops, a),
+    ]
+
+
+def _integer_hermitian(rng, n):
+    g = rng.integers(-4, 5, (n, n)) + 1j * rng.integers(-4, 5, (n, n))
+    return g + g.conj().T
 
 
 class TestKrausStack:
@@ -274,17 +305,30 @@ class TestKrausStack:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_apply_matches_per_operator_loop(self, n, m, k, seed):
-        phi = random_cpmap(n, m, k, seed)
-        ops = tuple(phi.kraus)
-        adj_ops = tuple(v.conj().T for v in ops)
-        a = random_hermitian(n, seed)
-        b = random_hermitian(m, seed)
+        # Integer stacks and inputs: every product and sum is exact, so any
+        # summation order gives the same bits (up to the sign of a zero,
+        # which adding 0.0 clears).
+        rng = np.random.default_rng(seed)
+        ints = rng.integers(-3, 4, (k, m, n)) + 1j * rng.integers(-3, 4, (k, m, n))
+        ints[0, 0, 0] = 1.0
+        phi = CPMap(ints)
         assert phi.kraus.shape == (k, m, n)
-        assert _bits(phi.apply(a)) == _bits(_loop_apply(ops, a))
-        assert _bits(phi.adjoint_apply(b)) == _bits(_loop_apply(adj_ops, b))
-        assert _bits(phi.adjoint().apply(b)) == _bits(_loop_apply(adj_ops, b))
-        assert _bits(phi.adjoint().adjoint_apply(a)) == _bits(_loop_apply(ops, a))
-        assert _bits(phi.adjoint().adjoint().apply(a)) == _bits(_loop_apply(ops, a))
+        for out, ops, x in _five_paths(phi, _integer_hermitian(rng, n),
+                                       _integer_hermitian(rng, m)):
+            assert _bits(out + 0.0) == _bits(loop_apply(ops, x) + 0.0)
+
+        # Gaussian stacks: the kernel sums in another order than the loop.
+        # Each entry of either result goes through at most 2 k max(n, m)
+        # rounded additions of terms whose magnitudes sum to at most
+        # sum_i ||V_i||_F^2 ||X||_F, so the two agree entrywise within twice
+        # that many eps of it.
+        phi = random_cpmap(n, m, k, seed)
+        weight = float(np.sum(np.abs(phi.kraus) ** 2))
+        eps = np.finfo(np.float64).eps
+        for out, ops, x in _five_paths(phi, random_hermitian(n, seed),
+                                       random_hermitian(m, seed)):
+            bound = 4 * k * max(n, m) * eps * weight * np.linalg.norm(x)
+            assert np.max(np.abs(out - loop_apply(ops, x))) <= bound
 
     def test_depolarizing_operators_in_loop_order(self):
         n = 3

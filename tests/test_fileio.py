@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -28,7 +29,10 @@ from cpnorm import (
     serialize_map,
     subseed,
 )
-from cpnorm.fileio import canonical_json, load_map, save_map
+from cpnorm import cli, fileio
+from cpnorm.fileio import _jsonable, canonical_json, load_map, save_map
+
+from helpers import records_close
 
 
 class TestRoundTrip:
@@ -158,9 +162,90 @@ class TestCanonicalJson:
         for v, w in zip(back.kraus, mf.kraus):
             assert np.array_equal(v, w)
 
+    def test_complex_matrix_prints_one_row_per_line(self):
+        assert canonical_json(np.array([[1.0, 2j], [0.0, -1.5]])) == (
+            "[\n"
+            "  [[1.0, 0.0], [0.0, 2.0]],\n"
+            "  [[0.0, 0.0], [-1.5, 0.0]]\n"
+            "]\n"
+        )
+
+    def test_old_layout_map_file_loads_same_stack(self, tmp_path):
+        mf = generate_map(3, 2, 4, seed=6)
+        path = tmp_path / "indented.json"
+        path.write_text(json.dumps(_jsonable(mf), indent=2, sort_keys=True) + "\n")
+        back = load_map(path)
+        assert back.kraus.tobytes() == mf.kraus.tobytes()
+        assert serialize_map(back) == serialize_map(mf)
+
+    @pytest.mark.parametrize("command", ["gen", "compute", "diagnose", "verify"])
+    def test_records_parse_as_indented_dump(self, command, tmp_path, monkeypatch,
+                                            capsys):
+        path = tmp_path / "map.json"
+        save_map(generate_map(2, 2, 3, seed=1), path)
+        records = []
+
+        def capture(obj):
+            records.append(obj)
+            return canonical_json(obj)
+
+        monkeypatch.setattr(fileio, "canonical_json", capture)
+        monkeypatch.setattr(cli, "canonical_json", capture)
+        argv = {
+            "gen": ["gen", "--n", "2", "--m", "3", "--k", "2", "--seed", "4"],
+            "compute": ["compute", "--map", str(path), "--p", "3", "--q", "2"],
+            "diagnose": ["diagnose", "--map", str(path), "--p", "3", "--q", "2",
+                         "--trials", "8", "--samples", "8"],
+            "verify": ["verify", "--map", str(path), "--p", "3", "--q", "2",
+                       "--budget", "200"],
+        }[command]
+        assert cli.main(argv) == 0
+        (record,) = records
+        text = canonical_json(record)
+        assert capsys.readouterr().out == text
+        indented = json.dumps(_jsonable(record), indent=2, sort_keys=True)
+        assert json.loads(text) == json.loads(indented)
+        assert text.count("\n") < indented.count("\n")
+
+    def test_records_close_compares_floats_only_relatively(self):
+        text = canonical_json({"k": 3, "m": np.eye(2), "name": "seed1", "x": 0.5})
+        assert records_close(text, text.replace("0.5", "0.5000000000001"), 1e-12)
+        assert not records_close(text, text.replace("0.5", "0.51"), 1e-12)
+        assert not records_close(text, text.replace("seed1", "seed2"), 1.0)
+        assert not records_close(text, text.replace('"k": 3', '"k": 4'), 1.0)
+        assert not records_close(text, text.replace('"k": 3', '"k": 3.0'), 1.0)
+        indented = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert not records_close(text, indented, 1.0)
+
+
+def _depth(x) -> float:
+    """Nesting depth of lists; an object counts as deeper than any row."""
+    if isinstance(x, dict):
+        return math.inf
+    if isinstance(x, list):
+        return 1 + max(map(_depth, x), default=0)
+    return 0
+
 
 def _layout(expected) -> str:
-    return json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    """Reference of the record layout: ``json.dumps`` with a two-space indent
+    and sorted keys, except that each list nested at most two deep is printed
+    on one line. Such lists are swapped for numbered placeholder strings, and
+    the indented text gets their one-line form back."""
+    rows = []
+
+    def mark(x):
+        if isinstance(x, dict):
+            return {key: mark(v) for key, v in x.items()}
+        if isinstance(x, list) and _depth(x) > 2:
+            return [mark(v) for v in x]
+        if isinstance(x, list):
+            rows.append(json.dumps(x))
+            return f"\0{len(rows) - 1}"
+        return x
+
+    text = json.dumps(mark(expected), indent=2, sort_keys=True)
+    return re.sub(r'"\\u0000(\d+)"', lambda m: rows[int(m.group(1))], text) + "\n"
 
 
 _TRIVIAL_CONTRACTION = {
