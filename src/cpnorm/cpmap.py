@@ -211,15 +211,18 @@ class StructuralProperty(Enum):
 class Verdict(Enum):
     PROBABLY_TRUE = "probably_true"
     COUNTEREXAMPLE_FOUND = "counterexample_found"
+    CERTIFIED = "certified"
 
 
 @dataclass(frozen=True, eq=False)
 class StructuralVerdict:
-    """Outcome of a probabilistic structural check.
+    """Outcome of a structural check.
 
+    The sampled checks return ``PROBABLY_TRUE`` or ``COUNTEREXAMPLE_FOUND``;
     ``margin`` is the worst slack observed (smallest output eigenvalue for
-    the positively-improving check). A counterexample always carries the
-    violating witness matrix.
+    the positively-improving check), and a counterexample always carries the
+    violating witness matrix. ``CERTIFIED`` comes only from the Choi tier of
+    ``hilbert.run_diagnostics``, after zero trials.
     """
 
     property: StructuralProperty
@@ -262,30 +265,26 @@ def _projector(x: np.ndarray) -> np.ndarray:
     return hermitian_part(np.outer(x, x.conj()))
 
 
-def _rank_one_extreme(phi: CPMap, x: np.ndarray, top: bool) -> tuple[float, np.ndarray]:
-    """Extreme output eigenvalue over rank-one inputs, by alternating eigenvectors.
+def _rank_one_extreme(phi: CPMap, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest output eigenvalue over rank-one inputs, by alternating eigenvectors.
 
-    The extreme of u^dag phi(xx^dag) u over unit u and x is the extreme of
+    The minimum of u^dag phi(xx^dag) u over unit u and x is the minimum of
     sum_i |u^dag V_i x|^2, which is bilinear in the pair, so exact updates
-    u <- extreme eigenvector of phi(xx^dag) and x <- extreme eigenvector of
-    phi^*(uu^dag) never move the value the wrong way. ``top`` selects the
-    largest eigenvalue (slice peak), otherwise the smallest (positivity
-    margin). Starts from unit ``x`` and stops once the value improves by less
-    than 1e-13 of the output's largest eigenvalue, or not at all, or after
-    200 n rounds; returns (value, x).
+    u <- bottom eigenvector of phi(xx^dag) and x <- bottom eigenvector of
+    phi^*(uu^dag) never raise the value. Starts from unit ``x`` and stops
+    once the value falls by less than 1e-13 of the output's largest
+    eigenvalue, or not at all, or after 200 n rounds; returns (value, x).
     """
-    pick = -1 if top else 0
-    sign = 1.0 if top else -1.0
     w, vecs = np.linalg.eigh(phi._apply(_projector(x)))
-    value = float(w[pick])
+    value = float(w[0])
     for _ in range(200 * phi.input_dim):
-        u = vecs[:, pick]
-        cand = np.linalg.eigh(phi._adjoint_apply(_projector(u)))[1][:, pick]
+        u = vecs[:, 0]
+        cand = np.linalg.eigh(phi._adjoint_apply(_projector(u)))[1][:, 0]
         w, cand_vecs = np.linalg.eigh(phi._apply(_projector(cand)))
-        gain = sign * (float(w[pick]) - value)
+        gain = value - float(w[0])
         if gain <= 0.0:
             break
-        x, value, vecs = cand, float(w[pick]), cand_vecs
+        x, value, vecs = cand, float(w[0]), cand_vecs
         if gain <= _SEARCH_RTOL * abs(w[-1]):
             break
     return value, x
@@ -298,7 +297,9 @@ def check_positively_improving(phi: CPMap, trials: int = 256, seed=0) -> Structu
     of a rank-one projector, and the map is order preserving, so positive
     definiteness on projectors implies it everywhere. The check samples unit
     vectors, then refines the worst sample by alternating eigenvector updates
-    (``_rank_one_extreme``). Probabilistic: never certifies.
+    (``_rank_one_extreme``). Probabilistic: never certifies. Its witnesses
+    are rigorous, and it is the search that runs on maps whose Kraus matrix
+    has no Choi tier (``hilbert.run_diagnostics``).
     """
     n = phi.input_dim
     rng = subseed(seed, "positively-improving")
@@ -320,7 +321,7 @@ def check_positively_improving(phi: CPMap, trials: int = 256, seed=0) -> Structu
             worst_val = float(vals[0])
             worst_x = x
 
-    value, x = _rank_one_extreme(phi, worst_x, top=False)
+    value, x = _rank_one_extreme(phi, worst_x)
     refined = min(worst_val, value)
     rho = np.outer(x, x.conj())
     vals = np.linalg.eigvalsh(phi._apply(hermitian_part(rho)))

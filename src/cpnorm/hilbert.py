@@ -17,10 +17,9 @@ from .config import DISTANCE_OVERFLOW, subseed
 from .errors import DimMismatch, InvalidInput, ZeroInput
 from .cpmap import (
     CPMap,
+    StructuralProperty,
     StructuralVerdict,
     Verdict,
-    _projector,
-    _rank_one_extreme,
     check_fully_indecomposable,
     check_positively_improving,
 )
@@ -31,18 +30,8 @@ from .hermitian import (
     hermitian_part,
     psd_spectrum,
     random_psd,
-    random_unit_vector,
 )
 from .schatten import as_exponent
-
-# Best samples from which the slice-peak search starts; from the best sample
-# alone it ends at a lower local maximum on about 2% of generated maps.
-_PEAK_STARTS = 8
-
-# Random unit vectors sampled by the positively-improving check and by the
-# slice-peak search when ``estimate_diameter`` builds its upper bound.
-_REFINE_TRIALS = 128
-
 
 @dataclass(frozen=True)
 class HilbertDistance:
@@ -147,22 +136,29 @@ def _hilbert_distance(da, db) -> HilbertDistance:
 class ContractionReport:
     """Contraction evidence for one CP map, optionally merged with its adjoint.
 
-    ``diameter_lower_bound`` and ``kappa_lower`` come from Monte Carlo
-    sampling, so they bound the true quantities from below. The upper
-    bounds are only populated when the positively-improving diagnostic
-    passes; they are built from sampled spectral extremes on the trace-one
-    slice with a safety factor of 2, and that sampled provenance is recorded
-    in ``upper_source``. ``kappa_step_upper`` bounds the contraction ratio
-    of the full power-iteration step map; the trivial inputs kappa <= 1 are
-    always valid for CP maps, so the bound is available for every map.
+    Two tiers bound the Birkhoff contraction ratio ``kappa_upper`` of the
+    map, and ``upper_source`` names the one that holds:
+
+    * ``trivial``: kappa <= 1, valid for every CP map, recorded as None;
+    * ``choi``: when the k x (m n) Kraus matrix K has full column rank,
+      sigma_min(K)^2 I <= phi(rho) <= sigma_max(K)^2 I on the trace-one
+      slice, so the projective diameter is at most
+      2 ln(sigma_max^2 / sigma_min^2) (Choi 1975). The bound is rigorous up
+      to the floating-point slack of one SVD, and the adjoint, whose Kraus
+      matrix has the same singular values, gets the same one.
+
+    ``kappa_step_upper`` bounds the contraction ratio of the full
+    power-iteration step map and is flagged ``step_certified`` below 1.
+    The sampled ``diameter_lower_bound`` and ``kappa_lower`` (from
+    ``sample_count`` same-part pairs) bound the true quantities from below;
+    they are None unless sampling was asked for.
     """
 
-    diameter_lower_bound: float
-    kappa_lower: float
-    sample_count: int
+    diameter_lower_bound: float | None = None
+    kappa_lower: float | None = None
+    sample_count: int = 0
     diameter_upper_bound: float | None = None
     kappa_upper: float | None = None
-    improving: Verdict | None = None
     adjoint: "ContractionReport | None" = None
     kappa_step_upper: float | None = None
     step_certified: bool = False
@@ -185,23 +181,28 @@ def step_contraction_bound(kappa: float, kappa_adjoint: float, p, q) -> float:
     return kappa * kappa_adjoint * (sq.p - 1.0) / (sp.p - 1.0)
 
 
-def _slice_peak(phi: CPMap, samples: int, rng) -> float:
-    """Largest output eigenvalue over trace-one rank-one inputs.
+def _choi_tier(phi: CPMap) -> ContractionReport:
+    """The Choi tier of ``phi`` and of its adjoint, from one SVD.
 
-    The maximum of lambda_max(phi(A)) over the trace-one slice is attained
-    at a rank-one extreme point because the function is convex in A. The
-    function has several local maxima, so the alternating eigenvector search
-    ``_rank_one_extreme`` runs from each of the best ``_PEAK_STARTS`` of
-    ``samples`` random unit vectors; it only ever raises its start.
+    For unit x and u, u^dag phi(x x^dag) u = ||K (conj(u) kron x)||^2, where
+    the rows of K are the row-major flattened Kraus operators, so every
+    output eigenvalue on the trace-one slice lies in [sigma_min^2,
+    sigma_max^2]. The singular values are accurate to about
+    eps sigma_max sqrt(m n); both ends are widened by that slack, and the
+    tier is not claimed unless sigma_min exceeds it. Below k = m n Kraus
+    operators K cannot have full column rank and no SVD runs.
     """
-    n = phi.input_dim
-    scored = []
-    for _ in range(samples):
-        x = random_unit_vector(n, rng)
-        scored.append((float(np.linalg.eigvalsh(phi._apply(_projector(x)))[-1]), x))
-    scored.sort(key=lambda s: -s[0])
-    refined = (_rank_one_extreme(phi, x, top=True)[0] for _, x in scored[:_PEAK_STARTS])
-    return max(scored[0][0], *refined)
+    k, m, n = phi.kraus.shape
+    if k < m * n:
+        return ContractionReport()
+    s = np.linalg.svd(phi.kraus.reshape(k, m * n), compute_uv=False)
+    slack = np.finfo(np.float64).eps * s[0] * math.sqrt(m * n)
+    if s[-1] <= slack:
+        return ContractionReport()
+    diameter = 4.0 * math.log((s[0] + slack) / (s[-1] - slack))
+    return ContractionReport(diameter_upper_bound=diameter,
+                             kappa_upper=math.tanh(diameter / 4.0),
+                             upper_source="choi")
 
 
 def _same_part_pair(n: int, r: int, rng):
@@ -214,113 +215,66 @@ def _same_part_pair(n: int, r: int, rng):
     return hermitian_part(a), hermitian_part(b)
 
 
-def estimate_diameter(
-    phi: CPMap,
-    samples: int = 64,
-    seed=0,
-    improving: StructuralVerdict | None = None,
-) -> ContractionReport:
-    """Monte Carlo bounds on the projective diameter of a CP map.
+def _sampled_diameter(phi: CPMap, samples: int, seed) -> dict:
+    """Sampled lower bounds, as ``ContractionReport`` fields.
 
-    Sampling same-part input pairs (full rank plus every deficient rank on
-    a shared random range) gives a lower bound on the diameter, hence on
-    the contraction ratio tanh(diameter/4). The bound is reported as
-    infinite if any sampled image pair lands in different parts or exceeds
-    the overflow threshold.
-
-    When the positively-improving check passes, a finite upper bound is
-    added: the diameter is at most twice the log-ratio of the extreme
-    output eigenvalues over the trace-one slice, estimated from samples
-    refined by alternating eigenvector updates, with a safety factor of 2
-    on the ratio.
+    Same-part input pairs (full rank plus every deficient rank on a shared
+    random range) give a lower bound on the diameter, hence on the
+    contraction ratio tanh(diameter/4). The bound is infinite if any sampled
+    image pair lands in different parts or exceeds the overflow threshold.
     """
     if samples < 1:
         raise InvalidInput("samples must be at least 1")
     n = phi.input_dim
     rng = subseed(seed, "diameter")
     worst = 0.0
-    unbounded = False
-    drawn = 0
     for j in range(samples):
         a, b = _same_part_pair(n, 1 + j % n, rng)
         d = _hilbert_distance(_psd_spectrum(phi._apply(a)),
                               _psd_spectrum(phi._apply(b)))
-        drawn += 1
         if not d.same_part or d.value > DISTANCE_OVERFLOW:
-            unbounded = True
-            break
+            return {"diameter_lower_bound": math.inf, "kappa_lower": 1.0,
+                    "sample_count": j + 1}
         worst = max(worst, d.value)
+    return {"diameter_lower_bound": worst, "kappa_lower": math.tanh(worst / 4.0),
+            "sample_count": samples}
 
-    diameter_lower = math.inf if unbounded else worst
-    kappa_lower = 1.0 if unbounded else math.tanh(worst / 4.0)
 
-    if improving is None:
-        improving = check_positively_improving(phi, trials=_REFINE_TRIALS, seed=seed)
+def estimate_diameter(phi: CPMap, samples: int = 64, seed=0) -> ContractionReport:
+    """Bounds on the projective diameter of a CP map from both sides.
 
-    diameter_upper = None
-    kappa_upper = None
-    source = "trivial"
-    if (
-        improving.verdict is Verdict.PROBABLY_TRUE
-        and improving.margin is not None
-        and improving.margin > 0.0
-    ):
-        peak = _slice_peak(phi, _REFINE_TRIALS, subseed(seed, "slice-peak"))
-        diameter_upper = 2.0 * math.log(2.0 * peak / improving.margin)
-        kappa_upper = math.tanh(diameter_upper / 4.0)
-        source = "improving-slice"
-
-    return ContractionReport(
-        diameter_lower_bound=diameter_lower,
-        kappa_lower=kappa_lower,
-        sample_count=drawn,
-        diameter_upper_bound=diameter_upper,
-        kappa_upper=kappa_upper,
-        improving=improving.verdict,
-        upper_source=source,
-    )
+    The lower bound comes from ``samples`` sampled same-part input pairs;
+    the upper bound is the Choi tier when it holds (see
+    ``ContractionReport``), and the trivial tier otherwise.
+    """
+    return replace(_choi_tier(phi), **_sampled_diameter(phi, samples, seed))
 
 
 def contraction_report(
     phi: CPMap,
     p,
     q,
-    samples: int = 64,
+    samples: int = 0,
     seed=0,
-    improving: StructuralVerdict | None = None,
-    adjoint_improving: StructuralVerdict | None = None,
 ) -> ContractionReport:
-    """Full contraction analysis of the power-iteration step map.
+    """Contraction evidence for the power-iteration step map.
 
-    Runs the diameter estimate on the map and on its adjoint, then combines
-    the per-map contraction-ratio upper bounds (the sampled ones when the
-    positively-improving diagnostic passes, the always-valid trivial bound 1
-    otherwise) into the step bound kappa * kappa_adjoint * (q-1)/(p-1).
-    The bound is flagged certified when it is below 1.
+    One SVD gives the Choi tier of the map and of its adjoint; without it
+    both take the trivial bound 1. Their ratios combine into the step bound
+    kappa * kappa_adjoint * (q-1)/(p-1), flagged certified below 1. With
+    ``samples`` > 0 each side also carries sampled diameter lower bounds.
     """
-    fwd = estimate_diameter(
-        phi, samples=samples, seed=subseed(seed, "forward-map").integers(2**32),
-        improving=improving,
-    )
-    adj = estimate_diameter(
-        phi.adjoint(), samples=samples,
-        seed=subseed(seed, "adjoint-map").integers(2**32),
-        improving=adjoint_improving,
-    )
-    kappa_fwd = 1.0 if fwd.kappa_upper is None else fwd.kappa_upper
-    kappa_adj = 1.0 if adj.kappa_upper is None else adj.kappa_upper
-    bound = step_contraction_bound(kappa_fwd, kappa_adj, p, q)
-    if fwd.upper_source == adj.upper_source:
-        source = fwd.upper_source
-    else:
-        source = "mixed"
-    return replace(
-        fwd,
-        adjoint=adj,
-        kappa_step_upper=bound,
-        step_certified=bound < 1.0,
-        upper_source=source,
-    )
+    if samples < 0:
+        raise InvalidInput("samples must not be negative")
+    fwd = adj = _choi_tier(phi)
+    if samples:
+        fwd = replace(fwd, **_sampled_diameter(
+            phi, samples, subseed(seed, "forward-map").integers(2**32)))
+        adj = replace(adj, **_sampled_diameter(
+            phi.adjoint(), samples, subseed(seed, "adjoint-map").integers(2**32)))
+    kappa = 1.0 if fwd.kappa_upper is None else fwd.kappa_upper
+    bound = step_contraction_bound(kappa, kappa, p, q)
+    return replace(fwd, adjoint=adj, kappa_step_upper=bound, step_certified=bound < 1.0)
 
 
 def sampled_contraction_ratio(phi: CPMap, pairs: int = 500, seed=0) -> float:
@@ -366,16 +320,25 @@ def run_diagnostics(
     samples: int = 64,
     seed=0,
 ) -> DiagnosticsReport:
-    """Run all structural checks plus the contraction analysis."""
+    """Run the contraction analysis plus the structural checks.
+
+    When the Choi tier holds, every output of the map and of its adjoint is
+    positive definite, so both are positively improving and adjoint(phi) o
+    phi raises every rank: all three verdicts are ``CERTIFIED`` and no trial
+    runs. Otherwise the sampled checks search for counterexamples.
+    """
     sp = as_exponent(p)
     sq = as_exponent(q)
-    fi = check_fully_indecomposable(phi, trials=fi_trials, seed=seed)
-    pi = check_positively_improving(phi, trials=pi_trials, seed=seed)
-    pi_adj = check_positively_improving(phi.adjoint(), trials=pi_trials, seed=seed)
-    contraction = contraction_report(
-        phi, sp, sq, samples=samples, seed=seed,
-        improving=pi, adjoint_improving=pi_adj,
-    )
+    contraction = contraction_report(phi, sp, sq, samples=samples, seed=seed)
+    if contraction.upper_source == "choi":
+        fi = StructuralVerdict(StructuralProperty.FULLY_INDECOMPOSABLE,
+                               Verdict.CERTIFIED, trials=0)
+        pi = pi_adj = StructuralVerdict(StructuralProperty.POSITIVELY_IMPROVING,
+                                        Verdict.CERTIFIED, trials=0)
+    else:
+        fi = check_fully_indecomposable(phi, trials=fi_trials, seed=seed)
+        pi = check_positively_improving(phi, trials=pi_trials, seed=seed)
+        pi_adj = check_positively_improving(phi.adjoint(), trials=pi_trials, seed=seed)
     return DiagnosticsReport(
         fully_indecomposable=fi,
         positively_improving=pi,

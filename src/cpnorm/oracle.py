@@ -379,9 +379,14 @@ def cross_validate(
             f"(difference {difference:.3e})"
         )
 
+    # F(-X) = F(X), and the oracle searches indefinite X too, so its best
+    # point may be the negated maximizer.
+    point = oracle.best_point
+    if np.trace(point).real < 0.0:
+        point = -point
     maximizer_distance = None
     try:
-        d = hilbert_distance(power.maximizer, oracle.best_point)
+        d = hilbert_distance(power.maximizer, point)
         if d.same_part:
             maximizer_distance = d.value
     except NotPsd:

@@ -70,7 +70,6 @@ class PowerConfig:
     start: np.ndarray | None = None
     seed: int = 0
     with_contraction: bool = True
-    contraction_samples: int = 64
 
     def __post_init__(self):
         as_exponent(self.p)
@@ -279,9 +278,7 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
 
     contraction = None
     if config.with_contraction:
-        contraction = contraction_report(
-            phi, sp, sq, samples=config.contraction_samples, seed=config.seed
-        )
+        contraction = contraction_report(phi, sp, sq)
         if not contraction.step_certified:
             run_warnings.append(
                 "step contraction bound "

@@ -226,12 +226,12 @@ class TestFreshInterpreter:
             "assert cli.main(['compute', '--map', path, '--p', '3', '--q', '2']) == 0\n"
             "assert cli.main(['diagnose', '--map', path, '--p', '3', '--q', '2',\n"
             "                 '--trials', '8', '--samples', '16']) == 0\n"
-            "print('scipy.optimize' in sys.modules)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         proc = run_python(code, tmp_path, improving_map_file)
         assert proc.returncode == 0, proc.stderr
-        assert '"improving-slice"' in proc.stdout
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert '"upper_source": "choi"' in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_diagnose_warns_once_about_redundant_kraus(self, tmp_path, improving_map_file):
         code = "import sys\nfrom cpnorm.cli import main\nsys.exit(main(sys.argv[1:]))\n"

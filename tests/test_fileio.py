@@ -249,10 +249,9 @@ def _layout(expected) -> str:
 
 
 _TRIVIAL_CONTRACTION = {
-    "adjoint": None, "diameter_lower_bound": 0.0, "diameter_upper_bound": None,
-    "improving": None, "kappa_lower": 0.0, "kappa_step_upper": None,
-    "kappa_upper": None, "sample_count": 0, "step_certified": False,
-    "upper_source": "trivial",
+    "adjoint": None, "diameter_lower_bound": None, "diameter_upper_bound": None,
+    "kappa_lower": None, "kappa_step_upper": None, "kappa_upper": None,
+    "sample_count": 0, "step_certified": False, "upper_source": "trivial",
 }
 
 
@@ -273,16 +272,14 @@ class TestRecordLayout:
     def test_contraction_with_adjoint_and_nonfinite(self):
         c = ContractionReport(
             diameter_lower_bound=math.inf, kappa_lower=1.0, sample_count=4,
-            kappa_upper=math.nan, improving=Verdict.PROBABLY_TRUE,
-            adjoint=ContractionReport(0.0, 0.0, 0), kappa_step_upper=0.5,
-            step_certified=True, upper_source="improving-slice",
+            kappa_upper=math.nan, adjoint=ContractionReport(), kappa_step_upper=0.5,
+            step_certified=True, upper_source="choi",
         )
         assert canonical_json(c) == _layout({
             "adjoint": _TRIVIAL_CONTRACTION, "diameter_lower_bound": "inf",
-            "diameter_upper_bound": None, "improving": "probably_true",
-            "kappa_lower": 1.0, "kappa_step_upper": 0.5, "kappa_upper": "nan",
-            "sample_count": 4, "step_certified": True,
-            "upper_source": "improving-slice",
+            "diameter_upper_bound": None, "kappa_lower": 1.0,
+            "kappa_step_upper": 0.5, "kappa_upper": "nan", "sample_count": 4,
+            "step_certified": True, "upper_source": "choi",
         })
 
     def test_oracle_result(self):
@@ -309,7 +306,7 @@ class TestRecordLayout:
     def test_power_config_with_start(self):
         config = PowerConfig(p=3.0, q=2.0, max_iter=50, start=np.array([[2.0]]), seed=4)
         assert canonical_json(config) == _layout({
-            "contraction_samples": 64, "max_iter": 50, "p": 3.0, "q": 2.0,
+            "max_iter": 50, "p": 3.0, "q": 2.0,
             "seed": 4, "start": [[[2.0, 0.0]]], "tol_fixed_point": 1e-10,
             "tol_objective": 1e-12, "with_contraction": True,
         })
@@ -319,8 +316,7 @@ class TestRecordLayout:
                                Verdict.PROBABLY_TRUE, trials=2)
         pi = StructuralVerdict(StructuralProperty.POSITIVELY_IMPROVING,
                                Verdict.PROBABLY_TRUE, trials=5, margin=0.125)
-        report = DiagnosticsReport(fi, pi, pi, ContractionReport(0.0, 0.0, 0),
-                                   p=3.0, q=2.0)
+        report = DiagnosticsReport(fi, pi, pi, ContractionReport(), p=3.0, q=2.0)
         pi_record = {"margin": 0.125, "property": "positively_improving",
                      "trials": 5, "verdict": "probably_true", "witness": None}
         assert canonical_json(report) == _layout({

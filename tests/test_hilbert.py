@@ -5,11 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpnorm import (
     CPMap,
     InvalidInput,
     KrausRedundancyWarning,
+    PowerConfig,
     Verdict,
     ZeroInput,
     contraction_report,
@@ -21,11 +24,14 @@ from cpnorm import (
     m_ratio,
     random_cpmap,
     random_psd,
+    random_unit_vector,
     run_diagnostics,
+    run_power_method,
     same_part,
     sampled_contraction_ratio,
     step_contraction_bound,
 )
+from cpnorm import hilbert, power
 from helpers import shared_range_pair, well_conditioned_pd
 
 
@@ -133,8 +139,8 @@ class TestDiameterEstimate:
         rep = estimate_diameter(depolarizing_channel(3), samples=32, seed=0)
         assert rep.diameter_lower_bound == pytest.approx(0.0, abs=1e-9)
         assert rep.kappa_lower == pytest.approx(0.0, abs=1e-9)
-        assert rep.improving is Verdict.PROBABLY_TRUE
-        assert rep.diameter_upper_bound is not None
+        assert rep.upper_source == "choi"
+        assert rep.diameter_upper_bound == pytest.approx(0.0, abs=1e-12)
         assert rep.kappa_upper < 1.0
 
     def test_identity_unbounded_spread(self):
@@ -173,7 +179,7 @@ class TestContractionReport:
         assert rep.step_certified
         assert rep.kappa_step_upper < 0.2
         assert rep.adjoint is not None
-        assert rep.upper_source == "improving-slice"
+        assert rep.upper_source == rep.adjoint.upper_source == "choi"
 
     def test_identity_p_equals_q_not_certified(self):
         rep = contraction_report(identity_channel(2), 2, 2, samples=16, seed=0)
@@ -187,16 +193,82 @@ class TestContractionReport:
         assert rep.kappa_step_upper == pytest.approx(1.0 / 3.0)
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_generated_improving_map_reaches_sampled_tier(self, n):
+    def test_generated_improving_map_reaches_choi_tier(self, n):
         with pytest.warns(KrausRedundancyWarning):
             phi = generate_map(n, n, n, 5, kind="positively_improving").to_cpmap()
-        rep = contraction_report(phi, 3, 2, samples=16, seed=1)
-        assert rep.upper_source == "improving-slice"
+        rep = contraction_report(phi, 3, 2)
         for side in (rep, rep.adjoint):
-            assert side.upper_source == "improving-slice"
-            assert side.improving is Verdict.PROBABLY_TRUE
+            assert side.upper_source == "choi"
             assert math.isfinite(side.kappa_upper) and side.kappa_upper < 1.0
+            assert side.diameter_lower_bound is None and side.sample_count == 0
         assert rep.step_certified
+
+    def test_default_report_applies_the_map_zero_times(self, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KrausRedundancyWarning)
+            phi = generate_map(3, 3, 3, 2, kind="positively_improving").to_cpmap()
+        counts = {"apply": 0}
+        real_apply, real_report = CPMap._apply, hilbert.contraction_report
+
+        def apply(self, mat):
+            counts["apply"] += 1
+            return real_apply(self, mat)
+
+        def report(*args, **kwargs):
+            before = counts["apply"]
+            rep = real_report(*args, **kwargs)
+            counts["in_report"] = counts["apply"] - before
+            return rep
+
+        # the adjoint is a CPMap too, so this counts adjoint applications
+        monkeypatch.setattr(CPMap, "_apply", apply)
+        monkeypatch.setattr(power, "contraction_report", report)
+        result = run_power_method(phi, PowerConfig(p=3, q=2))
+        assert result.contraction.upper_source == "choi"
+        assert counts["apply"] > 0 and counts["in_report"] == 0
+
+    def test_singular_kraus_matrix_stays_trivial(self):
+        # k = n m operators whose matrix is rank deficient: the last row is a
+        # copy of the first
+        ops = random_cpmap(2, 2, 4, 3).kraus.copy()
+        ops[3] = ops[0]
+        rep = contraction_report(CPMap(ops), 3, 2)
+        assert rep.upper_source == rep.adjoint.upper_source == "trivial"
+        assert rep.kappa_upper is None
+        assert rep.kappa_step_upper == pytest.approx(0.5)
+
+
+_SLACK = 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(1, 4), extra=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_choi_tier_bounds_every_sample(n, m, extra, seed):
+    """sigma_min(K)^2 <= every output eigenvalue <= sigma_max(K)^2 on the
+    trace-one slice, the sampled diameter stays below the Choi bound, and the
+    map and its adjoint get the same tier."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KrausRedundancyWarning)
+        phi = random_cpmap(n, m, n * m + extra, seed)
+    k = phi.kraus_count
+    sigma = np.linalg.svd(phi.kraus.reshape(k, m * n), compute_uv=False)
+    margin, peak = sigma[-1] ** 2, sigma[0] ** 2
+    rng = np.random.default_rng(seed)
+    for _ in range(16):
+        x = random_unit_vector(n, rng)
+        w = np.linalg.eigvalsh(phi.apply(np.outer(x, x.conj())))
+        assert w[0] >= margin - _SLACK * peak
+        assert w[-1] <= peak + _SLACK * peak
+    rep = estimate_diameter(phi, samples=16, seed=seed % 1000)
+    assert rep.upper_source == "choi"
+    assert rep.diameter_upper_bound >= 2.0 * math.log(peak / margin)
+    assert rep.diameter_lower_bound <= rep.diameter_upper_bound + _SLACK
+    adj = estimate_diameter(phi.adjoint(), samples=16, seed=seed % 1000)
+    assert adj.upper_source == "choi"
+    assert adj.kappa_upper == pytest.approx(rep.kappa_upper, rel=1e-12, abs=1e-15)
+    assert adj.diameter_upper_bound == pytest.approx(rep.diameter_upper_bound,
+                                                     rel=1e-9, abs=1e-12)
 
 
 class TestSampledContractionRatio:
@@ -223,9 +295,27 @@ class TestDiagnostics:
         report = run_diagnostics(
             depolarizing_channel(3), 3, 2, fi_trials=8, pi_trials=32, samples=16
         )
-        assert report.positively_improving.verdict is Verdict.PROBABLY_TRUE
-        assert report.fully_indecomposable.verdict is Verdict.PROBABLY_TRUE
+        assert report.positively_improving.verdict is Verdict.CERTIFIED
+        assert report.adjoint_positively_improving.verdict is Verdict.CERTIFIED
+        assert report.fully_indecomposable.verdict is Verdict.CERTIFIED
         assert report.contraction.kappa_lower == pytest.approx(0.0, abs=1e-9)
+
+    def test_choi_certified_map_runs_no_trials(self, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KrausRedundancyWarning)
+            phi = generate_map(4, 4, 4, 1, kind="positively_improving").to_cpmap()
+        ran = []
+        for name in ("check_fully_indecomposable", "check_positively_improving"):
+            real = getattr(hilbert, name)
+            monkeypatch.setattr(hilbert, name,
+                                lambda *a, real=real, **kw: ran.append(real(*a, **kw)))
+        report = run_diagnostics(phi, 3, 2, fi_trials=8, pi_trials=32, samples=16)
+        assert ran == []
+        for verdict in (report.fully_indecomposable, report.positively_improving,
+                        report.adjoint_positively_improving):
+            assert verdict.verdict is Verdict.CERTIFIED and verdict.trials == 0
+        assert report.contraction.upper_source == "choi"
+        assert report.contraction.sample_count == 16
 
     def test_identity_report(self):
         report = run_diagnostics(

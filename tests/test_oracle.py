@@ -18,6 +18,7 @@ from cpnorm import (
     default_start,
     depolarizing_channel,
     embed_nonnegative_matrix,
+    generate_map,
     identity_channel,
     objective,
     oracle_max,
@@ -207,7 +208,7 @@ class TestCrossValidate:
     @pytest.fixture()
     def matched_pair(self):
         phi = random_cpmap(2, 2, 3, 21)
-        power = run_power_method(phi, PowerConfig(p=3, q=2, contraction_samples=24))
+        power = run_power_method(phi, PowerConfig(p=3, q=2))
         oracle = oracle_max(phi, 3, 2, budget=2000, seed=0)
         return power, oracle
 
@@ -231,7 +232,7 @@ class TestCrossValidate:
         import dataclasses
 
         phi = identity_channel(2)
-        power = run_power_method(phi, PowerConfig(p=2, q=2, contraction_samples=16))
+        power = run_power_method(phi, PowerConfig(p=2, q=2))
         assert not power.contraction.step_certified
         oracle = oracle_max(phi, 2, 2, budget=500, seed=0)
         fake = dataclasses.replace(oracle, best_value=oracle.best_value + 0.5)
@@ -243,3 +244,13 @@ class TestCrossValidate:
         report = cross_validate(power, oracle, tol=1e-4)
         assert report.maximizer_distance is not None
         assert report.maximizer_distance < 1e-3
+
+    @pytest.mark.parametrize("dims, seed", [((2, 2, 2), 0), ((5, 5, 5), 8)])
+    def test_maximizer_distance_for_negated_best_point(self, dims, seed):
+        # the settings of ``cpnorm verify`` at (3, 2)
+        phi = generate_map(*dims, seed).to_cpmap()
+        power = run_power_method(phi, PowerConfig(p=3, q=2, max_iter=3000))
+        oracle = oracle_max(phi, 3, 2, budget=4000, seed=0)
+        assert np.all(np.linalg.eigvalsh(oracle.best_point) < 0.0)
+        distance = cross_validate(power, oracle).maximizer_distance
+        assert distance is not None and distance < 1e-6

@@ -155,7 +155,7 @@ class TestRunPowerMethod:
 
     def test_banach_contraction_signature(self):
         phi = random_cpmap(3, 3, 3, 11)
-        res = run_power_method(phi, PowerConfig(p=3, q=2, contraction_samples=32))
+        res = run_power_method(phi, PowerConfig(p=3, q=2))
         tau = res.contraction.kappa_step_upper
         assert res.contraction.step_certified
         rows = res.trace.rows
