@@ -60,7 +60,6 @@ def _cmd_compute(args) -> int:
         tol_objective=args.tol_objective,
         max_iter=args.max_iter,
         start=start,
-        seed=args.seed,
     )
     result = run_power_method(phi, config)
     for warning in result.warnings:
@@ -75,12 +74,7 @@ def _cmd_compute(args) -> int:
     _emit(canonical_json(record), args.out)
     if args.trace:
         write_trace(args.trace, result.trace)
-    if result.trace.status is IterationStatus.CONVERGED:
-        return 0
-    if result.trace.status is IterationStatus.MAX_ITER_REACHED:
-        return 2
-    print("error: iterate left the PSD cone", file=sys.stderr)
-    return 3
+    return 0 if result.trace.status is IterationStatus.CONVERGED else 2
 
 
 def _cmd_diagnose(args) -> int:
@@ -109,7 +103,7 @@ def _cmd_diagnose(args) -> int:
 def _cmd_verify(args) -> int:
     mapfile = load_map(args.map)
     phi = mapfile.to_cpmap()
-    config = PowerConfig(p=args.p, q=args.q, max_iter=3000, seed=args.seed)
+    config = PowerConfig(p=args.p, q=args.q, max_iter=3000)
     power = run_power_method(phi, config)
     oracle = oracle_max(phi, args.p, args.q, budget=args.budget, seed=args.seed)
     cv = cross_validate(power, oracle, tol=args.tol)

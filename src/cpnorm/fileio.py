@@ -216,7 +216,9 @@ def _jsonable(x):
         return x
     if isinstance(x, np.ndarray):
         mat = np.asarray(x, dtype=np.complex128)
-        return _jsonable(np.stack([mat.real, mat.imag], axis=-1).tolist())
+        pairs = np.stack([mat.real, mat.imag], axis=-1).tolist()
+        # only non-finite entries need the per-float pass, to become strings
+        return pairs if np.all(np.isfinite(mat)) else _jsonable(pairs)
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
     raise TypeError(f"cannot serialize {type(x)!r}")

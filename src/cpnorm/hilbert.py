@@ -4,6 +4,8 @@ The metric d(A,B) = ln(M(A/B) M(B/A)) is finite exactly when A and B share
 a part of the cone (equal ranges, for PSD matrices); it is a metric on rays
 within each part. CP maps never expand it, and a map whose projective
 diameter is finite contracts it strictly, with ratio tanh(diameter/4).
+From the spectra of two positive definite matrices the distance costs one
+eigensolve; a rank below n adds one of A+B to decide the part.
 """
 
 from __future__ import annotations
@@ -108,7 +110,13 @@ def hilbert_distance(a, b) -> HilbertDistance:
 
 
 def _hilbert_distance(da, db) -> HilbertDistance:
-    """``hilbert_distance`` from the ``psd_spectrum`` of two same-size matrices."""
+    """``hilbert_distance`` from the ``psd_spectrum`` of two same-size matrices.
+
+    Two full-rank inputs share the interior part without a test, since
+    lambda_min(A+B) >= lambda_min(A) + lambda_min(B) exceeds the sum of their
+    cutoffs, which bounds the cutoff of A+B; otherwise the part is decided
+    from the rank of A+B and both matrices are compressed to its range.
+    """
     ra = _rank(da.eigenvalues)
     rb = _rank(db.eigenvalues)
     if ra == 0 and rb == 0:
@@ -116,12 +124,11 @@ def _hilbert_distance(da, db) -> HilbertDistance:
     if ra == 0 or rb == 0:
         return HilbertDistance(math.inf, False)
     a_mat = da.reconstruct()
-    b_mat = db.reconstruct()
-    ds = _psd_spectrum(hermitian_part(a_mat + b_mat))
-    if not ra == rb == _rank(ds.eigenvalues):
-        return HilbertDistance(math.inf, False)
-    n = da.eigenvalues.size
-    if ra < n:
+    if min(ra, rb) < da.eigenvalues.size:
+        b_mat = db.reconstruct()
+        ds = _psd_spectrum(hermitian_part(a_mat + b_mat))
+        if not ra == rb == _rank(ds.eigenvalues):
+            return HilbertDistance(math.inf, False)
         basis = ds.eigenvectors[:, :ra]
         a_mat = basis.conj().T @ a_mat @ basis
         b_mat = basis.conj().T @ b_mat @ basis

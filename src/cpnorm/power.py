@@ -5,6 +5,12 @@ the gradient of the Schatten r-norm. Fixed points of the step map are
 exactly the critical points of the ratio ||phi(A)||_q / ||A||_p, and the
 iteration converges to the unique maximizer whenever the step map is a
 contraction in the Hilbert projective metric.
+
+``run_power_method`` holds each matrix of an iteration as one
+``psd_spectrum`` and takes every eigenvalue from it. At full rank an
+iteration makes five eigensolves: the image and the pull-back inside the
+public ``power_step``, the new iterate, the Hilbert step, and the new
+iterate's image for the objective and residual.
 """
 
 from __future__ import annotations
@@ -20,13 +26,11 @@ from .errors import DegenerateMap, DimMismatch, InvalidInput, ZeroInput
 from .cpmap import CPMap, _require_dim
 from .hermitian import (
     EigDecomp,
-    _eig_decompose,
     _psd_spectrum,
     _rank,
     _require_finite,
     hermitian_part,
     psd_spectrum,
-    require_hermitian,
 )
 from .hilbert import ContractionReport, _hilbert_distance, contraction_report
 from .schatten import (
@@ -37,15 +41,10 @@ from .schatten import (
     schatten_norm,
 )
 
-# Eigenvalues of an iterate may drift this far below zero before the run is
-# flagged as having left the cone.
-_CONE_DRIFT_TOL = 1e-12
-
 
 class IterationStatus(Enum):
     CONVERGED = "converged"
     MAX_ITER_REACHED = "max_iter_reached"
-    LEFT_CONE = "left_cone"
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +67,6 @@ class PowerConfig:
     tol_objective: float = 1e-12
     max_iter: int = 1000
     start: np.ndarray | None = None
-    seed: int = 0
     with_contraction: bool = True
 
     def __post_init__(self):
@@ -140,14 +138,8 @@ def power_step(phi: CPMap, a, p, q) -> np.ndarray:
     since no information about the norm can be extracted from that start.
     """
     sp = as_exponent(p)
-    sq = as_exponent(q)
-    # A map with huge Kraus operators overflows to inf; the kernels below
-    # would not notice.
-    image = _require_finite(phi.apply(a))
-    if _rank(np.linalg.eigvalsh(image)) == 0:
-        raise DegenerateMap("the map annihilates this starting point")
-    pulled_back = phi._adjoint_apply(_duality_map(_psd_spectrum(image), sq))
-    return _duality_map(_psd_spectrum(_require_finite(pulled_back)),
+    _, pulled_back = _pull_back(phi, phi.apply(a), as_exponent(q))
+    return _duality_map(_psd_spectrum(pulled_back),
                         SchattenExponent(sp.p_star, sp.p))
 
 
@@ -159,50 +151,36 @@ def critical_point_residual(phi: CPMap, a, p, q) -> float:
     """
     sp = as_exponent(p)
     sq = as_exponent(q)
-    mat = require_hermitian(a)
-    vals = np.linalg.eigvalsh(mat)
-    if abs(_spectrum_norm(vals, sp.p) - 1.0) > 1e-9:
+    mat = _require_dim(a, phi.input_dim, "map")
+    dec = _psd_spectrum(mat)
+    if abs(_spectrum_norm(dec.eigenvalues, sp.p) - 1.0) > 1e-9:
         raise InvalidInput("residual is defined on unit Schatten-p norm matrices")
-    return _evaluate(phi, _require_dim(mat, phi.input_dim, "map"), vals, None, sp, sq)[1]
+    return _evaluate(phi, mat, dec, sp, sq)[1]
 
 
-def _evaluate(phi: CPMap, a: np.ndarray, vals: np.ndarray, dec: EigDecomp | None,
-              sp: SchattenExponent, sq: SchattenExponent
-              ) -> tuple[float, float, EigDecomp]:
-    """Objective and critical-point residual at a trusted Hermitian iterate.
+def _pull_back(phi: CPMap, image: np.ndarray, sq: SchattenExponent
+               ) -> tuple[EigDecomp, np.ndarray]:
+    """The ``psd_spectrum`` of an image under the map and its pull-back
+    adjoint(phi)(J_q(image)), the half of a step that the power step and the
+    residual share.
 
-    ``vals`` are the ``eigvalsh`` eigenvalues of ``a`` and ``dec`` its
-    ``psd_spectrum``; when None, ``dec`` is computed after the image's checks,
-    as the public calls order them, and is returned either way. One
-    application of the map, one ``eigvalsh`` of the image and one pull-back
-    serve both values.
+    A map with huge Kraus operators overflows to inf, which the kernels
+    would not notice, so both matrices are checked for finiteness.
     """
-    image = _require_finite(phi._apply(a))
-    image_vals = np.linalg.eigvalsh(image)
-    if _rank(image_vals) == 0:
+    dec = _psd_spectrum(_require_finite(image))
+    if _rank(dec.eigenvalues) == 0:
         raise DegenerateMap("the map annihilates this point")
-    value = _spectrum_norm(image_vals, sq.p) / _spectrum_norm(vals, sp.p)
-    lhs = phi._adjoint_apply(_duality_map(_psd_spectrum(image), sq))
-    if dec is None:
-        dec = _psd_spectrum(a)
-    return value, float(np.linalg.norm(lhs - value * _duality_map(dec, sp))), dec
+    return dec, _require_finite(phi._adjoint_apply(_duality_map(dec, sq)))
 
 
-def _repair_cone(a: np.ndarray):
-    """Clamp tiny negative drift of a trusted iterate.
-
-    Returns the iterate and its eigenvalues, or None when it has really left
-    the cone.
-    """
-    vals = np.linalg.eigvalsh(a)
-    if vals[0] < -_CONE_DRIFT_TOL:
-        return None
-    if vals[0] < 0.0:
-        dec = _eig_decompose(a)
-        clipped = np.clip(dec.eigenvalues, 0.0, None)
-        a = hermitian_part((dec.eigenvectors * clipped) @ dec.eigenvectors.conj().T)
-        vals = np.linalg.eigvalsh(a)
-    return a, vals
+def _evaluate(phi: CPMap, a: np.ndarray, dec: EigDecomp,
+              sp: SchattenExponent, sq: SchattenExponent) -> tuple[float, float]:
+    """Objective and critical-point residual at a trusted PSD iterate ``a``
+    with ``psd_spectrum`` ``dec``: one application of the map, one
+    decomposition of the image and one pull-back serve both values."""
+    image, lhs = _pull_back(phi, phi._apply(a), sq)
+    value = _spectrum_norm(image.eigenvalues, sq.p) / _spectrum_norm(dec.eigenvalues, sp.p)
+    return value, float(np.linalg.norm(lhs - value * _duality_map(dec, sp)))
 
 
 def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
@@ -211,8 +189,9 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
     The returned estimate is the objective at the final iterate, so it is
     always a valid lower bound on the norm; it equals the norm when the
     contraction report certifies the step map as a contraction. Runs in the
-    p <= q regime carry an explicit warning because no convergence
-    certificate exists there.
+    p <= q regime carry an explicit warning unless the report certifies the
+    step, since no other convergence certificate exists there. An iterate
+    that leaves the PSD cone raises ``NotPsd``.
     """
     sp = as_exponent(config.p)
     sq = as_exponent(config.q)
@@ -227,17 +206,11 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
             raise DimMismatch(f"start must be {n}x{n}, got {mat.shape}")
         a = mat / schatten_norm(mat, sp.p)
 
-    run_warnings: list[str] = []
-    if sp.p <= sq.p:
-        run_warnings.append(
-            f"unproven regime p={sp.p} <= q={sq.p}: convergence to the global "
-            "maximum is not certified"
-        )
-
-    # Each iterate is decomposed once: its eigenvalues give its Schatten-p
-    # norm, and its PSD spectrum serves J_p in the residual and both ends of
-    # the Hilbert steps into and out of it.
-    f_prev, residual, dec = _evaluate(phi, a, np.linalg.eigvalsh(a), None, sp, sq)
+    # Each iterate is decomposed once: its PSD spectrum gives its Schatten-p
+    # norm, J_p in the residual and both ends of the Hilbert steps into and
+    # out of it.
+    dec = _psd_spectrum(a)
+    f_prev, residual = _evaluate(phi, a, dec, sp, sq)
     rows = [(0, f_prev, math.nan, math.nan, residual)]
     status = IterationStatus.MAX_ITER_REACHED
     reason = None
@@ -245,22 +218,13 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
     prev_settled = prev_stalled = False
 
     for k in range(1, config.max_iter + 1):
-        repaired = _repair_cone(power_step(phi, a, sp, sq))
-        if repaired is None:
-            status = IterationStatus.LEFT_CONE
-            reason = None
-            run_warnings.append(
-                f"iterate left the PSD cone at step {k}; this signals a bug, "
-                "the run was aborted"
-            )
-            break
-        nxt, vals = repaired
+        nxt = power_step(phi, a, sp, sq)
         frobenius_step = float(np.linalg.norm(nxt - a))
         nxt_dec = _psd_spectrum(nxt)
         hilbert_step = _hilbert_distance(nxt_dec, dec).value
-        f_cur, residual, dec = _evaluate(phi, nxt, vals, nxt_dec, sp, sq)
+        f_cur, residual = _evaluate(phi, nxt, nxt_dec, sp, sq)
         rows.append((k, f_cur, hilbert_step, frobenius_step, residual))
-        a = nxt
+        a, dec = nxt, nxt_dec
         iterations = k
         settled = frobenius_step <= config.tol_fixed_point
         stalled = abs(f_cur - f_prev) <= config.tol_objective
@@ -279,7 +243,14 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
     contraction = None
     if config.with_contraction:
         contraction = contraction_report(phi, sp, sq)
-        if not contraction.step_certified:
+    run_warnings = []
+    if contraction is None or not contraction.step_certified:
+        if sp.p <= sq.p:
+            run_warnings.append(
+                f"unproven regime p={sp.p} <= q={sq.p}: convergence to the "
+                "global maximum is not certified"
+            )
+        if contraction is not None:
             run_warnings.append(
                 "step contraction bound "
                 f"{contraction.kappa_step_upper:.6g} >= 1: the estimate is a "

@@ -1,4 +1,5 @@
-"""Shared sample generators and record comparisons for the test suite."""
+"""Shared sample generators, call counters and record comparisons for the
+test suite."""
 
 import math
 import re
@@ -42,6 +43,25 @@ def loop_apply(ops, a):
     for v in ops:
         out += v @ a @ v.conj().T
     return hermitian_part(out)
+
+
+def count_calls(monkeypatch, owner, *names):
+    """Wrap each named attribute of ``owner`` so that it counts its calls.
+
+    Returns the dict of counts, keyed by name, that the wrappers increment
+    for as long as the monkeypatch lasts. A wrapped method still binds, since
+    the wrapper is a plain function.
+    """
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(owner, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
 
 
 # A JSON string, or a JSON number; strings come first so that digits inside

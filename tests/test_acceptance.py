@@ -53,7 +53,7 @@ def instances():
         n = 2 + (i % 2)
         phi = cp.random_cpmap(n, n, 3, cp.subseed(1000 + i, "acceptance-map"))
         for p, q in PQ_GRID:
-            config = cp.PowerConfig(p=p, q=q, seed=i)
+            config = cp.PowerConfig(p=p, q=q)
             power = cp.run_power_method(phi, config)
             oracle = cp.oracle_max(phi, p, q, budget=ORACLE_BUDGET, seed=i)
             out.append(

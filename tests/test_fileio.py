@@ -153,6 +153,11 @@ class TestCanonicalJson:
         obj = json.loads(text)
         assert obj == {"a": "inf", "b": "nan", "c": 1.5}
 
+    def test_nonfinite_matrix_entries_become_strings(self):
+        mat = np.array([[math.inf, complex(0.5, -math.inf)], [math.nan, -0.0]])
+        assert json.loads(canonical_json(mat)) == [
+            [["inf", 0.0], [0.5, "-inf"]], [["nan", 0.0], [-0.0, 0.0]]]
+
     def test_sorted_and_stable(self):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
 
@@ -304,10 +309,10 @@ class TestRecordLayout:
         })
 
     def test_power_config_with_start(self):
-        config = PowerConfig(p=3.0, q=2.0, max_iter=50, start=np.array([[2.0]]), seed=4)
+        config = PowerConfig(p=3.0, q=2.0, max_iter=50, start=np.array([[2.0]]))
         assert canonical_json(config) == _layout({
             "max_iter": 50, "p": 3.0, "q": 2.0,
-            "seed": 4, "start": [[[2.0, 0.0]]], "tol_fixed_point": 1e-10,
+            "start": [[[2.0, 0.0]]], "tol_fixed_point": 1e-10,
             "tol_objective": 1e-12, "with_contraction": True,
         })
 

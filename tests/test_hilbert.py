@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +33,7 @@ from cpnorm import (
     step_contraction_bound,
 )
 from cpnorm import hilbert, power
-from helpers import shared_range_pair, well_conditioned_pd
+from helpers import count_calls, shared_range_pair, well_conditioned_pd
 
 
 class TestMRatio:
@@ -126,6 +127,20 @@ class TestHilbertDistance:
         d = hilbert_distance(phi.apply(a), phi.apply(b))
         assert d.same_part
 
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           ridge=st.floats(1e-3, 10.0), scale=st.floats(1e-6, 1e6))
+    def test_matches_generalized_eigenvalues(self, n, seed, ridge, scale):
+        # ln(max/min) of the pencil A x = lam B x, which scipy solves through
+        # a Cholesky factor of B rather than through eigendata of either
+        rng = np.random.default_rng(seed)
+        a = scale * well_conditioned_pd(n, rng, ridge)
+        b = well_conditioned_pd(n, rng, ridge)
+        w = scipy.linalg.eigh(a, b, eigvals_only=True)
+        d = hilbert_distance(a, b)
+        assert d.same_part
+        assert d.value == pytest.approx(math.log(w[-1] / w[0]), rel=1e-9, abs=1e-9)
+
 
 class TestSamePart:
     def test_examples(self):
@@ -207,25 +222,20 @@ class TestContractionReport:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", KrausRedundancyWarning)
             phi = generate_map(3, 3, 3, 2, kind="positively_improving").to_cpmap()
-        counts = {"apply": 0}
-        real_apply, real_report = CPMap._apply, hilbert.contraction_report
-
-        def apply(self, mat):
-            counts["apply"] += 1
-            return real_apply(self, mat)
+        # the adjoint is a CPMap too, so this counts adjoint applications
+        counts = count_calls(monkeypatch, CPMap, "_apply")
+        real_report = hilbert.contraction_report
 
         def report(*args, **kwargs):
-            before = counts["apply"]
+            before = counts["_apply"]
             rep = real_report(*args, **kwargs)
-            counts["in_report"] = counts["apply"] - before
+            counts["in_report"] = counts["_apply"] - before
             return rep
 
-        # the adjoint is a CPMap too, so this counts adjoint applications
-        monkeypatch.setattr(CPMap, "_apply", apply)
         monkeypatch.setattr(power, "contraction_report", report)
         result = run_power_method(phi, PowerConfig(p=3, q=2))
         assert result.contraction.upper_source == "choi"
-        assert counts["apply"] > 0 and counts["in_report"] == 0
+        assert counts["_apply"] > 0 and counts["in_report"] == 0
 
     def test_singular_kraus_matrix_stays_trivial(self):
         # k = n m operators whose matrix is rank deficient: the last row is a

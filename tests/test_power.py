@@ -18,17 +18,17 @@ from cpnorm import (
     critical_point_residual,
     default_start,
     depolarizing_channel,
-    eig_decompose,
     hilbert_distance,
     identity_channel,
     numerical_rank,
-    objective,
     power_step,
+    psd_spectrum,
     random_cpmap,
     run_power_method,
     schatten_norm,
 )
-from helpers import well_conditioned_pd
+from cpnorm.schatten import _spectrum_norm
+from helpers import count_calls, well_conditioned_pd
 
 
 class TestPowerStep:
@@ -146,6 +146,28 @@ class TestRunPowerMethod:
         assert not res.contraction.step_certified
         assert any("not certified" in w for w in res.warnings)
 
+    def test_certified_p_le_q_run_carries_no_unproven_warning(self):
+        res = run_power_method(depolarizing_channel(3), PowerConfig(p=2, q=3))
+        assert res.contraction.upper_source == "choi"
+        # kappa is 0 up to the SVD's slack: the channel's Choi matrix is I/3
+        assert res.contraction.kappa_upper < 1e-12 and res.contraction.step_certified
+        assert res.warnings == ()
+        res = run_power_method(identity_channel(3), PowerConfig(p=2, q=3))
+        assert not res.contraction.step_certified
+        assert any("unproven regime" in w for w in res.warnings)
+        # without the report nothing certifies the run
+        cfg = PowerConfig(p=2, q=3, with_contraction=False)
+        res = run_power_method(depolarizing_channel(3), cfg)
+        assert any("unproven regime" in w for w in res.warnings)
+
+    def test_at_most_five_eigensolves_per_full_rank_iteration(self, monkeypatch):
+        phi = random_cpmap(4, 4, 3, 21)
+        counts = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+        res = run_power_method(phi, PowerConfig(p=3, q=2, with_contraction=False))
+        assert res.iterations >= 5
+        # the start's decomposition and that of its image come first
+        assert sum(counts.values()) <= 5 * res.iterations + 2
+
     def test_trace_rows_are_ordered_and_positive(self):
         phi = random_cpmap(2, 2, 3, 10)
         res = run_power_method(phi, PowerConfig(p=3, q=2, with_contraction=False))
@@ -256,17 +278,17 @@ class TestResidual:
 
 def _replay(phi, p, q, iterations):
     """The iteration rebuilt from public functions: trace rows and final iterate."""
+
+    def ratio(a):
+        image = psd_spectrum(phi.apply(a)).eigenvalues
+        return _spectrum_norm(image, q) / _spectrum_norm(psd_spectrum(a).eigenvalues, p)
+
     a = default_start(phi.input_dim, p)
-    rows = [TraceRow(0, objective(phi, a, p, q), math.nan, math.nan,
+    rows = [TraceRow(0, ratio(a), math.nan, math.nan,
                      critical_point_residual(phi, a, p, q))]
     for k in range(1, iterations + 1):
         nxt = power_step(phi, a, p, q)
-        if np.linalg.eigvalsh(nxt)[0] < 0.0:
-            dec = eig_decompose(nxt)
-            clipped = np.clip(dec.eigenvalues, 0.0, None)
-            nxt = (dec.eigenvectors * clipped) @ dec.eigenvectors.conj().T
-            nxt = (nxt + nxt.conj().T) / 2
-        rows.append(TraceRow(k, objective(phi, nxt, p, q),
+        rows.append(TraceRow(k, ratio(nxt),
                              hilbert_distance(nxt, a).value,
                              float(np.linalg.norm(nxt - a)),
                              critical_point_residual(phi, nxt, p, q)))
