@@ -27,7 +27,7 @@ from .fileio import (
     write_trace,
 )
 from .hilbert import run_diagnostics
-from .oracle import cross_validate, oracle_max
+from .oracle import _require_tol, cross_validate, oracle_max
 from .power import IterationStatus, PowerConfig, run_power_method
 
 
@@ -101,6 +101,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _require_tol(args.tol)
     mapfile = load_map(args.map)
     phi = mapfile.to_cpmap()
     config = PowerConfig(p=args.p, q=args.q, max_iter=3000)

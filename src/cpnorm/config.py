@@ -1,8 +1,12 @@
-"""Shared numerical tolerances and deterministic seed derivation."""
+"""Shared numerical tolerances, the count-argument check and deterministic
+seed derivation."""
 
 import zlib
+from numbers import Integral
 
 import numpy as np
+
+from .errors import InvalidInput
 
 # Single rank/PSD knob: eigenvalues with magnitude below
 # RANK_RTOL * max(1, |lambda|_max) count as zero everywhere in the package.
@@ -16,6 +20,15 @@ HERMITIZE_RTOL = 1e-8
 # Hilbert distances beyond this are reported as infinite; tanh(d/4) is already
 # 1.0 in float64 long before this point.
 DISTANCE_OVERFLOW = 1e6
+
+
+def require_count(value, name: str) -> None:
+    """Raise ``InvalidInput`` unless ``value`` is an integer of at least 1;
+    a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidInput(f"{name} must be at least 1")
 
 
 def as_rng(seed):

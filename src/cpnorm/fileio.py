@@ -189,6 +189,16 @@ def generate_map(n: int, m: int, k: int, seed: int, kind: str = "generic",
     return MapFile(version=FORMAT_VERSION, n=n, m=m, kraus=ops, metadata=metadata)
 
 
+class _Pairs(list):
+    """A matrix as nested [re, im] lists, with the shape of the matrix."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, pairs: list, shape: tuple):
+        super().__init__(pairs)
+        self.shape = shape
+
+
 def _jsonable(x):
     """Plain-JSON form of a record value.
 
@@ -218,7 +228,8 @@ def _jsonable(x):
         mat = np.asarray(x, dtype=np.complex128)
         pairs = np.stack([mat.real, mat.imag], axis=-1).tolist()
         # only non-finite entries need the per-float pass, to become strings
-        return pairs if np.all(np.isfinite(mat)) else _jsonable(pairs)
+        return _Pairs(pairs if np.all(np.isfinite(mat)) else _jsonable(pairs),
+                      mat.shape)
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
     raise TypeError(f"cannot serialize {type(x)!r}")
@@ -227,8 +238,15 @@ def _jsonable(x):
 _INLINE = json.JSONEncoder(allow_nan=False).encode
 
 
-def _is_row(x: list) -> bool:
-    """True for a list nested at most two deep: scalars, or lists of scalars."""
+def _is_row(x: list, shape: tuple | None) -> bool:
+    """True for a list nested at most two deep: scalars, or lists of scalars.
+
+    For the [re, im] lists of a matrix of the given shape, the shape answers
+    without a scan of the pairs: such a list is deeper only when its first
+    two axes are nonempty.
+    """
+    if shape is not None:
+        return len(shape) < 2 or 0 in shape[:2]
     return not any(
         isinstance(v, dict)
         or isinstance(v, list) and any(isinstance(w, (list, dict)) for w in v)
@@ -236,13 +254,16 @@ def _is_row(x: list) -> bool:
     )
 
 
-def _encode(x, indent: str) -> str:
+def _encode(x, indent: str, shape: tuple | None = None) -> str:
     inner = indent + "  "
     if isinstance(x, dict) and x:
         items = (f"{inner}{_INLINE(k)}: {_encode(x[k], inner)}" for k in sorted(x))
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(x, list) and not _is_row(x):
-        items = (inner + _encode(v, inner) for v in x)
+    if isinstance(x, _Pairs):
+        shape = x.shape
+    if isinstance(x, list) and not _is_row(x, shape):
+        sub = None if shape is None else shape[1:]
+        items = (inner + _encode(v, inner, sub) for v in x)
         return "[\n" + ",\n".join(items) + "\n" + indent + "]"
     return _INLINE(x)
 

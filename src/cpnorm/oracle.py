@@ -7,9 +7,15 @@ gradients are exact: the spectral gradients of the two Schatten norms,
 combined through one map application and one adjoint application per
 evaluation. It computes them on its own eigendecompositions and never
 touches the duality-map machinery or the hermitian kernels, so its failures
-are independent of the power iteration it cross-checks. A spectral-grid
-reduction handles maps that preserve diagonality, and the classical
-nonnegative-matrix power iteration is included for embedding cross-checks.
+are independent of the power iteration it cross-checks. The seven starts of
+the ascent run in lock-step rounds: the candidates of one round are projected
+with one stacked ``eigvalsh`` and evaluated with one stacked ``eigh`` of the
+points and one of their images, while each start keeps its own step, budget
+share and stop rule and each evaluation still makes one public ``phi.apply``
+and ``phi.adjoint_apply``. Stacking changes no bit of any start's path. A
+spectral-grid reduction handles maps that preserve diagonality, and the
+classical nonnegative-matrix power iteration is included for embedding
+cross-checks.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import subseed
+from .config import require_count, subseed
 from .errors import DegenerateMap, DeskScaleExceeded, InvalidInput, NotApplicable, NotPsd
 from .cpmap import CPMap
 from .hermitian import random_hermitian, random_psd
@@ -49,41 +55,52 @@ class OracleResult:
 
 
 @functools.cache
-def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only indices of the strict upper triangle of an n x n matrix."""
-    iu = np.triu_indices(n, 1)
-    for idx in iu:
+def _flat_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only positions, in a flattened n x n matrix, of the diagonal, of
+    the strict upper triangle in row order, and of its mirror."""
+    iu, ju = np.triu_indices(n, 1)
+    out = (np.arange(n) * (n + 1), iu * n + ju, ju * n + iu)
+    for idx in out:
         idx.setflags(write=False)
-    return iu
+    return out
 
 
 def _herm_to_vec(a: np.ndarray) -> np.ndarray:
-    iu = _upper(a.shape[0])
-    return np.concatenate([a.diagonal().real, a[iu].real, a[iu].imag])
+    """Real coordinates [diag, Re upper, Im upper] of a (..., n, n) stack."""
+    n = a.shape[-1]
+    diag, upper, _ = _flat_index(n)
+    flat = a.reshape(a.shape[:-2] + (n * n,))
+    up = flat[..., upper]
+    return np.concatenate([flat[..., diag].real, up.real, up.imag], axis=-1)
 
 
 def _vec_to_herm(theta: np.ndarray, n: int) -> np.ndarray:
-    a = np.zeros((n, n), dtype=np.complex128)
-    np.fill_diagonal(a, theta[:n])
-    iu = _upper(n)
-    off = iu[0].size
-    vals = theta[n : n + off] + 1j * theta[n + off :]
-    a[iu] = vals
-    a[(iu[1], iu[0])] = vals.conj()
-    return a
+    """The (..., n, n) Hermitian stack with coordinates ``theta``."""
+    diag, upper, lower = _flat_index(n)
+    off = upper.size
+    vals = theta[..., n : n + off] + 1j * theta[..., n + off :]
+    a = np.empty(theta.shape[:-1] + (n * n,), dtype=np.complex128)
+    a[..., diag] = theta[..., :n]
+    a[..., upper] = vals
+    a[..., lower] = vals.conj()
+    return a.reshape(theta.shape[:-1] + (n, n))
 
 
-def _lr_norm(vals: np.ndarray, r: float) -> float:
-    """l^r norm of a spectrum, scaled by its largest magnitude against overflow."""
+def _lr_norm(vals: np.ndarray, r: float) -> np.ndarray:
+    """l^r norms of a (B, n) stack of spectra, each scaled by its largest
+    magnitude against overflow; 0 for an all-zero spectrum."""
     mag = np.abs(vals)
-    top = float(mag.max())
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum((mag / top) ** r)) ** (1.0 / r)
+    top = mag.max(axis=-1)
+    sums = ((mag / np.where(top == 0.0, 1.0, top)[:, None]) ** r).sum(axis=-1)
+    # The root is a Python float power per spectrum: numpy's array power can
+    # round differently in the last bit.
+    return np.array([t * s ** (1.0 / r) if t else 0.0
+                     for t, s in zip(top.tolist(), sums.tolist())])
 
 
-def _norm_and_grad(y: np.ndarray, r: float) -> tuple[float, np.ndarray]:
-    """||Y||_r of Hermitian Y and its gradient U sign(L) (|L|/||Y||_r)^(r-1) U^dag.
+def _norm_and_grad(y: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """||Y||_r of each Y of a Hermitian (B, n, n) stack and its gradient
+    U sign(L) (|L|/||Y||_r)^(r-1) U^dag.
 
     The gradient of a unitarily invariant norm is the same function applied
     to the spectrum, with the eigenvectors kept (Lewis, "Derivatives of
@@ -91,49 +108,100 @@ def _norm_and_grad(y: np.ndarray, r: float) -> tuple[float, np.ndarray]:
     """
     vals, vecs = np.linalg.eigh(y)
     nrm = _lr_norm(vals, r)
-    if nrm == 0.0:
-        return 0.0, np.zeros_like(y)
-    weights = np.sign(vals) * (np.abs(vals) / nrm) ** (r - 1.0)
-    return nrm, (vecs * weights) @ vecs.conj().T
+    zero = nrm == 0.0
+    scale = np.where(zero, 1.0, nrm)[:, None]
+    weights = np.sign(vals) * (np.abs(vals) / scale) ** (r - 1.0)
+    grad = (vecs * weights[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    if zero.any():
+        grad[zero] = 0.0
+    return nrm, grad
 
 
-def _value_and_grad(phi: CPMap, p: float, q: float, theta: np.ndarray):
-    """F = ||phi(X)||_q / ||X||_p at X = _vec_to_herm(theta) and dF/dtheta.
+def _values_and_grads(phi: CPMap, p: float, q: float, thetas: np.ndarray):
+    """F = ||phi(X)||_q / ||X||_p and dF/dtheta at each X = _vec_to_herm(theta)
+    of a (B, n^2) stack, with one ``phi.apply`` and one ``phi.adjoint_apply``
+    per nonzero X.
 
     With M = (phi^*(G_q(phi(X))) - F G_p(X)) / ||X||_p the gradient of F
     over Hermitian X, the theta-gradient is [diag M, 2 Re M_iu, 2 Im M_iu].
-    Returns None at X = 0, where F is undefined, without applying the map.
+    At X = 0, where F is undefined, the row gets F = 0 and a zero gradient
+    without a map application. Returns (values, gradients, applied), where
+    ``applied`` marks the rows that applied the map.
     """
-    n = phi.input_dim
-    x = _vec_to_herm(theta, n)
+    n, m = phi.input_dim, phi.output_dim
+    x = _vec_to_herm(thetas, n)
     nrm, g_in = _norm_and_grad(x, p)
-    if nrm == 0.0:
-        return None
-    image_nrm, g_out = _norm_and_grad(phi.apply(x), q)
-    value = image_nrm / nrm
-    m = (phi.adjoint_apply(g_out) - value * g_in) / nrm
-    grad = _herm_to_vec(m)
-    grad[n:] *= 2.0
-    return value, grad
+    applied = nrm != 0.0
+    # a zero X stands for a zero image and a zero pull-back, with F = 0
+    image_nrm, g_out = _norm_and_grad(np.stack([
+        phi.apply(a) if ok else np.zeros((m, m), dtype=np.complex128)
+        for a, ok in zip(x, applied)
+    ]), q)
+    pulled = np.stack([
+        phi.adjoint_apply(g) if ok else np.zeros((n, n), dtype=np.complex128)
+        for g, ok in zip(g_out, applied)
+    ])
+    scale = np.where(applied, nrm, 1.0)
+    values = image_nrm / scale
+    grads = _herm_to_vec((pulled - values[:, None, None] * g_in) / scale[:, None, None])
+    grads[:, n:] *= 2.0
+    return values, grads, applied
 
 
-def _hill_climb(fg, project, x0, evals_left):
-    """Projected gradient ascent; each step costs one evaluation of ``fg``."""
-    x = project(x0)
-    fx, gx = fg(x)
-    step = 0.25
-    while evals_left() > 1 and step > 1e-9:
-        norm = np.linalg.norm(gx)
-        if norm == 0:
-            break
-        cand = project(x + (step / norm) * gx)
-        fc, gc = fg(cand)
-        if fc > fx:
-            x, fx, gx = cand, fc, gc
-            step *= 1.4
-        else:
-            step *= 0.5
-    return x, fx
+def _value_and_grad(phi: CPMap, p: float, q: float, theta: np.ndarray):
+    """``_values_and_grads`` at one point: (F, dF/dtheta), or None at X = 0."""
+    values, grads, applied = _values_and_grads(phi, p, q, theta[None])
+    return (float(values[0]), grads[0]) if applied[0] else None
+
+
+def _project(theta: np.ndarray, n: int, p: float) -> np.ndarray:
+    """Scale each row of a (B, n^2) stack to the unit Schatten-p sphere; a
+    zero row stays as it is."""
+    a = _vec_to_herm(theta, n)
+    nrm = _lr_norm(np.linalg.eigvalsh(a), p)
+    zero = nrm == 0.0
+    scaled = _herm_to_vec(a / np.where(zero, 1.0, nrm)[:, None, None])
+    return np.where(zero[:, None], theta, scaled)
+
+
+def _row_norms(g: np.ndarray) -> list[float]:
+    """The 2-norm of each row of ``g`` as the 1-D ``np.linalg.norm`` gives
+    it; ``np.linalg.norm(g, axis=-1)`` rounds differently."""
+    return [float(np.linalg.norm(row)) for row in g]
+
+
+def _ascend(evaluate, project, thetas: np.ndarray, per_start: int):
+    """Projected gradient ascent from each row of ``thetas``, all rows in
+    lock-step, each capped at ``per_start`` evaluations.
+
+    Every row keeps its own step, evaluation count and stop rule: it stays
+    active while more than one of its evaluations is left, its step exceeds
+    1e-9 and its gradient is nonzero. Each round, the active rows propose one
+    candidate each, evaluated as one stack, so every row follows the path it
+    would follow alone. Returns the final points and their values.
+    """
+    x = project(thetas)
+    fx, gx, applied = evaluate(x)
+    fx = fx.tolist()
+    evals = applied.astype(int).tolist()
+    steps = [0.25] * len(x)
+    active = list(range(len(x)))
+    while True:
+        live = [i for i in active if per_start - evals[i] > 1 and steps[i] > 1e-9]
+        norms = dict(zip(live, _row_norms(gx[live])))
+        active = [i for i in live if norms[i] != 0.0]
+        if not active:
+            return x, fx
+        coef = np.array([steps[i] / norms[i] for i in active])
+        cand = project(x[active] + coef[:, None] * gx[active])
+        fc, gc, applied = evaluate(cand)
+        for j, i in enumerate(active):
+            evals[i] += int(applied[j])
+            if fc[j] > fx[i]:
+                x[i], fx[i], gx[i] = cand[j], float(fc[j]), gc[j]
+                steps[i] *= 1.4
+            else:
+                steps[i] *= 0.5
 
 
 def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
@@ -148,42 +216,46 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
     oracle's own eigendecompositions. Deterministic for a fixed seed and
     budget.
 
+    The seven ascents run in lock-step rounds: each round, every start that
+    is still active proposes one candidate, and the candidates share one
+    stacked projection and stacked eigendecompositions. Each start keeps its
+    own step, budget share and stop rule, so it follows the path it would
+    follow alone, and each evaluation still makes one public ``phi.apply``
+    and one ``phi.adjoint_apply``.
+
     ``budget`` caps the number of map applications, approximately: 40% of it
-    is shared among the starts, and each of the two polishes is sized to
-    about half of what then remains. Adjoint applications, one per gradient,
-    are not counted. ``budget_used`` is the exact number of applications.
+    is shared equally among the starts, and each of the two polishes is sized
+    to about half of what then remains. Adjoint applications, one per
+    gradient, are not counted. ``budget_used`` is the exact number of
+    applications.
     """
     n = phi.input_dim
     if n > DESK_SCALE_LIMIT:
         raise DeskScaleExceeded(
             f"oracle is limited to n <= {DESK_SCALE_LIMIT}, got n = {n}"
         )
-    if budget < 1:
-        raise InvalidInput("budget must be at least 1")
+    require_count(budget, "budget")
     from scipy import optimize
 
     sp = as_exponent(p)
     sq = as_exponent(q)
     used = 0
 
-    def fg(theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(thetas: np.ndarray):
         nonlocal used
-        out = _value_and_grad(phi, sp.p, sq.p, theta)
-        if out is None:
-            return 0.0, np.zeros_like(theta)
-        used += 1
-        return out
+        values, grads, applied = _values_and_grads(phi, sp.p, sq.p, thetas)
+        used += int(np.count_nonzero(applied))
+        return values, grads, applied
 
     def neg_fg(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = fg(theta)
-        return -value, -grad
+        values, grads, _ = evaluate(theta[None])
+        return -float(values[0]), -grads[0]
 
-    def project(theta: np.ndarray) -> np.ndarray:
-        a = _vec_to_herm(theta, n)
-        nrm = _lr_norm(np.linalg.eigvalsh(a), sp.p)
-        if nrm == 0.0:
-            return theta
-        return _herm_to_vec(a / nrm)
+    def project(thetas: np.ndarray) -> np.ndarray:
+        return _project(thetas, n, sp.p)
+
+    def value_at(theta: np.ndarray) -> float:
+        return float(evaluate(theta[None])[0][0])
 
     starts = [("psd", default_start(n, sp))]
     for i in range(3):
@@ -191,11 +263,11 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
     for i in range(3):
         starts.append(("herm", random_hermitian(n, subseed(seed, "oracle-herm", i))))
 
-    best = {"psd": (-math.inf, None), "herm": (-math.inf, None)}
     per_start = max(1, int(0.4 * budget) // len(starts))
-    for family, a0 in starts:
-        cap = used + per_start
-        x, fx = _hill_climb(fg, project, _herm_to_vec(a0), lambda: cap - used)
+    points, values = _ascend(evaluate, project,
+                             _herm_to_vec(np.stack([a for _, a in starts])), per_start)
+    best = {"psd": (-math.inf, None), "herm": (-math.inf, None)}
+    for (family, _), x, fx in zip(starts, points, values):
         if fx > best[family][0]:
             best[family] = (fx, x)
 
@@ -213,16 +285,16 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
                 method="BFGS",
                 options={"maxiter": maxiter, "gtol": 1e-12},
             )
-            cand = project(res.x)
-            fc = fg(cand)[0]
+            cand = project(res.x[None])[0]
+            fc = value_at(cand)
             if fc > fx:
                 best[family] = (fc, cand)
 
     family_values = {f: best[f][0] for f in ("psd", "herm")}
     winner = max(("psd", "herm"), key=lambda f: family_values[f])
-    theta = project(best[winner][1])
+    theta = project(best[winner][1][None])[0]
     return OracleResult(
-        best_value=fg(theta)[0],
+        best_value=value_at(theta),
         best_point=_vec_to_herm(theta, n),
         restarts=len(starts),
         budget_used=used,
@@ -345,6 +417,14 @@ class CrossValidation:
     messages: tuple[str, ...]
 
 
+def _require_tol(tol) -> None:
+    """Raise ``InvalidInput`` unless the agreement tolerance is finite and
+    nonnegative: a NaN or negative one fails every pair, an infinite one
+    passes every pair."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidInput(f"tol must be finite and nonnegative, got {tol!r}")
+
+
 def cross_validate(
     power: NormResult, oracle: OracleResult, tol: float = 1e-4
 ) -> CrossValidation:
@@ -354,7 +434,9 @@ def cross_validate(
     the power run carried a contraction certificate (the oracle must then
     neither beat nor trail the converged estimate) and a WARN otherwise,
     since without the certificate the power method is only a lower bound.
+    Raises ``InvalidInput`` for a non-finite or negative ``tol``.
     """
+    _require_tol(tol)
     certified = bool(power.contraction is not None and power.contraction.step_certified)
     difference = float(oracle.best_value - power.norm_estimate)
     messages = []

@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
 
 import numpy as np
 
+from .config import require_count
 from .errors import DegenerateMap, DimMismatch, InvalidInput, ZeroInput
 from .cpmap import CPMap, _require_dim
 from .hermitian import (
@@ -75,10 +75,7 @@ class PowerConfig:
         for tol in (self.tol_fixed_point, self.tol_objective):
             if not (math.isfinite(tol) and tol > 0):
                 raise InvalidInput("tolerances must be positive and finite")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, Integral):
-            raise InvalidInput(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise InvalidInput("max_iter must be at least 1")
+        require_count(self.max_iter, "max_iter")
         if self.start is not None:
             dec = psd_spectrum(self.start)
             if dec.eigenvalues[0] <= 0:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cpnorm import CPMap, MapFile, generate_map, identity_channel, random_cpmap
+from cpnorm import CPMap, MapFile, cli, generate_map, identity_channel, random_cpmap
 from cpnorm.cli import main
 from cpnorm.fileio import save_map
 
@@ -206,6 +206,19 @@ class TestVerify:
         assert rec["cross_validation"]["power_value"] == pytest.approx(
             2**0.25, abs=1e-6
         )
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tol_exit_3_before_the_power_run(self, capsys, monkeypatch,
+                                                  generic_map_file, tol):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("verify ran the power iteration")
+
+        monkeypatch.setattr(cli, "run_power_method", unreachable)
+        code, out, err = run_cli(capsys, ["verify", "--map", generic_map_file,
+                                          "--p", "3", "--q", "2", "--tol", tol])
+        assert code == 3
+        assert out == ""
+        assert "tol must be finite and nonnegative" in err
 
     def test_desk_scale_exit_3(self, capsys, tmp_path):
         path = tmp_path / "big.json"

@@ -175,6 +175,16 @@ class TestCanonicalJson:
             "]\n"
         )
 
+    @pytest.mark.parametrize("shape", [(0,), (3,), (0, 2), (2, 0), (2, 3),
+                                       (2, 0, 3), (0, 2, 3), (2, 3, 0), (2, 3, 2),
+                                       (1, 1, 1, 2)])
+    def test_matrix_layout_follows_the_nesting_rule(self, shape):
+        # the layout of a matrix comes from its shape, without a scan of its
+        # pairs; it must be the layout of the same nested lists in general
+        mat = np.arange(math.prod(shape)).reshape(shape) * (1 - 0.5j)
+        text = canonical_json({"m": mat})
+        assert text == _layout(json.loads(text))
+
     def test_old_layout_map_file_loads_same_stack(self, tmp_path):
         mf = generate_map(3, 2, 4, seed=6)
         path = tmp_path / "indented.json"

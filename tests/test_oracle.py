@@ -1,15 +1,18 @@
 """Brute-force oracle tests: projected ascent, spectral grid, classical
 power iteration, cross-validation."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cpnorm import (
     CPMap,
     DeskScaleExceeded,
+    InvalidInput,
     NotApplicable,
     OracleMethod,
     PowerConfig,
@@ -24,10 +27,21 @@ from cpnorm import (
     oracle_max,
     random_cpmap,
     random_hermitian,
+    random_psd,
     run_power_method,
     spectral_grid_max,
 )
-from cpnorm.oracle import _herm_to_vec, _value_and_grad
+from cpnorm.config import subseed
+from cpnorm.oracle import (
+    _herm_to_vec,
+    _lr_norm,
+    _norm_and_grad,
+    _project,
+    _row_norms,
+    _value_and_grad,
+    _values_and_grads,
+    _vec_to_herm,
+)
 
 
 def central_grad(g, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -41,6 +55,72 @@ def central_grad(g, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         xm[i] -= h
         grad[i] = (g(xp) - g(xm)) / (2.0 * h)
     return grad
+
+
+def sequential_oracle_max(phi: CPMap, p: float, q: float, budget: int, seed: int):
+    """Reference for ``oracle_max``: the seven projected ascents one start at
+    a time, each a hill climb over ``_value_and_grad`` whose evaluations
+    count against its own cap, then the two BFGS polishes. Returns
+    (best_value, best_point, budget_used, psd family value, Hermitian family
+    value)."""
+    from scipy import optimize
+
+    n = phi.input_dim
+    used = 0
+
+    def fg(theta):
+        nonlocal used
+        out = _value_and_grad(phi, p, q, theta)
+        if out is None:
+            return 0.0, np.zeros_like(theta)
+        used += 1
+        return out
+
+    def project(theta):
+        return _project(theta[None], n, p)[0]
+
+    def hill_climb(x0, cap):
+        x = project(x0)
+        fx, gx = fg(x)
+        step = 0.25
+        while cap - used > 1 and step > 1e-9:
+            norm = np.linalg.norm(gx)
+            if norm == 0:
+                break
+            cand = project(x + (step / norm) * gx)
+            fc, gc = fg(cand)
+            if fc > fx:
+                x, fx, gx = cand, fc, gc
+                step *= 1.4
+            else:
+                step *= 0.5
+        return x, fx
+
+    starts = [("psd", default_start(n, p))]
+    starts += [("psd", random_psd(n, n, subseed(seed, "oracle-psd", i))) for i in range(3)]
+    starts += [("herm", random_hermitian(n, subseed(seed, "oracle-herm", i)))
+               for i in range(3)]
+    per_start = max(1, int(0.4 * budget) // len(starts))
+    best = {"psd": (-math.inf, None), "herm": (-math.inf, None)}
+    for family, a0 in starts:
+        x, fx = hill_climb(_herm_to_vec(a0), used + per_start)
+        if fx > best[family][0]:
+            best[family] = (fx, x)
+    for family in ("psd", "herm"):
+        fx, x = best[family]
+        maxiter = max(0, budget - used) // 2 // 3
+        if maxiter >= 2:
+            res = optimize.minimize(lambda t: tuple(-v for v in fg(t)), x, jac=True,
+                                    method="BFGS",
+                                    options={"maxiter": maxiter, "gtol": 1e-12})
+            cand = project(res.x)
+            fc = fg(cand)[0]
+            if fc > fx:
+                best[family] = (fc, cand)
+    winner = max(("psd", "herm"), key=lambda f: best[f][0])
+    theta = project(best[winner][1])
+    return (fg(theta)[0], _vec_to_herm(theta, n), used, best["psd"][0],
+            best["herm"][0])
 
 
 class CountingMap(CPMap):
@@ -130,6 +210,129 @@ class TestOracleMax:
         with pytest.raises(DeskScaleExceeded):
             oracle_max(random_cpmap(7, 7, 1, 0), 3, 2)
 
+    @pytest.mark.parametrize("budget", [True, 2.5, "100", None, 0, -3])
+    def test_budget_must_be_a_positive_integer(self, budget):
+        phi = CountingMap(random_cpmap(2, 2, 2, 0).kraus)
+        with pytest.raises(InvalidInput, match="budget"):
+            oracle_max(phi, 3, 2, budget=budget)
+        assert phi.applies == 0
+
+    def test_numpy_integer_budget_accepted(self):
+        res = oracle_max(random_cpmap(2, 2, 2, 0), 3, 2, budget=np.int64(60))
+        assert res.budget_used == oracle_max(random_cpmap(2, 2, 2, 0), 3, 2,
+                                             budget=60).budget_used
+
+
+@pytest.mark.parametrize("budget", [1, 7, 8, 60, 4000])
+@settings(max_examples=8)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 4),
+    pq=st.sampled_from([(3.0, 2.0), (2.0, 3.0), (2.5, 1.5), (1.5, 4.0)]),
+    seed=st.integers(0, 2**16),
+)
+@example(n=4, m=4, pq=(2.0, 3.0), seed=7)
+@example(n=6, m=3, pq=(1.5, 4.0), seed=11)
+def test_lockstep_matches_sequential_ascent(budget, n, m, pq, seed):
+    # every start keeps its own step, cap and stop rule, so running the
+    # starts in lock-step changes no bit of the result
+    p, q = pq
+    phi = random_cpmap(n, m, 1 + seed % (n * m), seed)
+    res = oracle_max(phi, p, q, budget=budget, seed=seed)
+    value, point, used, psd, herm = sequential_oracle_max(phi, p, q, budget, seed)
+    assert res.best_value == value
+    assert res.best_point.tobytes() == point.tobytes()
+    assert res.budget_used == used
+    assert res.best_from_psd_starts == psd
+    assert res.best_from_hermitian_starts == herm
+
+
+class TestStackedHelpers:
+    """Each helper on a stack of B matrices gives the bits of the per-matrix
+    computation, so the lock-step ascent follows each start's own path."""
+
+    @staticmethod
+    def stacks(b, count=40):
+        rng = np.random.default_rng(b)
+        for _ in range(count):
+            n = int(rng.integers(1, 7))
+            yield n, np.stack([random_hermitian(n, rng) for _ in range(b)])
+
+    @pytest.mark.parametrize("b", range(1, 9))
+    def test_coordinates(self, b):
+        for n, a in self.stacks(b):
+            theta = _herm_to_vec(a)
+            assert theta.shape == (b, n * n)
+            for i in range(b):
+                iu = np.triu_indices(n, 1)
+                one = np.concatenate([a[i].diagonal().real, a[i][iu].real,
+                                      a[i][iu].imag])
+                assert theta[i].tobytes() == one.tobytes()
+                assert _vec_to_herm(theta, n)[i].tobytes() == a[i].tobytes()
+
+    @pytest.mark.parametrize("b", range(1, 9))
+    def test_lr_norm_roots_each_spectrum_as_a_float(self, b):
+        rng = np.random.default_rng(100 + b)
+        for _, a in self.stacks(b):
+            vals = np.linalg.eigvalsh(a)
+            vals[rng.random(vals.shape) < 0.2] = 0.0
+            vals[rng.random(b) < 0.2] = 0.0
+            r = float(rng.uniform(1.1, 5.0))
+            for row, got in zip(vals, _lr_norm(vals, r)):
+                mag = np.abs(row)
+                top = float(mag.max())
+                one = top * float(np.sum((mag / top) ** r)) ** (1.0 / r) if top else 0.0
+                assert got == one
+
+    @pytest.mark.parametrize("b", range(1, 9))
+    def test_norm_and_grad(self, b):
+        for n, a in self.stacks(b):
+            a[-1] = 0.0
+            r = 1.5 + n / 4
+            nrm, grad = _norm_and_grad(a, r)
+            for i in range(b):
+                vals, vecs = np.linalg.eigh(a[i])
+                mag = np.abs(vals)
+                top = float(mag.max())
+                if top == 0.0:
+                    assert nrm[i] == 0.0 and not grad[i].any()
+                    continue
+                one = top * float(np.sum((mag / top) ** r)) ** (1.0 / r)
+                weights = np.sign(vals) * (mag / one) ** (r - 1.0)
+                assert nrm[i] == one
+                assert grad[i].tobytes() == ((vecs * weights) @ vecs.conj().T).tobytes()
+
+    @pytest.mark.parametrize("b", range(1, 9))
+    def test_project_and_row_norms(self, b):
+        for n, a in self.stacks(b):
+            theta = _herm_to_vec(a)
+            out = _project(theta, n, 2.5)
+            for i in range(b):
+                one = _vec_to_herm(theta[i][None], n)[0]
+                nrm = _lr_norm(np.linalg.eigvalsh(one)[None], 2.5)[0]
+                assert out[i].tobytes() == _herm_to_vec(one / nrm).tobytes()
+            assert _row_norms(out) == [np.linalg.norm(row) for row in out]
+
+    def test_values_and_grads_skip_a_zero_row(self):
+        phi = CountingMap(random_cpmap(3, 2, 2, 4).kraus)
+        thetas = _herm_to_vec(np.stack([random_hermitian(3, s) for s in range(3)]))
+        thetas[1] = 0.0
+        values, grads, applied = _values_and_grads(phi, 3.0, 2.0, thetas)
+        assert applied.tolist() == [True, False, True]
+        assert phi.applies == 2
+        assert values[1] == 0.0 and not grads[1].any()
+        for i in (0, 2):
+            value, grad = _value_and_grad(phi, 3.0, 2.0, thetas[i])
+            assert values[i] == value
+            assert grads[i].tobytes() == grad.tobytes()
+
+    def test_project_keeps_a_zero_row(self):
+        theta = np.zeros((2, 4))
+        theta[0, 0] = 3.0
+        out = _project(theta, 2, 3.0)
+        assert out[0, 0] == 1.0
+        assert not out[1].any()
+
 
 @settings(max_examples=24, deadline=None)
 @given(
@@ -205,6 +408,14 @@ class TestClassicalIteration:
 
 
 class TestCrossValidate:
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf, -math.inf])
+    def test_bad_tol_rejected(self, tol):
+        phi = random_cpmap(2, 2, 3, 21)
+        power = run_power_method(phi, PowerConfig(p=3, q=2))
+        oracle = oracle_max(phi, 3, 2, budget=100, seed=0)
+        with pytest.raises(InvalidInput, match="tol"):
+            cross_validate(power, oracle, tol=tol)
+
     @pytest.fixture()
     def matched_pair(self):
         phi = random_cpmap(2, 2, 3, 21)
