@@ -278,7 +278,7 @@ def encode_norm_result(result: NormResult) -> dict:
     """The result section: ``NormResult`` with its trace status lifted to the
     top and the trace rows summarised by their count and final row."""
     trace = result.trace
-    last = trace.rows[-1]
+    _, objective, hilbert_step, frobenius_step, residual = trace.table[-1].tolist()
     return {
         "norm_estimate": result.norm_estimate,
         "maximizer": result.maximizer,
@@ -287,13 +287,13 @@ def encode_norm_result(result: NormResult) -> dict:
         "termination_reason": trace.termination_reason,
         "warnings": result.warnings,
         "trace": {
-            "rows": len(trace.rows),
+            "rows": len(trace.table),
             "status": trace.status,
             "termination_reason": trace.termination_reason,
-            "final_objective": last.objective,
-            "final_frobenius_step": last.frobenius_step,
-            "final_hilbert_step": last.hilbert_step,
-            "final_residual": last.residual,
+            "final_objective": objective,
+            "final_frobenius_step": frobenius_step,
+            "final_hilbert_step": hilbert_step,
+            "final_residual": residual,
         },
         "contraction": result.contraction,
     }

@@ -231,6 +231,7 @@ class TestVerify:
 
 class TestFreshInterpreter:
     def test_scipy_optimize_not_loaded(self, tmp_path, improving_map_file):
+        # no command, the oracle of ``verify`` included, loads any scipy module
         code = (
             "import sys\n"
             "import cpnorm\n"
@@ -239,6 +240,7 @@ class TestFreshInterpreter:
             "assert cli.main(['compute', '--map', path, '--p', '3', '--q', '2']) == 0\n"
             "assert cli.main(['diagnose', '--map', path, '--p', '3', '--q', '2',\n"
             "                 '--trials', '8', '--samples', '16']) == 0\n"
+            "assert cli.main(['verify', '--map', path, '--p', '3', '--q', '2']) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         proc = run_python(code, tmp_path, improving_map_file)
