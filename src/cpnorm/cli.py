@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--tol", type=float, default=1e-10,
                          help="fixed-point displacement tolerance")
     compute.add_argument("--tol-objective", type=float, default=1e-12,
-                         help="objective stall tolerance")
+                         help="relative objective stall tolerance")
     compute.add_argument("--max-iter", type=int, default=1000)
     compute.add_argument("--start", help="start matrix file ([re, im] pairs)")
     compute.add_argument("--seed", type=int, default=0)

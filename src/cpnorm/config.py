@@ -9,7 +9,7 @@ import numpy as np
 from .errors import InvalidInput
 
 # Single rank/PSD knob: eigenvalues with magnitude below
-# RANK_RTOL * max(1, |lambda|_max) count as zero everywhere in the package.
+# RANK_RTOL * |lambda|_max count as zero everywhere in the package.
 # Its only reader is hermitian._spectral_cutoff.
 RANK_RTOL = 1e-10
 

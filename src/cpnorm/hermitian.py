@@ -4,9 +4,12 @@ All operations work on plain complex ndarrays and are pure functions of
 their inputs. Public functions validate their arguments through
 ``require_hermitian``; the private kernels behind them (``_eig_decompose``,
 ``_psd_spectrum``, ``_rank``) trust theirs, so hot loops that already hold
-validated Hermitian matrices call the kernels directly. Eigendecompositions
-are canonicalized (descending eigenvalues, fixed eigenvector phases) so
-repeated runs produce identical output.
+validated Hermitian matrices call the kernels directly. Eigenvalues come in
+descending order everywhere. Eigenvector phases are canonical (each
+column's first significant component real positive) only where the public
+API returns eigenvectors, in ``eig_decompose`` and ``psd_spectrum``; the
+kernels return ``eigh``'s own phases, which no product V f(Lambda) V^dag,
+range or rank built from them can see.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ def frobenius_inner(a, b) -> float:
 
 
 def _require_finite(a: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInput("matrix contains non-finite entries")
     return a
 
@@ -54,10 +57,11 @@ def require_hermitian(m) -> np.ndarray:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise InvalidInput("matrix dimension must be at least 1")
+    ah = a.conj().T
     with np.errstate(over="ignore", invalid="ignore"):
-        deviation = np.linalg.norm(a - a.conj().T)
+        deviation = np.linalg.norm(a - ah)
         size = np.linalg.norm(a)
-        if np.isinf(size) and np.all(np.isfinite(a)):
+        if np.isinf(size) and np.isfinite(a).all():
             # both norms can overflow, and inf > inf is false
             top = max(np.abs(a.real).max(), np.abs(a.imag).max())
             s = a * np.ldexp(1.0, -int(np.frexp(top)[1]))
@@ -69,7 +73,7 @@ def require_hermitian(m) -> np.ndarray:
             raise InvalidInput(
                 f"matrix is not Hermitian: ||M - M^dag||_F = {deviation:.3e}"
             )
-        sym = hermitian_part(a)
+        sym = (a + ah) / 2  # hermitian_part(a), reusing the adjoint
     return sym if np.isfinite(size) else _require_finite(sym)
 
 
@@ -91,29 +95,36 @@ def eig_decompose(a) -> EigDecomp:
     Deterministic for a fixed input: eigenvalues sorted descending, and each
     eigenvector's first significant component rotated to be real positive.
     """
-    return _eig_decompose(require_hermitian(a))
+    return _canonical_phases(_eig_decompose(require_hermitian(a)))
 
 
 def _eig_decompose(m: np.ndarray) -> EigDecomp:
-    """``eig_decompose`` of a trusted Hermitian matrix.
+    """Eigendecomposition of a trusted Hermitian matrix: ``eigh`` reversed to
+    descending order, as views, with ``eigh``'s eigenvector phases."""
+    vals, vecs = np.linalg.eigh(m)
+    return EigDecomp(vals[::-1], vecs[:, ::-1])
+
+
+def _canonical_phases(dec: EigDecomp) -> EigDecomp:
+    """``dec`` with each eigenvector rotated so that its pivot is real positive.
 
     The first component above 1e-8 of its column's largest magnitude is the
     pivot. Its magnitude comes from ``np.hypot``, which rounds like the
     scalar ``abs`` and so keeps the phases those of a column-by-column loop.
     """
-    vals, vecs = np.linalg.eigh(m)
-    vecs = vecs[:, ::-1]
+    vecs = dec.eigenvectors
     mag = np.abs(vecs)
     first = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
     pivot = vecs[first, np.arange(vecs.shape[1])]
-    return EigDecomp(vals[::-1].copy(),
+    return EigDecomp(dec.eigenvalues,
                      vecs * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag)))
 
 
 def _spectral_cutoff(vals: np.ndarray) -> float:
-    """RANK_RTOL * max(1, |lambda|_max) of a sorted, nonempty spectrum: the
-    one cutoff behind every rank, PSD and part-of-the-cone decision."""
-    return RANK_RTOL * max(1.0, abs(float(vals[0])), abs(float(vals[-1])))
+    """RANK_RTOL * |lambda|_max of a sorted, nonempty spectrum: the one
+    cutoff behind every rank, PSD and part-of-the-cone decision. It scales
+    with the spectrum, so every such decision is invariant under A -> cA."""
+    return RANK_RTOL * max(abs(vals.item(0)), abs(vals.item(-1)))
 
 
 def _rank(vals: np.ndarray) -> int:
@@ -122,22 +133,24 @@ def _rank(vals: np.ndarray) -> int:
 
 
 def psd_spectrum(a) -> EigDecomp:
-    """Eigendecomposition of a PSD matrix with small negatives clamped to 0.
+    """Canonical eigendecomposition of a PSD matrix with small negatives
+    clamped to 0.
 
     Eigenvalues below ``-_spectral_cutoff`` raise ``NotPsd``.
     """
-    return _psd_spectrum(require_hermitian(a))
+    return _canonical_phases(_psd_spectrum(require_hermitian(a)))
 
 
 def _psd_spectrum(m: np.ndarray) -> EigDecomp:
-    """``psd_spectrum`` of a trusted Hermitian matrix."""
+    """``psd_spectrum`` of a trusted Hermitian matrix, with ``eigh``'s
+    eigenvector phases."""
     dec = _eig_decompose(m)
     cutoff = _spectral_cutoff(dec.eigenvalues)
     if dec.eigenvalues[-1] < -cutoff:
         raise NotPsd(
             f"matrix is not PSD: smallest eigenvalue {dec.eigenvalues[-1]:.3e}"
         )
-    return EigDecomp(np.clip(dec.eigenvalues, 0.0, None), dec.eigenvectors)
+    return EigDecomp(np.maximum(dec.eigenvalues, 0.0), dec.eigenvectors)
 
 
 def matrix_power(a, t: float) -> np.ndarray:
@@ -145,7 +158,7 @@ def matrix_power(a, t: float) -> np.ndarray:
     t = float(t)
     if not np.isfinite(t) or t <= 0:
         raise InvalidInput(f"exponent must be a positive real, got {t}")
-    dec = psd_spectrum(a)
+    dec = _psd_spectrum(require_hermitian(a))
     return hermitian_part(
         (dec.eigenvectors * dec.eigenvalues**t) @ dec.eigenvectors.conj().T
     )
@@ -153,20 +166,26 @@ def matrix_power(a, t: float) -> np.ndarray:
 
 def abs_matrix(a) -> np.ndarray:
     """|A|: flip negative eigenvalues, keep eigenvectors."""
-    dec = eig_decompose(a)
+    dec = _eig_decompose(require_hermitian(a))
     return hermitian_part(
         (dec.eigenvectors * np.abs(dec.eigenvalues)) @ dec.eigenvectors.conj().T
     )
 
 
 def loewner_geq(a, b) -> bool:
-    """True when A - B is PSD, i.e. lambda_min(A - B) >= -_spectral_cutoff."""
+    """True when A - B is PSD: lambda_min(A - B) >= -cutoff, with the larger
+    ``_spectral_cutoff`` of A and of B.
+
+    The cutoff comes from the operands, not from A - B, whose spectrum
+    shrinks with the gap: A >= A (1 + eps) holds for eps up to about RANK_RTOL.
+    """
     am = require_hermitian(a)
     bm = require_hermitian(b)
     if am.shape != bm.shape:
         raise DimMismatch(f"shapes {am.shape} and {bm.shape} differ")
-    vals = np.linalg.eigvalsh(am - bm)
-    return bool(vals[0] >= -_spectral_cutoff(vals))
+    cutoff = max(_spectral_cutoff(np.linalg.eigvalsh(am)),
+                 _spectral_cutoff(np.linalg.eigvalsh(bm)))
+    return bool(np.linalg.eigvalsh(am - bm)[0] >= -cutoff)
 
 
 def numerical_rank(a) -> int:

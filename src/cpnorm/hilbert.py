@@ -30,8 +30,8 @@ from .hermitian import (
     _rank,
     _spectral_cutoff,
     hermitian_part,
-    psd_spectrum,
     random_psd,
+    require_hermitian,
 )
 from .schatten import as_exponent
 
@@ -50,11 +50,11 @@ def same_part(a, b) -> bool:
     range equality, which is decided by comparing the numerical ranks of A,
     B, and A + B.
     """
-    da = psd_spectrum(a)
-    db = psd_spectrum(b)
+    da = _psd_spectrum(require_hermitian(a))
+    db = _psd_spectrum(require_hermitian(b))
     if da.eigenvalues.size != db.eigenvalues.size:
         raise DimMismatch("same_part needs matrices of equal dimension")
-    ds = psd_spectrum(da.reconstruct() + db.reconstruct())
+    ds = _psd_spectrum(require_hermitian(da.reconstruct() + db.reconstruct()))
     return _rank(da.eigenvalues) == _rank(db.eigenvalues) == _rank(ds.eigenvalues)
 
 
@@ -72,8 +72,8 @@ def m_ratio(a, b) -> float:
     handled by compressing both matrices to an orthonormal basis of its
     range.
     """
-    da = psd_spectrum(a)
-    db = psd_spectrum(b)
+    da = _psd_spectrum(require_hermitian(a))
+    db = _psd_spectrum(require_hermitian(b))
     if da.eigenvalues.size != db.eigenvalues.size:
         raise DimMismatch("m_ratio needs matrices of equal dimension")
     rb = _rank(db.eigenvalues)
@@ -90,7 +90,7 @@ def m_ratio(a, b) -> float:
             return math.inf
         basis = db.eigenvectors[:, :rb]
         a_mat = basis.conj().T @ a_mat @ basis
-        db = psd_spectrum(basis.conj().T @ db.reconstruct() @ basis)
+        db = _psd_spectrum(require_hermitian(basis.conj().T @ db.reconstruct() @ basis))
     w = np.linalg.eigvalsh(_inv_sqrt_conjugate(a_mat, db))
     return float(w[-1])
 
@@ -102,8 +102,8 @@ def hilbert_distance(a, b) -> HilbertDistance:
     infinite across parts. On a shared range the value reduces to the log
     of the spectral spread of B^{-1/2} A B^{-1/2}.
     """
-    da = psd_spectrum(a)
-    db = psd_spectrum(b)
+    da = _psd_spectrum(require_hermitian(a))
+    db = _psd_spectrum(require_hermitian(b))
     if da.eigenvalues.size != db.eigenvalues.size:
         raise DimMismatch("hilbert_distance needs matrices of equal dimension")
     return _hilbert_distance(da, db)

@@ -310,7 +310,7 @@ def spectral_grid_max(phi: CPMap, p, q, grid: int = 64, seed=0) -> OracleResult:
         d = rng.uniform(-1.0, 1.0, size=n)
         image = phi.apply(np.diag(d).astype(np.complex128))
         off = image - np.diag(np.diag(image))
-        if np.linalg.norm(off) > 1e-10 * max(1.0, np.linalg.norm(image)):
+        if np.linalg.norm(off) > 1e-10 * np.linalg.norm(image):
             raise NotApplicable("map does not preserve diagonality")
 
     used = 0

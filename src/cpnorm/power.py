@@ -10,7 +10,12 @@ contraction in the Hilbert projective metric.
 ``psd_spectrum`` and takes every eigenvalue from it. At full rank an
 iteration makes five eigensolves: the image and the pull-back inside the
 public ``power_step``, the new iterate, the Hilbert step, and the new
-iterate's image for the objective and residual.
+iterate's image for the objective and residual. The loop runs on the
+private kernels, whose eigenvectors keep ``eigh``'s phases: every matrix it
+builds from them (duality maps, reconstructions, ranges) is the same for
+any choice of phases. Its cutoffs and its objective stall are relative, so
+a run on c * phi takes the same iterations as one on phi and returns c times
+its estimate.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .hermitian import (
     _rank,
     _require_finite,
     hermitian_part,
-    psd_spectrum,
+    require_hermitian,
 )
 from .hilbert import ContractionReport, _hilbert_distance, contraction_report
 from .schatten import (
@@ -52,8 +57,8 @@ class PowerConfig:
     """Parameters of one power-method run.
 
     Convergence requires both criteria at once: the Frobenius displacement
-    of the iterate below ``tol_fixed_point`` and the objective stall below
-    ``tol_objective``. The objective is quadratically flat near the
+    of the iterate below ``tol_fixed_point`` and the objective stall
+    |f_k - f_{k-1}| below ``tol_objective * |f_k|``. The objective is quadratically flat near the
     maximizer, so it stalls long before the iterate settles; requiring both
     keeps the returned maximizer accurate to the displacement tolerance.
     The trace records which criterion was binding. The default start is
@@ -77,7 +82,7 @@ class PowerConfig:
                 raise InvalidInput("tolerances must be positive and finite")
         require_count(self.max_iter, "max_iter")
         if self.start is not None:
-            dec = psd_spectrum(self.start)
+            dec = _psd_spectrum(require_hermitian(self.start))
             if dec.eigenvalues[0] <= 0:
                 raise ZeroInput("start matrix must be nonzero")
 
@@ -91,7 +96,7 @@ class TraceRow:
     residual: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PowerTrace:
     """Per-iteration rows of one run, held as one read-only (rows, 5) float64
     array whose columns follow the ``TraceRow`` fields; a kept result costs
@@ -107,7 +112,7 @@ class PowerTrace:
         return tuple(TraceRow(int(k), *rest) for k, *rest in self.table.tolist())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class NormResult:
     norm_estimate: float
     maximizer: np.ndarray
@@ -224,7 +229,7 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
         a, dec = nxt, nxt_dec
         iterations = k
         settled = frobenius_step <= config.tol_fixed_point
-        stalled = abs(f_cur - f_prev) <= config.tol_objective
+        stalled = abs(f_cur - f_prev) <= config.tol_objective * abs(f_cur)
         if settled and stalled:
             status = IterationStatus.CONVERGED
             if prev_stalled and not prev_settled:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidExponent, ZeroInput
-from .hermitian import EigDecomp, hermitian_part, psd_spectrum, require_hermitian
+from .hermitian import EigDecomp, _psd_spectrum, hermitian_part, require_hermitian
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def _spectrum_norm(eigenvalues: np.ndarray, p: float) -> float:
         return top
     if p == 1.0:
         return float(vals.sum())
-    return float(top * np.sum((vals / top) ** p) ** (1.0 / p))
+    return float(top * ((vals / top) ** p).sum() ** (1.0 / p))
 
 
 def duality_map(a, p) -> np.ndarray:
@@ -69,7 +69,7 @@ def duality_map(a, p) -> np.ndarray:
     for p > 1), and the result is invariant under positive scaling of A.
     """
     exp = as_exponent(p)
-    return _duality_map(psd_spectrum(a), exp)
+    return _duality_map(_psd_spectrum(require_hermitian(a)), exp)
 
 
 def _duality_map(dec: EigDecomp, exp: SchattenExponent) -> np.ndarray:
@@ -79,5 +79,5 @@ def _duality_map(dec: EigDecomp, exp: SchattenExponent) -> np.ndarray:
         raise ZeroInput("duality map is undefined at the zero matrix")
     mu = dec.eigenvalues / top
     w = mu ** (exp.p - 1.0)
-    w = w / np.sum(w**exp.p_star) ** (1.0 / exp.p_star)
+    w = w / (w**exp.p_star).sum() ** (1.0 / exp.p_star)
     return hermitian_part((dec.eigenvectors * w) @ dec.eigenvectors.conj().T)

@@ -12,15 +12,22 @@ from cpnorm import (
     PsdKind,
     abs_matrix,
     classify_psd,
+    dual_exponent,
     eig_decompose,
+    hermitian_part,
     hilbert_distance,
     loewner_geq,
     matrix_power,
     numerical_rank,
+    psd_spectrum,
     random_hermitian,
     random_psd,
     require_hermitian,
 )
+from cpnorm.config import HERMITIZE_RTOL
+from cpnorm.hermitian import _psd_spectrum
+from cpnorm.hilbert import _hilbert_distance
+from cpnorm.schatten import _duality_map
 from helpers import loewner_pair
 
 
@@ -152,6 +159,10 @@ def hermitian_matrices(draw):
     return m * draw(st.sampled_from([1e-12, 1.0, 1e12]))
 
 
+def _first_significant(col):
+    return col[np.flatnonzero(np.abs(col) > 1e-8 * np.abs(col).max())[0]]
+
+
 class TestCanonicalPhase:
     @settings(max_examples=300)
     @given(hermitian_matrices())
@@ -166,9 +177,124 @@ class TestCanonicalPhase:
     def test_first_significant_component_real_positive(self, m):
         vecs = eig_decompose(m).eigenvectors
         for col in vecs.T:
-            pivot = col[np.flatnonzero(np.abs(col) > 1e-8 * np.abs(col).max())[0]]
+            pivot = _first_significant(col)
             assert pivot.real > 0.0
             assert abs(pivot.imag) <= 1e-15 * pivot.real
+
+
+@st.composite
+def psd_matrices(draw, n=None, scaled=True):
+    """PSD matrices of size 1..8, at several scales unless ``scaled`` is
+    false: a random unitary times eigenvalues that are distinct, repeated
+    small integers (zero included), or distinct with a zero block."""
+    n = draw(st.integers(1, 8)) if n is None else n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    shape = draw(st.sampled_from(["distinct", "repeated", "zeros"]))
+    vals = rng.exponential(size=n)
+    if shape == "repeated":
+        vals = rng.integers(0, 3, n).astype(float)
+    elif shape == "zeros":
+        vals[: draw(st.integers(0, n - 1))] = 0.0
+    m = hermitian_part((q * vals) @ q.conj().T)
+    if not scaled:
+        return m
+    return m * draw(st.sampled_from([1e-150, 1e-12, 1.0, 1e12, 1e150]))
+
+
+@st.composite
+def psd_pairs(draw):
+    """Two PSD matrices of one size: independent, or the second on the
+    range of the first (its square), so that every part relation occurs."""
+    a = draw(psd_matrices())
+    if draw(st.booleans()):
+        return a, draw(psd_matrices(n=a.shape[0]))
+    return a, hermitian_part(a @ a) / max(np.abs(a).max(), 1e-300)
+
+
+class TestTwoDecompositionPaths:
+    """The kernels keep ``eigh``'s eigenvector phases and the public
+    ``psd_spectrum`` canonicalizes them; nothing built from the two may differ
+    beyond rounding, and the public functions that return no eigenvectors
+    return the kernels' bits."""
+
+    @settings(max_examples=200)
+    @given(psd_matrices())
+    def test_same_eigenvalues_reconstruction_and_duality_map(self, m):
+        kernel = _psd_spectrum(require_hermitian(m))
+        public = psd_spectrum(m)
+        assert kernel.eigenvalues.tobytes() == public.eigenvalues.tobytes()
+        scale = np.linalg.norm(m)
+        assert np.linalg.norm(kernel.reconstruct() - public.reconstruct()) <= 1e-14 * scale
+        if public.eigenvalues[0] > 0.0:
+            exp = dual_exponent(3.0)
+            assert np.linalg.norm(_duality_map(kernel, exp)
+                                  - _duality_map(public, exp)) <= 1e-14
+
+    @settings(max_examples=200)
+    @given(psd_matrices())
+    def test_public_phases_are_canonical(self, m):
+        for col in psd_spectrum(m).eigenvectors.T:
+            pivot = _first_significant(col)
+            assert pivot.real > 0.0
+            assert abs(pivot.imag) <= 1e-15 * pivot.real
+
+    @settings(max_examples=200)
+    @given(psd_pairs())
+    def test_hilbert_distance_is_the_kernel_bitwise(self, pair):
+        a, b = pair
+        expected = _hilbert_distance(_psd_spectrum(require_hermitian(a)),
+                                     _psd_spectrum(require_hermitian(b)))
+        assert repr(hilbert_distance(a, b)) == repr(expected)
+
+
+def _require_hermitian_reference(m):
+    """Reference: the Hermitian test as stated, with ``hermitian_part``."""
+    a = np.asarray(m, dtype=np.complex128)
+    if not np.isfinite(a).all():
+        raise InvalidInput("non-finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = a
+        if np.isinf(np.linalg.norm(a)):
+            top = max(np.abs(a.real).max(), np.abs(a.imag).max())
+            s = a * np.ldexp(1.0, -int(np.frexp(top)[1]))
+        if np.linalg.norm(s - s.conj().T) > HERMITIZE_RTOL * np.linalg.norm(s):
+            raise InvalidInput("not Hermitian")
+        sym = hermitian_part(a)
+    if not np.isfinite(sym).all():
+        raise InvalidInput("non-finite")
+    return sym
+
+
+@st.composite
+def nearly_hermitian_matrices(draw):
+    """Hermitian matrices plus a drift around the rejection threshold, at
+    scales up to where the norms and the symmetrized copy overflow, some with
+    a non-finite entry."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    drift = draw(st.sampled_from([0.0, 1e-12, 3e-9, 1e-8, 3e-8, 1.0]))
+    m = random_hermitian(n, rng) + drift * g
+    with np.errstate(over="ignore"):
+        m = m * draw(st.sampled_from([1.0, 1e-300, 1e154, 1e200, 1e307, 8e307]))
+    bad = draw(st.sampled_from([None, None, None, np.inf, np.nan]))
+    if bad is not None:
+        m[rng.integers(n), rng.integers(n)] = bad
+    return m
+
+
+class TestRequireHermitianReference:
+    @settings(max_examples=300)
+    @given(nearly_hermitian_matrices())
+    def test_same_bits_and_same_rejections(self, m):
+        try:
+            expected = _require_hermitian_reference(m)
+        except InvalidInput:
+            with pytest.raises(InvalidInput):
+                require_hermitian(m)
+            return
+        assert require_hermitian(m).tobytes() == expected.tobytes()
 
 
 class TestMatrixPower:
@@ -246,6 +372,13 @@ class TestLoewner:
         with pytest.raises(DimMismatch):
             loewner_geq(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-12, 1.0, 1e150])
+    def test_relative_perturbation_within_the_cutoff(self, scale):
+        # the cutoff comes from A and B, not from A - B = -1e-12 A
+        a = scale * random_psd(3, 3, 0)
+        assert loewner_geq(a, a * (1 + 1e-12))
+        assert not loewner_geq(a, a * (1 + 1e-6))
+
     @pytest.mark.parametrize("seed", range(20))
     def test_ordered_pairs_have_ordered_spectra(self, seed):
         a, b = loewner_pair(4, seed)
@@ -268,6 +401,14 @@ class TestRankAndClassify:
         )
         assert classify_psd(np.diag([1.0, -1.0])).kind is PsdKind.INDEFINITE
         assert classify_psd(np.diag([1.0, 0.0])).rank == 1
+
+
+    @settings(max_examples=100)
+    @given(psd_matrices(scaled=False), st.floats(-150, 150))
+    def test_rank_and_class_are_scale_invariant(self, m, e):
+        c = 10.0**e
+        assert numerical_rank(c * m) == numerical_rank(m)
+        assert classify_psd(c * m) == classify_psd(m)
 
 
 class TestRandomGeneration:

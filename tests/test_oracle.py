@@ -381,6 +381,13 @@ class TestSpectralGrid:
         with pytest.raises(NotApplicable):
             spectral_grid_max(random_cpmap(2, 2, 3, 0), 3, 2)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-150])
+    def test_not_applicable_for_scaled_generic_map(self, scale):
+        # the diagonality probe is relative to the image, like every cutoff
+        phi = CPMap(random_cpmap(2, 2, 3, 0).kraus * math.sqrt(scale))
+        with pytest.raises(NotApplicable):
+            spectral_grid_max(phi, 3, 2)
+
     def test_scalar_dimension(self):
         res = spectral_grid_max(CPMap([np.array([[3.0]])]), 3, 2, grid=8)
         assert res.best_value == pytest.approx(9.0)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpnorm import (
     CPMap,
@@ -274,6 +276,30 @@ class TestResidual:
         phi = random_cpmap(3, 3, 2, 0)
         with pytest.raises(DimMismatch):
             critical_point_residual(phi, default_start(4, 3), 3, 2)
+
+
+class TestScaleInvariance:
+    """A run on c * phi takes the iterations of the run on phi and returns c
+    times its estimate: every cutoff and the objective stall are relative."""
+
+    @settings(max_examples=30)
+    @given(st.floats(-150, 150))
+    def test_norm_scales_and_iterations_hold(self, e):
+        c = 10.0**e
+        phi = random_cpmap(4, 4, 4, 3)
+        config = PowerConfig(p=3.0, q=2.0, with_contraction=False)
+        base = run_power_method(phi, config)
+        res = run_power_method(CPMap(phi.kraus * math.sqrt(c)), config)
+        assert res.iterations == base.iterations
+        assert res.status is IterationStatus.CONVERGED
+        assert res.norm_estimate == pytest.approx(c * base.norm_estimate, rel=1e-14)
+
+
+def test_results_keep_no_instance_dict():
+    """A result is kept per run by callers that collect many; slots keep it small."""
+    res = run_power_method(random_cpmap(2, 2, 2, 0), PowerConfig(p=3.0, q=2.0))
+    assert not hasattr(res, "__dict__")
+    assert not hasattr(res.trace, "__dict__")
 
 
 def _replay(phi, p, q, iterations):
