@@ -100,14 +100,16 @@ class CPMap:
         return self._apply(_require_dim(a, self.input_dim, "map"))
 
     def _apply(self, mat: np.ndarray) -> np.ndarray:
-        """``apply`` on a trusted n x n Hermitian matrix.
+        """``apply`` on a trusted n x n Hermitian matrix, or on each matrix of
+        a (..., n, n) stack of them.
 
         Row (i, j) of the (m k, n) reshape is row i of V_j, so the first
         product stacks the rows of every V_j A, and the second contracts
         them with the matching rows of every V_j over (j, column).
         """
         m, k, n = self._stack.shape
-        x = (self._stack.reshape(m * k, n) @ mat).reshape(m, k * n)
+        lead = mat.shape[:-2]
+        x = (self._stack.reshape(m * k, n) @ mat).reshape(lead + (m, k * n))
         return hermitian_part(x @ self._stack.reshape(m, k * n).conj().T)
 
     def adjoint_apply(self, b) -> np.ndarray:
@@ -115,9 +117,11 @@ class CPMap:
         return self._adjoint_apply(_require_dim(b, self.output_dim, "adjoint"))
 
     def _adjoint_apply(self, mat: np.ndarray) -> np.ndarray:
-        """``adjoint_apply`` on a trusted m x m Hermitian matrix."""
+        """``adjoint_apply`` on a trusted m x m Hermitian matrix, or on each
+        matrix of a (..., m, m) stack of them."""
         m, k, n = self._stack.shape
-        u = (mat @ self._stack.reshape(m, k * n)).reshape(m * k, n)
+        lead = mat.shape[:-2]
+        u = (mat @ self._stack.reshape(m, k * n)).reshape(lead + (m * k, n))
         return hermitian_part(self._stack.reshape(m * k, n).conj().T @ u)
 
     def adjoint(self) -> "CPMap":

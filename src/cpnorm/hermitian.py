@@ -24,7 +24,8 @@ from .errors import DimMismatch, InvalidInput, NotPsd
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    """(M + M^dag) / 2 of a square matrix, or of each matrix of a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def frobenius_norm(a) -> float:

@@ -11,8 +11,9 @@ are independent of the power iteration it cross-checks. The seven starts of
 the ascent run in lock-step rounds: the candidates of one round are projected
 with one stacked ``eigvalsh`` and evaluated with one stacked ``eigh`` of the
 points and one of their images, while each start keeps its own
-inverse-Hessian approximation, step, budget share and stop rule, and each
-evaluation still makes one public ``phi.apply`` and ``phi.adjoint_apply``.
+inverse-Hessian approximation, step, budget share and stop rule. Each
+evaluation makes one public ``phi.apply``, and the round's pull-backs are one
+``CPMap._adjoint_apply`` on the stack of their symmetrized image gradients.
 Stacking changes no bit of any start's path. A spectral-grid reduction,
 refined by the same ascent, handles maps that preserve diagonality, and the
 classical nonnegative-matrix power iteration is included for embedding
@@ -31,7 +32,7 @@ import numpy as np
 from .config import require_count, subseed
 from .errors import DegenerateMap, DeskScaleExceeded, InvalidInput, NotApplicable, NotPsd
 from .cpmap import CPMap
-from .hermitian import random_hermitian, random_psd
+from .hermitian import hermitian_part, random_hermitian, random_psd
 from .hilbert import hilbert_distance
 from .power import NormResult, default_start
 from .schatten import as_exponent, schatten_norm
@@ -120,8 +121,9 @@ def _norm_and_grad(y: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _values_and_grads(phi: CPMap, p: float, q: float, thetas: np.ndarray):
     """F = ||phi(X)||_q / ||X||_p and dF/dtheta at each X = _vec_to_herm(theta)
-    of a (B, n^2) stack, with one ``phi.apply`` and one ``phi.adjoint_apply``
-    per nonzero X.
+    of a (B, n^2) stack, with one ``phi.apply`` per nonzero X and one
+    ``phi._adjoint_apply`` on the stack of their image gradients, each made
+    exactly Hermitian as the public ``adjoint_apply`` would make it.
 
     With M = (phi^*(G_q(phi(X))) - F G_p(X)) / ||X||_p the gradient of F
     over Hermitian X, the theta-gradient is [diag M, 2 Re M_iu, 2 Im M_iu].
@@ -138,10 +140,8 @@ def _values_and_grads(phi: CPMap, p: float, q: float, thetas: np.ndarray):
         phi.apply(a) if ok else np.zeros((m, m), dtype=np.complex128)
         for a, ok in zip(x, applied)
     ]), q)
-    pulled = np.stack([
-        phi.adjoint_apply(g) if ok else np.zeros((n, n), dtype=np.complex128)
-        for g, ok in zip(g_out, applied)
-    ])
+    pulled = np.zeros_like(x)
+    pulled[applied] = phi._adjoint_apply(hermitian_part(g_out[applied]))
     scale = np.where(applied, nrm, 1.0)
     values = image_nrm / scale
     grads = _herm_to_vec((pulled - values[:, None, None] * g_in) / scale[:, None, None])
@@ -235,8 +235,8 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
     is still active proposes one candidate, and the candidates share one
     stacked projection and stacked eigendecompositions. Each start keeps its
     own inverse-Hessian approximation, step, budget share and stop rule, so
-    it follows the path it would follow alone, and each evaluation makes one
-    public ``phi.apply`` and one ``phi.adjoint_apply``.
+    it follows the path it would follow alone. Each evaluation makes one
+    public ``phi.apply``, and each round one stacked adjoint application.
 
     ``budget`` caps the number of map applications: each start gets an equal
     share of ``budget // 7`` evaluations, and at least one, so that

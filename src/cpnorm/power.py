@@ -6,16 +6,18 @@ exactly the critical points of the ratio ||phi(A)||_q / ||A||_p, and the
 iteration converges to the unique maximizer whenever the step map is a
 contraction in the Hilbert projective metric.
 
-``run_power_method`` holds each matrix of an iteration as one
-``psd_spectrum`` and takes every eigenvalue from it. At full rank an
-iteration makes five eigensolves: the image and the pull-back inside the
-public ``power_step``, the new iterate, the Hilbert step, and the new
-iterate's image for the objective and residual. The loop runs on the
-private kernels, whose eigenvectors keep ``eigh``'s phases: every matrix it
-builds from them (duality maps, reconstructions, ranges) is the same for
-any choice of phases. Its cutoffs and its objective stall are relative, so
-a run on c * phi takes the same iterations as one on phi and returns c times
-its estimate.
+``power_step`` applies the map once and returns, with the next iterate,
+the image's norm and the pull-back it computed on the way; with the
+decomposition of A they give the objective and the critical-point residual
+at A. So ``run_power_method`` applies the map once per iteration, in its one
+``power_step`` call, and once more for the start. It holds each matrix of an iteration as one ``psd_spectrum`` and
+takes every eigenvalue from it. At full rank an iteration makes four
+eigensolves: the iterate, its image and its pull-back, and the Hilbert step
+into the iterate. The loop runs on the private kernels, whose eigenvectors
+keep ``eigh``'s phases: every matrix it builds from them (duality maps,
+reconstructions, ranges) is the same for any choice of phases. Its cutoffs
+and its objective stall are relative, so a run on c * phi takes the same
+iterations as one on phi and returns c times its estimate.
 """
 
 from __future__ import annotations
@@ -132,17 +134,33 @@ def default_start(n: int, p) -> np.ndarray:
     return np.eye(n, dtype=np.complex128) / n ** (1.0 / sp.p)
 
 
-def power_step(phi: CPMap, a, p, q) -> np.ndarray:
-    """One update of the fixed-point iteration.
+@dataclass(frozen=True, eq=False, slots=True)
+class PowerStep:
+    """One power step at A.
 
-    Returns a PSD matrix of unit Schatten-p norm; scale invariant in the
-    input. Raises ``DegenerateMap`` when the map annihilates the input,
+    ``pullback`` is adjoint(phi)(J_q(phi(A))), ``image_norm`` is
+    ||phi(A)||_q, and ``iterate`` is J_{p*}(pullback), the next iterate. With
+    the Schatten-p norm of A they give the objective at A,
+    ``image_norm / ||A||_p``, and the critical-point residual
+    ||pullback - f(A) * J_p(A)||_F, without a second application of the map.
+    """
+
+    iterate: np.ndarray
+    image_norm: float
+    pullback: np.ndarray
+
+
+def power_step(phi: CPMap, a, p, q) -> PowerStep:
+    """One update of the fixed-point iteration, with the pull-back it computes.
+
+    The iterate is a PSD matrix of unit Schatten-p norm, scale invariant in
+    the input. Raises ``DegenerateMap`` when the map annihilates the input,
     since no information about the norm can be extracted from that start.
     """
     sp = as_exponent(p)
-    _, pulled_back = _pull_back(phi, phi.apply(a), as_exponent(q))
-    return _duality_map(_psd_spectrum(pulled_back),
-                        SchattenExponent(sp.p_star, sp.p))
+    sq = as_exponent(q)
+    image_norm, pullback = _pull_back(phi, phi.apply(a), sq)
+    return PowerStep(_next_iterate(pullback, sp), image_norm, pullback)
 
 
 def critical_point_residual(phi: CPMap, a, p, q) -> float:
@@ -161,10 +179,9 @@ def critical_point_residual(phi: CPMap, a, p, q) -> float:
 
 
 def _pull_back(phi: CPMap, image: np.ndarray, sq: SchattenExponent
-               ) -> tuple[EigDecomp, np.ndarray]:
-    """The ``psd_spectrum`` of an image under the map and its pull-back
-    adjoint(phi)(J_q(image)), the half of a step that the power step and the
-    residual share.
+               ) -> tuple[float, np.ndarray]:
+    """The Schatten-q norm of an image under the map and its pull-back
+    adjoint(phi)(J_q(image)), from one ``psd_spectrum`` of the image.
 
     A map with huge Kraus operators overflows to inf, which the kernels
     would not notice, so both matrices are checked for finiteness.
@@ -172,17 +189,31 @@ def _pull_back(phi: CPMap, image: np.ndarray, sq: SchattenExponent
     dec = _psd_spectrum(_require_finite(image))
     if _rank(dec.eigenvalues) == 0:
         raise DegenerateMap("the map annihilates this point")
-    return dec, _require_finite(phi._adjoint_apply(_duality_map(dec, sq)))
+    pullback = _require_finite(phi._adjoint_apply(_duality_map(dec, sq)))
+    return _spectrum_norm(dec.eigenvalues, sq.p), pullback
 
 
-def _evaluate(phi: CPMap, a: np.ndarray, dec: EigDecomp,
-              sp: SchattenExponent, sq: SchattenExponent) -> tuple[float, float]:
-    """Objective and critical-point residual at a trusted PSD iterate ``a``
-    with ``psd_spectrum`` ``dec``: one application of the map, one
-    decomposition of the image and one pull-back serve both values."""
-    image, lhs = _pull_back(phi, phi._apply(a), sq)
-    value = _spectrum_norm(image.eigenvalues, sq.p) / _spectrum_norm(dec.eigenvalues, sp.p)
-    return value, float(np.linalg.norm(lhs - value * _duality_map(dec, sp)))
+def _next_iterate(pullback: np.ndarray, sp: SchattenExponent) -> np.ndarray:
+    """J_{p*} of a pull-back: the iterate that follows the point it was pulled
+    back from."""
+    return _duality_map(_psd_spectrum(pullback), SchattenExponent(sp.p_star, sp.p))
+
+
+def _value_and_residual(image_norm: float, pullback: np.ndarray, dec: EigDecomp,
+                        sp: SchattenExponent) -> tuple[float, float]:
+    """Objective and critical-point residual at a PSD point with
+    ``psd_spectrum`` ``dec``, from the norm of its image and its pull-back."""
+    value = image_norm / _spectrum_norm(dec.eigenvalues, sp.p)
+    return value, float(np.linalg.norm(pullback - value * _duality_map(dec, sp)))
+
+
+def _evaluate(phi: CPMap, a: np.ndarray, dec: EigDecomp, sp: SchattenExponent,
+              sq: SchattenExponent) -> tuple[float, float, np.ndarray]:
+    """Objective, critical-point residual and pull-back at a trusted PSD
+    point ``a`` with ``psd_spectrum`` ``dec``: one application of the map,
+    one decomposition of the image and one pull-back serve all three."""
+    image_norm, pullback = _pull_back(phi, phi._apply(a), sq)
+    return (*_value_and_residual(image_norm, pullback, dec, sp), pullback)
 
 
 def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
@@ -210,9 +241,11 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
 
     # Each iterate is decomposed once: its PSD spectrum gives its Schatten-p
     # norm, J_p in the residual and both ends of the Hilbert steps into and
-    # out of it.
+    # out of it. The start is evaluated privately; every later iterate is
+    # evaluated by the power step that also yields its successor.
     dec = _psd_spectrum(a)
-    f_prev, residual = _evaluate(phi, a, dec, sp, sq)
+    f_prev, residual, pullback = _evaluate(phi, a, dec, sp, sq)
+    nxt = _next_iterate(pullback, sp)
     rows = [(0, f_prev, math.nan, math.nan, residual)]
     status = IterationStatus.MAX_ITER_REACHED
     reason = None
@@ -220,13 +253,14 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
     prev_settled = prev_stalled = False
 
     for k in range(1, config.max_iter + 1):
-        nxt = power_step(phi, a, sp, sq)
         frobenius_step = float(np.linalg.norm(nxt - a))
         nxt_dec = _psd_spectrum(nxt)
         hilbert_step = _hilbert_distance(nxt_dec, dec).value
-        f_cur, residual = _evaluate(phi, nxt, nxt_dec, sp, sq)
+        step = power_step(phi, nxt, sp, sq)
+        f_cur, residual = _value_and_residual(step.image_norm, step.pullback,
+                                              nxt_dec, sp)
         rows.append((k, f_cur, hilbert_step, frobenius_step, residual))
-        a, dec = nxt, nxt_dec
+        a, dec, nxt = nxt, nxt_dec, step.iterate
         iterations = k
         settled = frobenius_step <= config.tol_fixed_point
         stalled = abs(f_cur - f_prev) <= config.tol_objective * abs(f_cur)

@@ -6,7 +6,10 @@ import re
 
 import numpy as np
 
-from cpnorm import hermitian_part, random_psd, schatten_norm
+from cpnorm import IterationStatus, default_start, hermitian_part, random_psd, schatten_norm
+from cpnorm.hermitian import _psd_spectrum
+from cpnorm.hilbert import _hilbert_distance
+from cpnorm.schatten import SchattenExponent, _duality_map, _spectrum_norm, as_exponent
 
 
 def well_conditioned_pd(n, seed, ridge=0.1):
@@ -62,6 +65,57 @@ def count_calls(monkeypatch, owner, *names):
 
         monkeypatch.setattr(owner, name, counted)
     return counts
+
+
+def two_apply_power_method(phi, config):
+    """Reference: the power loop from the default start as it ran before its
+    step was fused, applying the map twice per iteration, once in the step to
+    the next iterate and once to evaluate that iterate.
+
+    Returns the trace table, the maximizer, the status and the termination
+    reason; the loop has no input checks.
+    """
+    sp, sq = as_exponent(config.p), as_exponent(config.q)
+
+    def evaluate(a, dec):
+        image = _psd_spectrum(phi._apply(a))
+        pullback = phi._adjoint_apply(_duality_map(image, sq))
+        value = (_spectrum_norm(image.eigenvalues, sq.p)
+                 / _spectrum_norm(dec.eigenvalues, sp.p))
+        return value, float(np.linalg.norm(pullback - value * _duality_map(dec, sp)))
+
+    def step(a):
+        pullback = phi._adjoint_apply(_duality_map(_psd_spectrum(phi.apply(a)), sq))
+        return _duality_map(_psd_spectrum(pullback), SchattenExponent(sp.p_star, sp.p))
+
+    a = default_start(phi.input_dim, sp)
+    dec = _psd_spectrum(a)
+    f_prev, residual = evaluate(a, dec)
+    rows = [(0, f_prev, math.nan, math.nan, residual)]
+    status, reason = IterationStatus.MAX_ITER_REACHED, None
+    prev_settled = prev_stalled = False
+    for k in range(1, config.max_iter + 1):
+        nxt = step(a)
+        frobenius_step = float(np.linalg.norm(nxt - a))
+        nxt_dec = _psd_spectrum(nxt)
+        hilbert_step = _hilbert_distance(nxt_dec, dec).value
+        f_cur, residual = evaluate(nxt, nxt_dec)
+        rows.append((k, f_cur, hilbert_step, frobenius_step, residual))
+        a, dec = nxt, nxt_dec
+        settled = frobenius_step <= config.tol_fixed_point
+        stalled = abs(f_cur - f_prev) <= config.tol_objective * abs(f_cur)
+        if settled and stalled:
+            status = IterationStatus.CONVERGED
+            if prev_stalled and not prev_settled:
+                reason = "fixed_point"
+            elif prev_settled and not prev_stalled:
+                reason = "objective_stall"
+            else:
+                reason = "both"
+            break
+        prev_settled, prev_stalled = settled, stalled
+        f_prev = f_cur
+    return np.array(rows, dtype=np.float64), a, status, reason
 
 
 # A JSON string, or a JSON number; strings come first so that digits inside

@@ -18,6 +18,7 @@ from cpnorm import (
     depolarizing_channel,
     embed_nonnegative_matrix,
     frobenius_inner,
+    hermitian_part,
     identity_channel,
     numerical_rank,
     objective,
@@ -328,6 +329,28 @@ class TestKrausStack:
                                        random_hermitian(m, seed)):
             bound = 4 * k * max(n, m) * eps * weight * np.linalg.norm(x)
             assert np.max(np.abs(out - loop_apply(ops, x))) <= bound
+
+    @pytest.mark.filterwarnings("ignore::cpnorm.errors.KrausRedundancyWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        b=st.integers(1, 8),
+        n=st.integers(1, 5),
+        m=st.integers(1, 5),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernels_on_stacks_match_per_matrix_calls(self, b, n, m, k, seed):
+        # square maps when m == n, rectangular ones otherwise
+        phi = random_cpmap(n, m, k, seed)
+        rng = np.random.default_rng(seed)
+        xs = np.stack([random_hermitian(n, rng) for _ in range(b)])
+        ys = np.stack([random_hermitian(m, rng) for _ in range(b)])
+        raw = rng.standard_normal((b, n, n)) + 1j * rng.standard_normal((b, n, n))
+        for kernel, stack in ((phi._apply, xs), (phi._adjoint_apply, ys),
+                              (hermitian_part, raw)):
+            out = kernel(stack)
+            assert out.shape[0] == b
+            assert _bits(out) == _bits(np.stack([kernel(x) for x in stack]))
 
     def test_depolarizing_operators_in_loop_order(self):
         n = 3

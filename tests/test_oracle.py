@@ -340,6 +340,22 @@ class TestStackedHelpers:
             assert values[i] == value[0]
             assert grads[i].tobytes() == grad[0].tobytes()
 
+    @pytest.mark.parametrize("b", range(1, 9))
+    def test_pull_backs_match_the_public_adjoint(self, b):
+        # one stacked adjoint kernel call gives the bits of a public
+        # adjoint_apply per row, which symmetrizes each image gradient
+        for n, m in ((3, 3), (3, 2), (2, 4)):
+            phi = random_cpmap(n, m, 2, b)
+            x = np.stack([random_hermitian(n, (b, n, m, i)) for i in range(b)])
+            _, grads, _ = _values_and_grads(phi, 3.0, 2.0, _herm_to_vec(x))
+            nrm, g_in = _norm_and_grad(x, 3.0)
+            image_nrm, g_out = _norm_and_grad(np.stack([phi.apply(a) for a in x]), 2.0)
+            pulled = np.stack([phi.adjoint_apply(g) for g in g_out])
+            values = image_nrm / nrm
+            ref = _herm_to_vec((pulled - values[:, None, None] * g_in) / nrm[:, None, None])
+            ref[:, n:] *= 2.0
+            assert grads.tobytes() == ref.tobytes()
+
     def test_project_keeps_a_zero_row(self):
         theta = np.zeros((2, 4))
         theta[0, 0] = 3.0

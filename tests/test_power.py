@@ -15,14 +15,17 @@ from cpnorm import (
     IterationStatus,
     NotPsd,
     PowerConfig,
+    PowerStep,
     ZeroInput,
     TraceRow,
     critical_point_residual,
     default_start,
     depolarizing_channel,
+    duality_map,
     hilbert_distance,
     identity_channel,
     numerical_rank,
+    objective,
     power_step,
     psd_spectrum,
     random_cpmap,
@@ -30,27 +33,27 @@ from cpnorm import (
     schatten_norm,
 )
 from cpnorm.schatten import _spectrum_norm
-from helpers import count_calls, well_conditioned_pd
+from helpers import count_calls, two_apply_power_method, well_conditioned_pd
 
 
 class TestPowerStep:
     def test_depolarizing_one_step(self):
         phi = depolarizing_channel(3)
         a = well_conditioned_pd(3, 1)
-        out = power_step(phi, a, 3, 2)
+        out = power_step(phi, a, 3, 2).iterate
         np.testing.assert_allclose(out, np.eye(3) / 3 ** (1.0 / 3.0), atol=1e-12)
 
     def test_identity_p2_q2_every_point_fixed(self):
         phi = identity_channel(3)
         a = well_conditioned_pd(3, 2)
-        out = power_step(phi, a, 2, 2)
+        out = power_step(phi, a, 2, 2).iterate
         np.testing.assert_allclose(out, a / np.linalg.norm(a), atol=1e-12)
 
     def test_output_is_unit_psd(self):
         phi = random_cpmap(3, 2, 3, 0)
         a = well_conditioned_pd(3, 3)
         for _ in range(10):
-            a = power_step(phi, a, 2.5, 1.5)
+            a = power_step(phi, a, 2.5, 1.5).iterate
             assert np.linalg.eigvalsh(a)[0] >= -1e-12
             assert schatten_norm(a, 2.5) == pytest.approx(1.0, abs=1e-12)
 
@@ -58,14 +61,32 @@ class TestPowerStep:
     def test_scale_invariant(self, alpha):
         phi = random_cpmap(2, 2, 3, 1)
         a = well_conditioned_pd(2, 4)
-        base = power_step(phi, a, 3, 2)
-        assert np.linalg.norm(power_step(phi, alpha * a, 3, 2) - base) <= 1e-10
+        base = power_step(phi, a, 3, 2).iterate
+        assert np.linalg.norm(power_step(phi, alpha * a, 3, 2).iterate - base) <= 1e-10
 
     def test_fixed_point_of_converged_run(self):
         phi = random_cpmap(3, 3, 3, 2)
         res = run_power_method(phi, PowerConfig(p=3, q=2, with_contraction=False))
-        again = power_step(phi, res.maximizer, 3, 2)
+        again = power_step(phi, res.maximizer, 3, 2).iterate
         assert np.linalg.norm(again - res.maximizer) <= 1e-9
+
+    def test_fields_give_objective_and_residual(self):
+        phi = random_cpmap(3, 2, 3, 4)
+        a = default_start(3, 3)
+        step = power_step(phi, a, 3, 2)
+        assert isinstance(step, PowerStep)
+        assert step.image_norm == pytest.approx(objective(phi, a, 3, 2), rel=1e-14)
+        np.testing.assert_allclose(step.pullback,
+                                   phi.adjoint_apply(duality_map(phi.apply(a), 2)),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(step.iterate, duality_map(step.pullback, 1.5),
+                                   rtol=0, atol=1e-14)
+
+    def test_frozen_and_slotted(self):
+        step = power_step(identity_channel(2), np.eye(2), 3, 2)
+        assert not hasattr(step, "__dict__")
+        with pytest.raises(AttributeError):
+            step.image_norm = 0.0
 
     def test_degenerate_start(self):
         corner = CPMap([np.array([[1.0, 0.0]])])
@@ -116,8 +137,6 @@ class TestRunPowerMethod:
         assert schatten_norm(res.maximizer, 3) == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_estimate_is_objective_at_maximizer(self):
-        from cpnorm import objective
-
         phi = random_cpmap(3, 3, 3, 14)
         res = run_power_method(phi, PowerConfig(p=4, q=2, with_contraction=False))
         assert abs(res.norm_estimate - objective(phi, res.maximizer, 4, 2)) <= 1e-12
@@ -162,13 +181,23 @@ class TestRunPowerMethod:
         res = run_power_method(depolarizing_channel(3), cfg)
         assert any("unproven regime" in w for w in res.warnings)
 
-    def test_at_most_five_eigensolves_per_full_rank_iteration(self, monkeypatch):
+    def test_at_most_four_eigensolves_per_full_rank_iteration(self, monkeypatch):
         phi = random_cpmap(4, 4, 3, 21)
         counts = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
         res = run_power_method(phi, PowerConfig(p=3, q=2, with_contraction=False))
         assert res.iterations >= 5
-        # the start's decomposition and that of its image come first
-        assert sum(counts.values()) <= 5 * res.iterations + 2
+        # the start, its image and its pull-back come first
+        assert sum(counts.values()) <= 4 * res.iterations + 3
+
+    @pytest.mark.parametrize("p,q", [(3.0, 2.0), (2.0, 3.0)])
+    def test_one_apply_and_one_adjoint_per_iteration(self, monkeypatch, p, q):
+        phi = random_cpmap(4, 4, 3, 21)
+        counts = count_calls(monkeypatch, CPMap, "_apply", "_adjoint_apply")
+        res = run_power_method(phi, PowerConfig(p=p, q=q, with_contraction=False))
+        assert res.iterations >= 5
+        # the start's evaluation, then the one power step of each iteration
+        assert counts == {"_apply": res.iterations + 1,
+                          "_adjoint_apply": res.iterations + 1}
 
     def test_trace_rows_are_ordered_and_positive(self):
         phi = random_cpmap(2, 2, 3, 10)
@@ -303,28 +332,42 @@ def test_results_keep_no_instance_dict():
 
 
 def _replay(phi, p, q, iterations):
-    """The iteration rebuilt from public functions: trace rows and final iterate."""
+    """The iteration rebuilt from public functions: trace rows and final iterate.
+
+    Each row's objective and residual are read off the power step at its
+    iterate, after checking them bit for bit against the objective and
+    ``critical_point_residual`` computed there from scratch.
+    """
 
     def ratio(a):
         image = psd_spectrum(phi.apply(a)).eigenvalues
         return _spectrum_norm(image, q) / _spectrum_norm(psd_spectrum(a).eigenvalues, p)
 
+    def evaluated(a):
+        step = power_step(phi, a, p, q)
+        value = step.image_norm / _spectrum_norm(psd_spectrum(a).eigenvalues, p)
+        residual = float(np.linalg.norm(step.pullback - value * duality_map(a, p)))
+        assert repr(value) == repr(ratio(a))
+        assert repr(residual) == repr(critical_point_residual(phi, a, p, q))
+        return step, value, residual
+
     a = default_start(phi.input_dim, p)
-    rows = [TraceRow(0, ratio(a), math.nan, math.nan,
-                     critical_point_residual(phi, a, p, q))]
+    step, value, residual = evaluated(a)
+    rows = [TraceRow(0, value, math.nan, math.nan, residual)]
     for k in range(1, iterations + 1):
-        nxt = power_step(phi, a, p, q)
-        rows.append(TraceRow(k, ratio(nxt),
-                             hilbert_distance(nxt, a).value,
-                             float(np.linalg.norm(nxt - a)),
-                             critical_point_residual(phi, nxt, p, q)))
+        nxt = step.iterate
+        step, value, residual = evaluated(nxt)
+        rows.append(TraceRow(k, value, hilbert_distance(nxt, a).value,
+                             float(np.linalg.norm(nxt - a)), residual))
         a = nxt
     return rows, a
 
 
 class TestReplay:
     """``run_power_method`` shares decompositions between the steps of its
-    loop; the values it records are bit for bit those of the public calls."""
+    loop and applies the map once per iteration; the values it records are
+    bit for bit those of the public calls, and of the loop that applied the
+    map twice."""
 
     @pytest.mark.parametrize("p,q", [(3.0, 2.0), (2.0, 3.0)])
     @pytest.mark.parametrize("n,k,seed", [(2, 3, 0), (3, 3, 1), (4, 2, 2), (5, 5, 3)])
@@ -335,3 +378,24 @@ class TestReplay:
         # repr is exact for floats, and unlike == it matches nan with nan
         assert repr(res.trace.rows) == repr(tuple(rows))
         assert res.maximizer.tobytes() == a.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::cpnorm.errors.KrausRedundancyWarning")
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 6),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        high=st.floats(1.5, 6.0),
+        low=st.floats(1.2, 1.45),
+        p_above_q=st.booleans(),
+    )
+    def test_matches_two_apply_loop_bitwise(self, n, k, seed, high, low, p_above_q):
+        p, q = (high, low) if p_above_q else (low, high)
+        phi = random_cpmap(n, n, k, seed)
+        config = PowerConfig(p=p, q=q, max_iter=300, with_contraction=False)
+        res = run_power_method(phi, config)
+        table, maximizer, status, reason = two_apply_power_method(phi, config)
+        assert res.trace.table.tobytes() == table.tobytes()
+        assert res.maximizer.tobytes() == maximizer.tobytes()
+        assert (res.status, res.trace.termination_reason) == (status, reason)
+
