@@ -4,7 +4,8 @@ Subcommands: ``gen`` (seeded map files), ``compute`` (power iteration),
 ``diagnose`` (structural checks and contraction bounds), ``verify``
 (power method against the brute-force oracle). All output is canonical
 JSON on stdout; warnings go to stderr. Exit codes: 0 success (or PASS or
-WARN), 1 verification FAIL, 2 iteration budget exhausted, 3 errors.
+WARN), 1 verification FAIL, 2 iteration budget exhausted or a run that
+settled off a critical point, 3 errors.
 """
 
 from __future__ import annotations

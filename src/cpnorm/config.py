@@ -17,6 +17,12 @@ RANK_RTOL = 1e-10
 # HERMITIZE_RTOL * ||M||_F are rejected; smaller drift is symmetrized away.
 HERMITIZE_RTOL = 1e-8
 
+# A power run reports CONVERGED only when its final critical-point residual
+# ||adjoint(phi)(J_q(phi(A))) - f(A) J_p(A)||_F is at most CRITICAL_RTOL * f(A);
+# a run that settles elsewhere, as iterates that collapse near p = 1 do, gets
+# a status of its own.
+CRITICAL_RTOL = 1e-6
+
 # Hilbert distances beyond this are reported as infinite; tanh(d/4) is already
 # 1.0 in float64 long before this point.
 DISTANCE_OVERFLOW = 1e6

@@ -9,7 +9,8 @@ descending order everywhere. Eigenvector phases are canonical (each
 column's first significant component real positive) only where the public
 API returns eigenvectors, in ``eig_decompose`` and ``psd_spectrum``; the
 kernels return ``eigh``'s own phases, which no product V f(Lambda) V^dag,
-range or rank built from them can see.
+range or rank built from them can see. One public result is the exception:
+``power.PowerStep.spectrum`` returns eigenvectors with ``eigh``'s phases.
 """
 
 from __future__ import annotations

@@ -6,18 +6,21 @@ exactly the critical points of the ratio ||phi(A)||_q / ||A||_p, and the
 iteration converges to the unique maximizer whenever the step map is a
 contraction in the Hilbert projective metric.
 
-``power_step`` applies the map once and returns, with the next iterate,
-the image's norm and the pull-back it computed on the way; with the
-decomposition of A they give the objective and the critical-point residual
-at A. So ``run_power_method`` applies the map once per iteration, in its one
-``power_step`` call, and once more for the start. It holds each matrix of an iteration as one ``psd_spectrum`` and
-takes every eigenvalue from it. At full rank an iteration makes four
-eigensolves: the iterate, its image and its pull-back, and the Hilbert step
-into the iterate. The loop runs on the private kernels, whose eigenvectors
-keep ``eigh``'s phases: every matrix it builds from them (duality maps,
-reconstructions, ranges) is the same for any choice of phases. Its cutoffs
-and its objective stall are relative, so a run on c * phi takes the same
-iterations as one on phi and returns c times its estimate.
+``power_step`` applies the map once and returns, with the next iterate
+and its spectrum, the image's norm and the pull-back it computed on the
+way; with the decomposition of A they give the objective and the
+critical-point residual at A. So ``run_power_method`` applies the map once
+per iteration, in its one ``power_step`` call, and once more for the start.
+J_{p*} is a spectral function, so the step decomposes the pull-back once
+and the next iterate's spectrum comes with it: the duality weights and the
+pull-back's eigenvectors. Only the start is decomposed on its own. At full
+rank an iteration makes three eigensolves: the image and the pull-back
+inside ``power_step``, and the Hilbert step into the iterate. The loop runs
+on the private kernels, whose eigenvectors keep ``eigh``'s phases: every
+matrix it builds from them (duality maps, reconstructions, ranges) is the
+same for any choice of phases. Its cutoffs and its objective stall are
+relative, so a run on c * phi takes the same iterations as one on phi and
+returns c times its estimate.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import require_count
+from .config import CRITICAL_RTOL, require_count
 from .errors import DegenerateMap, DimMismatch, InvalidInput, ZeroInput
 from .cpmap import CPMap, _require_dim
 from .hermitian import (
@@ -43,6 +46,7 @@ from .hilbert import ContractionReport, _hilbert_distance, contraction_report
 from .schatten import (
     SchattenExponent,
     _duality_map,
+    _duality_weights,
     _spectrum_norm,
     as_exponent,
     schatten_norm,
@@ -50,7 +54,12 @@ from .schatten import (
 
 
 class IterationStatus(Enum):
+    """How a run ended. ``NOT_CRITICAL``: both convergence criteria held,
+    but the critical-point residual exceeds ``CRITICAL_RTOL`` times the
+    estimate, so the run settled at a point that is not critical."""
+
     CONVERGED = "converged"
+    NOT_CRITICAL = "not_critical"
     MAX_ITER_REACHED = "max_iter_reached"
 
 
@@ -60,12 +69,15 @@ class PowerConfig:
 
     Convergence requires both criteria at once: the Frobenius displacement
     of the iterate below ``tol_fixed_point`` and the objective stall
-    |f_k - f_{k-1}| below ``tol_objective * |f_k|``. The objective is quadratically flat near the
-    maximizer, so it stalls long before the iterate settles; requiring both
-    keeps the returned maximizer accurate to the displacement tolerance.
-    The trace records which criterion was binding. The default start is
-    I/n^(1/p), positive definite and therefore in the same part of the cone
-    as the positive definite fixed point whenever one exists.
+    |f_k - f_{k-1}| below ``tol_objective * |f_k|``. The objective is
+    quadratically flat near the maximizer, so it stalls long before the
+    iterate settles; requiring both keeps the returned maximizer accurate to
+    the displacement tolerance. The trace records which criterion was
+    binding. A run that meets both reports ``CONVERGED`` only if its final
+    critical-point residual is at most ``config.CRITICAL_RTOL`` times the
+    estimate, else ``NOT_CRITICAL``. The default start is I/n^(1/p),
+    positive definite and therefore in the same part of the cone as the
+    positive definite fixed point whenever one exists.
     """
 
     p: float
@@ -143,9 +155,14 @@ class PowerStep:
     the Schatten-p norm of A they give the objective at A,
     ``image_norm / ||A||_p``, and the critical-point residual
     ||pullback - f(A) * J_p(A)||_F, without a second application of the map.
+    ``spectrum`` is the iterate's eigendecomposition: the duality weights,
+    descending and nonnegative with unit l^p norm, and the pull-back's
+    eigenvectors. Unlike ``psd_spectrum``, it keeps ``eigh``'s eigenvector
+    phases.
     """
 
     iterate: np.ndarray
+    spectrum: EigDecomp
     image_norm: float
     pullback: np.ndarray
 
@@ -153,14 +170,17 @@ class PowerStep:
 def power_step(phi: CPMap, a, p, q) -> PowerStep:
     """One update of the fixed-point iteration, with the pull-back it computes.
 
-    The iterate is a PSD matrix of unit Schatten-p norm, scale invariant in
-    the input. Raises ``DegenerateMap`` when the map annihilates the input,
-    since no information about the norm can be extracted from that start.
+    Makes one application of the map and of its adjoint and two
+    eigensolves, of the image and of the pull-back; the second also gives
+    the iterate's spectrum. The iterate is a PSD matrix of unit Schatten-p
+    norm, scale invariant in the input. Raises ``DegenerateMap`` when the
+    map annihilates the input, since no information about the norm can be
+    extracted from that start.
     """
     sp = as_exponent(p)
     sq = as_exponent(q)
     image_norm, pullback = _pull_back(phi, phi.apply(a), sq)
-    return PowerStep(_next_iterate(pullback, sp), image_norm, pullback)
+    return PowerStep(*_next_iterate(pullback, sp), image_norm, pullback)
 
 
 def critical_point_residual(phi: CPMap, a, p, q) -> float:
@@ -193,16 +213,21 @@ def _pull_back(phi: CPMap, image: np.ndarray, sq: SchattenExponent
     return _spectrum_norm(dec.eigenvalues, sq.p), pullback
 
 
-def _next_iterate(pullback: np.ndarray, sp: SchattenExponent) -> np.ndarray:
-    """J_{p*} of a pull-back: the iterate that follows the point it was pulled
-    back from."""
-    return _duality_map(_psd_spectrum(pullback), SchattenExponent(sp.p_star, sp.p))
+def _next_iterate(pullback: np.ndarray, sp: SchattenExponent
+                  ) -> tuple[np.ndarray, EigDecomp]:
+    """J_{p*} of a pull-back, the iterate that follows the point it was
+    pulled back from, and its spectrum: the duality weights with the
+    pull-back's eigenvectors, which the iterate is built from."""
+    dec = _psd_spectrum(pullback)
+    w = _duality_weights(dec.eigenvalues, SchattenExponent(sp.p_star, sp.p))
+    spectrum = EigDecomp(w, dec.eigenvectors)
+    return hermitian_part(spectrum.reconstruct()), spectrum
 
 
 def _value_and_residual(image_norm: float, pullback: np.ndarray, dec: EigDecomp,
                         sp: SchattenExponent) -> tuple[float, float]:
-    """Objective and critical-point residual at a PSD point with
-    ``psd_spectrum`` ``dec``, from the norm of its image and its pull-back."""
+    """Objective and critical-point residual at a PSD point with spectrum
+    ``dec``, from the norm of its image and its pull-back."""
     value = image_norm / _spectrum_norm(dec.eigenvalues, sp.p)
     return value, float(np.linalg.norm(pullback - value * _duality_map(dec, sp)))
 
@@ -223,8 +248,10 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
     always a valid lower bound on the norm; it equals the norm when the
     contraction report certifies the step map as a contraction. Runs in the
     p <= q regime carry an explicit warning unless the report certifies the
-    step, since no other convergence certificate exists there. An iterate
-    that leaves the PSD cone raises ``NotPsd``.
+    step, since no other convergence certificate exists there. Every
+    iterate is PSD by construction; an image or pull-back that leaves the
+    PSD cone raises ``NotPsd``. A run that settles off a critical point
+    (``NOT_CRITICAL``) carries a warning.
     """
     sp = as_exponent(config.p)
     sq = as_exponent(config.q)
@@ -239,13 +266,14 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
             raise DimMismatch(f"start must be {n}x{n}, got {mat.shape}")
         a = mat / schatten_norm(mat, sp.p)
 
-    # Each iterate is decomposed once: its PSD spectrum gives its Schatten-p
-    # norm, J_p in the residual and both ends of the Hilbert steps into and
-    # out of it. The start is evaluated privately; every later iterate is
-    # evaluated by the power step that also yields its successor.
+    # Each iterate's spectrum gives its Schatten-p norm, J_p in the residual
+    # and both ends of the Hilbert steps into and out of it. Only the start is
+    # decomposed and evaluated privately; every later iterate comes with its
+    # spectrum from the step that builds it, and is evaluated by the power
+    # step that also yields its successor.
     dec = _psd_spectrum(a)
     f_prev, residual, pullback = _evaluate(phi, a, dec, sp, sq)
-    nxt = _next_iterate(pullback, sp)
+    nxt, nxt_dec = _next_iterate(pullback, sp)
     rows = [(0, f_prev, math.nan, math.nan, residual)]
     status = IterationStatus.MAX_ITER_REACHED
     reason = None
@@ -254,18 +282,19 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
 
     for k in range(1, config.max_iter + 1):
         frobenius_step = float(np.linalg.norm(nxt - a))
-        nxt_dec = _psd_spectrum(nxt)
         hilbert_step = _hilbert_distance(nxt_dec, dec).value
         step = power_step(phi, nxt, sp, sq)
         f_cur, residual = _value_and_residual(step.image_norm, step.pullback,
                                               nxt_dec, sp)
         rows.append((k, f_cur, hilbert_step, frobenius_step, residual))
-        a, dec, nxt = nxt, nxt_dec, step.iterate
+        a, dec, nxt, nxt_dec = nxt, nxt_dec, step.iterate, step.spectrum
         iterations = k
         settled = frobenius_step <= config.tol_fixed_point
         stalled = abs(f_cur - f_prev) <= config.tol_objective * abs(f_cur)
         if settled and stalled:
-            status = IterationStatus.CONVERGED
+            status = (IterationStatus.CONVERGED
+                      if residual <= CRITICAL_RTOL * f_cur
+                      else IterationStatus.NOT_CRITICAL)
             if prev_stalled and not prev_settled:
                 reason = "fixed_point"
             elif prev_settled and not prev_stalled:
@@ -280,6 +309,12 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
     if config.with_contraction:
         contraction = contraction_report(phi, sp, sq)
     run_warnings = []
+    if status is IterationStatus.NOT_CRITICAL:
+        run_warnings.append(
+            "settled at a point that is not critical: relative residual "
+            f"{residual / f_cur:.3g} > {CRITICAL_RTOL:g}; the estimate is a "
+            "lower bound on the norm"
+        )
     if contraction is None or not contraction.step_certified:
         if sp.p <= sq.p:
             run_warnings.append(

@@ -74,10 +74,16 @@ def duality_map(a, p) -> np.ndarray:
 
 def _duality_map(dec: EigDecomp, exp: SchattenExponent) -> np.ndarray:
     """``duality_map`` from the ``psd_spectrum`` of a trusted matrix."""
-    top = dec.eigenvalues[0]
+    w = _duality_weights(dec.eigenvalues, exp)
+    return hermitian_part((dec.eigenvectors * w) @ dec.eigenvectors.conj().T)
+
+
+def _duality_weights(eigenvalues: np.ndarray, exp: SchattenExponent) -> np.ndarray:
+    """The eigenvalues of ``_duality_map``, which keeps the eigenvectors:
+    descending and nonnegative like ``eigenvalues``, since mu -> mu^(p-1) is
+    increasing, with unit l^{p*} norm. Zero eigenvalues give exact zeros."""
+    top = eigenvalues[0]
     if top <= 0.0:
         raise ZeroInput("duality map is undefined at the zero matrix")
-    mu = dec.eigenvalues / top
-    w = mu ** (exp.p - 1.0)
-    w = w / (w**exp.p_star).sum() ** (1.0 / exp.p_star)
-    return hermitian_part((dec.eigenvectors * w) @ dec.eigenvectors.conj().T)
+    w = (eigenvalues / top) ** (exp.p - 1.0)
+    return w / (w**exp.p_star).sum() ** (1.0 / exp.p_star)

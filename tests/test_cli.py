@@ -124,6 +124,17 @@ class TestCompute:
         rec = json.loads(out)
         assert rec["result"]["status"] == "max_iter_reached"
 
+    def test_not_critical_exit_2(self, capsys, tmp_path):
+        # near p = 1 the duality weights underflow and the run settles off a
+        # critical point
+        path = tmp_path / "gauss4.json"
+        save_map(MapFile.from_cpmap(random_cpmap(4, 4, 4, 3), {"name": "g4"}), path)
+        code, out, err = run_cli(capsys, ["compute", "--map", str(path),
+                                          "--p", "1.001", "--q", "1.0005"])
+        assert code == 2
+        assert json.loads(out)["result"]["status"] == "not_critical"
+        assert "not critical" in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_map_exit_3(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
