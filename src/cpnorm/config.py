@@ -28,13 +28,13 @@ CRITICAL_RTOL = 1e-6
 DISTANCE_OVERFLOW = 1e6
 
 
-def require_count(value, name: str) -> None:
-    """Raise ``InvalidInput`` unless ``value`` is an integer of at least 1;
-    a bool is not a count."""
+def require_count(value, name: str, minimum: int = 1) -> None:
+    """Raise ``InvalidInput`` unless ``value`` is an integer of at least
+    ``minimum``; a bool is not a count."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise InvalidInput(f"{name} must be at least 1")
+    if value < minimum:
+        raise InvalidInput(f"{name} must be at least {minimum}")
 
 
 def as_rng(seed):

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import as_rng, subseed
+from .config import as_rng, require_count, subseed
 from .errors import DimMismatch, InvalidInput, KrausRedundancyWarning, ZeroInput
 from .hermitian import (
     _rank,
@@ -245,6 +245,7 @@ def check_fully_indecomposable(phi: CPMap, trials: int = 64, seed=0) -> Structur
     method is probabilistic: it can find counterexamples but never certifies,
     so the positive outcome is ``PROBABLY_TRUE``.
     """
+    require_count(trials, "trials")
     n = phi.input_dim
     total = 0
     for r in range(1, n):
@@ -305,6 +306,7 @@ def check_positively_improving(phi: CPMap, trials: int = 256, seed=0) -> Structu
     are rigorous, and it is the search that runs on maps whose Kraus matrix
     has no Choi tier (``hilbert.run_diagnostics``).
     """
+    require_count(trials, "trials")
     n = phi.input_dim
     rng = subseed(seed, "positively-improving")
     worst_val = np.inf

@@ -3,9 +3,13 @@
 All operations work on plain complex ndarrays and are pure functions of
 their inputs. Public functions validate their arguments through
 ``require_hermitian``; the private kernels behind them (``_eig_decompose``,
-``_psd_spectrum``, ``_rank``) trust theirs, so hot loops that already hold
-validated Hermitian matrices call the kernels directly. Eigenvalues come in
-descending order everywhere. Eigenvector phases are canonical (each
+``_psd_spectrum``, ``_spectral_cutoff``, ``_rank`` and
+``EigDecomp.reconstruct``) trust theirs, so hot loops that already hold
+validated Hermitian matrices call the kernels directly. The kernels take one
+matrix (n, n) or spectrum (n,), or a stack (..., n, n) or (..., n) of them,
+and give each matrix of a stack the bits it gets on its own; a single
+matrix keeps scalar results (a float cutoff, an int rank). Eigenvalues come
+in descending order everywhere. Eigenvector phases are canonical (each
 column's first significant component real positive) only where the public
 API returns eigenvectors, in ``eig_decompose`` and ``psd_spectrum``; the
 kernels return ``eigh``'s own phases, which no product V f(Lambda) V^dag,
@@ -81,14 +85,21 @@ def require_hermitian(m) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EigDecomp:
-    """Descending eigenvalues with matching orthonormal eigenvector columns."""
+    """Descending eigenvalues with matching orthonormal eigenvector columns,
+    of one matrix, or of each matrix of a stack: (..., n) eigenvalues and
+    (..., n, n) eigenvectors."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def __getitem__(self, index) -> "EigDecomp":
+        """The decompositions that ``index`` selects from the stack axes."""
+        return EigDecomp(self.eigenvalues[index], self.eigenvectors[index])
+
     def reconstruct(self) -> np.ndarray:
+        """Q diag(lambda) Q^dag, of each matrix of a stack."""
         q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.conj().T
+        return (q * self.eigenvalues[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
 def eig_decompose(a) -> EigDecomp:
@@ -101,10 +112,11 @@ def eig_decompose(a) -> EigDecomp:
 
 
 def _eig_decompose(m: np.ndarray) -> EigDecomp:
-    """Eigendecomposition of a trusted Hermitian matrix: ``eigh`` reversed to
-    descending order, as views, with ``eigh``'s eigenvector phases."""
+    """Eigendecomposition of a trusted Hermitian matrix, or of each matrix of
+    a stack: ``eigh`` reversed to descending order, as views, with ``eigh``'s
+    eigenvector phases."""
     vals, vecs = np.linalg.eigh(m)
-    return EigDecomp(vals[::-1], vecs[:, ::-1])
+    return EigDecomp(vals[..., ::-1], vecs[..., ::-1])
 
 
 def _canonical_phases(dec: EigDecomp) -> EigDecomp:
@@ -122,16 +134,23 @@ def _canonical_phases(dec: EigDecomp) -> EigDecomp:
                      vecs * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag)))
 
 
-def _spectral_cutoff(vals: np.ndarray) -> float:
+def _spectral_cutoff(vals: np.ndarray):
     """RANK_RTOL * |lambda|_max of a sorted, nonempty spectrum: the one
     cutoff behind every rank, PSD and part-of-the-cone decision. It scales
-    with the spectrum, so every such decision is invariant under A -> cA."""
-    return RANK_RTOL * max(abs(vals.item(0)), abs(vals.item(-1)))
+    with the spectrum, so every such decision is invariant under A -> cA.
+    A float for one spectrum, an array of cutoffs for a (..., n) stack."""
+    if vals.ndim == 1:  # Python floats cost a third of 0-d arrays
+        return RANK_RTOL * max(abs(vals.item(0)), abs(vals.item(-1)))
+    return RANK_RTOL * np.maximum(abs(vals[..., 0]), abs(vals[..., -1]))
 
 
-def _rank(vals: np.ndarray) -> int:
-    """Count of eigenvalues above ``_spectral_cutoff`` in magnitude."""
-    return int(np.count_nonzero(np.abs(vals) > _spectral_cutoff(vals)))
+def _rank(vals: np.ndarray):
+    """Count of eigenvalues above ``_spectral_cutoff`` in magnitude: an int
+    for one spectrum, an array of counts for a (..., n) stack."""
+    cutoff = _spectral_cutoff(vals)
+    if vals.ndim == 1:
+        return int(np.count_nonzero(np.abs(vals) > cutoff))
+    return np.count_nonzero(np.abs(vals) > cutoff[..., None], axis=-1)
 
 
 def psd_spectrum(a) -> EigDecomp:
@@ -144,15 +163,19 @@ def psd_spectrum(a) -> EigDecomp:
 
 
 def _psd_spectrum(m: np.ndarray) -> EigDecomp:
-    """``psd_spectrum`` of a trusted Hermitian matrix, with ``eigh``'s
-    eigenvector phases."""
+    """``psd_spectrum`` of a trusted Hermitian matrix, or of each matrix of a
+    stack, with ``eigh``'s eigenvector phases. On a stack, ``NotPsd`` names
+    the first matrix, in C order, that is not PSD."""
     dec = _eig_decompose(m)
-    cutoff = _spectral_cutoff(dec.eigenvalues)
-    if dec.eigenvalues[-1] < -cutoff:
+    vals = dec.eigenvalues
+    stack = vals.ndim > 1
+    smallest = vals[..., -1] if stack else vals[-1]
+    low = smallest < -_spectral_cutoff(vals)
+    if low.any() if stack else low:
         raise NotPsd(
-            f"matrix is not PSD: smallest eigenvalue {dec.eigenvalues[-1]:.3e}"
+            f"matrix is not PSD: smallest eigenvalue {np.extract(low, smallest)[0]:.3e}"
         )
-    return EigDecomp(np.maximum(dec.eigenvalues, 0.0), dec.eigenvectors)
+    return EigDecomp(np.maximum(vals, 0.0), dec.eigenvectors)
 
 
 def matrix_power(a, t: float) -> np.ndarray:
@@ -237,9 +260,14 @@ def random_psd(n: int, rank: int, seed) -> np.ndarray:
     if not 1 <= rank <= n:
         raise InvalidInput(f"rank must lie in [1, {n}], got {rank}")
     rng = as_rng(seed)
-    g = (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
-    g /= np.sqrt(2)
-    return hermitian_part(g @ g.conj().T)
+    return _gram(rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
+
+
+def _gram(g: np.ndarray) -> np.ndarray:
+    """G G^dag / 2 of a complex Gaussian n x r factor, or of each factor of a
+    stack: the PSD matrix that ``random_psd`` builds from its draw."""
+    g = g / np.sqrt(2)
+    return hermitian_part(g @ g.conj().swapaxes(-1, -2))
 
 
 def random_unit_vector(n: int, seed) -> np.ndarray:

@@ -5,18 +5,23 @@ a part of the cone (equal ranges, for PSD matrices); it is a metric on rays
 within each part. CP maps never expand it, and a map whose projective
 diameter is finite contracts it strictly, with ratio tanh(diameter/4).
 From the spectra of two positive definite matrices the distance costs one
-eigensolve; a rank below n adds one of A+B to decide the part.
+eigensolve, and for a stack of such pairs one stacked eigensolve; a pair of
+rank below n adds one of A+B to decide the part, and takes that branch on
+its own. The sampled diameter search stacks its sample pairs: one
+``eigh`` and one ``eigvalsh`` per block of pairs and one map application
+per chunk of a block, with blocks and chunks sized to bound their memory.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DISTANCE_OVERFLOW, subseed
-from .errors import DimMismatch, InvalidInput, ZeroInput
+from .config import DISTANCE_OVERFLOW, require_count, subseed
+from .errors import DimMismatch, InvalidInput, NotPsd, ZeroInput
 from .cpmap import (
     CPMap,
     StructuralProperty,
@@ -26,6 +31,7 @@ from .cpmap import (
     check_positively_improving,
 )
 from .hermitian import (
+    _gram,
     _psd_spectrum,
     _rank,
     _spectral_cutoff,
@@ -35,9 +41,17 @@ from .hermitian import (
 )
 from .schatten import as_exponent
 
+# Bytes that the complex (2B, n, n) inputs and (2B, m, m) images of a block
+# of B sample pairs may take together in ``_sampled_diameter``, and so may
+# the (2B, m, k n) intermediate of one stacked map application on a chunk
+# of them: 32 bytes per entry of a pair.
+_CHUNK_BYTES = 128 * 1024
+
+
 @dataclass(frozen=True)
 class HilbertDistance:
-    """Distance value (possibly inf) plus the part relation of the inputs."""
+    """Distance value (possibly inf) plus the part relation of the inputs;
+    arrays of both from ``_hilbert_distance`` on stacks."""
 
     value: float
     same_part: bool
@@ -59,10 +73,11 @@ def same_part(a, b) -> bool:
 
 
 def _inv_sqrt_conjugate(a_mat: np.ndarray, dec_b) -> np.ndarray:
-    """B^{-1/2} A B^{-1/2} from the (positive definite) eigendata of B."""
+    """B^{-1/2} A B^{-1/2} from the (positive definite) eigendata of B, for
+    one pair or for each pair of two stacks."""
     q = dec_b.eigenvectors
-    s = q * (1.0 / np.sqrt(dec_b.eigenvalues))
-    return s.conj().T @ a_mat @ s
+    s = q * (1.0 / np.sqrt(dec_b.eigenvalues))[..., None, :]
+    return s.conj().swapaxes(-1, -2) @ a_mat @ s
 
 
 def m_ratio(a, b) -> float:
@@ -116,7 +131,27 @@ def _hilbert_distance(da, db) -> HilbertDistance:
     lambda_min(A+B) >= lambda_min(A) + lambda_min(B) exceeds the sum of their
     cutoffs, which bounds the cutoff of A+B; otherwise the part is decided
     from the rank of A+B and both matrices are compressed to its range.
+
+    On two stacks of spectra, (..., n) and (..., n, n), the value and the
+    part flag are arrays. The full-rank pairs share one stacked eigensolve;
+    each pair of lower rank takes the compression branch on its own.
     """
+    if da.eigenvalues.ndim > 1:
+        n = da.eigenvalues.shape[-1]
+        full = (_rank(da.eigenvalues) == n) & (_rank(db.eigenvalues) == n)
+        value = np.full(full.shape, math.inf)
+        same = np.zeros(full.shape, dtype=bool)
+        for i in zip(*np.nonzero(~full)):
+            d = _hilbert_distance(da[i], db[i])
+            value[i], same[i] = d.value, d.same_part
+        if full.any():
+            w = np.linalg.eigvalsh(_inv_sqrt_conjugate(da[full].reconstruct(), db[full]))
+            inside = full.copy()
+            inside[full] = w[:, 0] > 0.0
+            w = w[inside[full]]
+            value[inside] = np.log(w[:, -1] / w[:, 0])
+            same[inside] = True
+        return HilbertDistance(value, same)
     ra = _rank(da.eigenvalues)
     rb = _rank(db.eigenvalues)
     if ra == 0 and rb == 0:
@@ -212,14 +247,47 @@ def _choi_tier(phi: CPMap) -> ContractionReport:
                              upper_source="choi")
 
 
-def _same_part_pair(n: int, r: int, rng):
-    if r == n:
-        return random_psd(n, n, rng), random_psd(n, n, rng)
-    g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    basis, _ = np.linalg.qr(g)
-    a = basis @ random_psd(r, r, rng) @ basis.conj().T
-    b = basis @ random_psd(r, r, rng) @ basis.conj().T
-    return hermitian_part(a), hermitian_part(b)
+def _same_part_pairs(n: int, ranks, rng) -> np.ndarray:
+    """A (B, 2, n, n) stack of same-part PSD pairs, pair j of rank ranks[j].
+
+    Both matrices of a pair are ``random_psd(r, r)`` draws; below full rank
+    they are moved onto the range of one random n x r isometry, from a QR per
+    pair. The normals are drawn pair by pair in that order, and the products
+    run on one stack per rank.
+    """
+    bases, factors = [], []
+    for r in ranks:
+        basis = None
+        if r < n:
+            g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+            basis, _ = np.linalg.qr(g)
+        bases.append(basis)
+        factors.append([rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+                        for _ in range(2)])
+    pairs = np.empty((len(ranks), 2, n, n), dtype=np.complex128)
+    for r in set(ranks):
+        idx = [j for j, s in enumerate(ranks) if s == r]
+        psd = _gram(np.stack([factors[j] for j in idx]))
+        if r < n:
+            basis = np.stack([bases[j] for j in idx])[:, None]
+            psd = hermitian_part(basis @ psd @ basis.conj().swapaxes(-1, -2))
+        pairs[idx] = psd
+    return pairs
+
+
+def _image_distances(images: np.ndarray):
+    """(distance, same part) of each pair of a (B, 2, m, m) stack of images,
+    in order. If an image is not PSD, the pairs are taken one at a time, so
+    that ``NotPsd`` comes at that pair, after the outcomes before it."""
+    try:
+        spectra = _psd_spectrum(images)
+    except NotPsd:
+        if len(images) == 1:
+            raise
+        return itertools.chain.from_iterable(
+            _image_distances(images[j:j + 1]) for j in range(len(images)))
+    d = _hilbert_distance(spectra[:, 0], spectra[:, 1])
+    return zip(d.value.tolist(), d.same_part.tolist())
 
 
 def _sampled_diameter(phi: CPMap, samples: int, seed) -> dict:
@@ -228,21 +296,31 @@ def _sampled_diameter(phi: CPMap, samples: int, seed) -> dict:
     Same-part input pairs (full rank plus every deficient rank on a shared
     random range) give a lower bound on the diameter, hence on the
     contraction ratio tanh(diameter/4). The bound is infinite if any sampled
-    image pair lands in different parts or exceeds the overflow threshold.
+    image pair lands in different parts or exceeds the overflow threshold;
+    the search stops at the first such pair.
+
+    The pairs are drawn in blocks, one ``eigh`` and one ``eigvalsh`` per
+    block, and go through the map in chunks, one stacked map application
+    per chunk. A block holds as many pairs as keep their (2B, n, n) inputs
+    and (2B, m, m) images together within ``_CHUNK_BYTES``, and a chunk as
+    many as keep the (2B, m, k n) intermediate of the application within
+    it; each holds at least one pair. Outcomes are read in sample order.
     """
-    if samples < 1:
-        raise InvalidInput("samples must be at least 1")
-    n = phi.input_dim
+    n, m, k = phi.input_dim, phi.output_dim, phi.kraus_count
+    block = max(1, _CHUNK_BYTES // (32 * (n * n + m * m)))
+    chunk = max(1, _CHUNK_BYTES // (32 * m * k * n))
     rng = subseed(seed, "diameter")
     worst = 0.0
-    for j in range(samples):
-        a, b = _same_part_pair(n, 1 + j % n, rng)
-        d = _hilbert_distance(_psd_spectrum(phi._apply(a)),
-                              _psd_spectrum(phi._apply(b)))
-        if not d.same_part or d.value > DISTANCE_OVERFLOW:
-            return {"diameter_lower_bound": math.inf, "kappa_lower": 1.0,
-                    "sample_count": j + 1}
-        worst = max(worst, d.value)
+    for start in range(0, samples, block):
+        ranks = [1 + j % n for j in range(start, min(start + block, samples))]
+        pairs = _same_part_pairs(n, ranks, rng)
+        images = np.concatenate([phi._apply(pairs[lo:lo + chunk])
+                                 for lo in range(0, len(pairs), chunk)])
+        for j, (value, same) in enumerate(_image_distances(images), start):
+            if not same or value > DISTANCE_OVERFLOW:
+                return {"diameter_lower_bound": math.inf, "kappa_lower": 1.0,
+                        "sample_count": j + 1}
+            worst = max(worst, value)
     return {"diameter_lower_bound": worst, "kappa_lower": math.tanh(worst / 4.0),
             "sample_count": samples}
 
@@ -250,10 +328,11 @@ def _sampled_diameter(phi: CPMap, samples: int, seed) -> dict:
 def estimate_diameter(phi: CPMap, samples: int = 64, seed=0) -> ContractionReport:
     """Bounds on the projective diameter of a CP map from both sides.
 
-    The lower bound comes from ``samples`` sampled same-part input pairs;
-    the upper bound is the Choi tier when it holds (see
+    The lower bound comes from ``samples`` (at least 1) sampled same-part
+    input pairs; the upper bound is the Choi tier when it holds (see
     ``ContractionReport``), and the trivial tier otherwise.
     """
+    require_count(samples, "samples")
     return replace(_choi_tier(phi), **_sampled_diameter(phi, samples, seed))
 
 
@@ -269,10 +348,10 @@ def contraction_report(
     One SVD gives the Choi tier of the map and of its adjoint; without it
     both take the trivial bound 1. Their ratios combine into the step bound
     kappa * kappa_adjoint * (q-1)/(p-1), flagged certified below 1. With
-    ``samples`` > 0 each side also carries sampled diameter lower bounds.
+    ``samples`` > 0 each side also carries sampled diameter lower bounds;
+    ``samples`` = 0 samples nothing.
     """
-    if samples < 0:
-        raise InvalidInput("samples must not be negative")
+    require_count(samples, "samples", minimum=0)
     fwd = adj = _choi_tier(phi)
     if samples:
         fwd = replace(fwd, **_sampled_diameter(
@@ -332,8 +411,12 @@ def run_diagnostics(
     When the Choi tier holds, every output of the map and of its adjoint is
     positive definite, so both are positively improving and adjoint(phi) o
     phi raises every rank: all three verdicts are ``CERTIFIED`` and no trial
-    runs. Otherwise the sampled checks search for counterexamples.
+    runs. Otherwise the sampled checks search for counterexamples. The trial
+    counts must be at least 1 either way; ``samples`` = 0 samples no
+    diameters.
     """
+    require_count(fi_trials, "fi_trials")
+    require_count(pi_trials, "pi_trials")
     sp = as_exponent(p)
     sq = as_exponent(q)
     contraction = contraction_report(phi, sp, sq, samples=samples, seed=seed)

@@ -39,6 +39,7 @@ from .hermitian import (
     _psd_spectrum,
     _rank,
     _require_finite,
+    _spectral_cutoff,
     hermitian_part,
     require_hermitian,
 )
@@ -217,9 +218,19 @@ def _next_iterate(pullback: np.ndarray, sp: SchattenExponent
                   ) -> tuple[np.ndarray, EigDecomp]:
     """J_{p*} of a pull-back, the iterate that follows the point it was
     pulled back from, and its spectrum: the duality weights with the
-    pull-back's eigenvectors, which the iterate is built from."""
+    pull-back's eigenvectors, which the iterate is built from.
+
+    Eigenvalues at or below ``_spectral_cutoff`` are zeroed first. Below
+    full rank they are rounding noise, which J_{p*} raises to 1/(p-1) < 1
+    for p > 2 and so magnifies: the iterate's null space would flicker
+    from step to step above the fixed-point tolerance.
+    """
     dec = _psd_spectrum(pullback)
-    w = _duality_weights(dec.eigenvalues, SchattenExponent(sp.p_star, sp.p))
+    vals = dec.eigenvalues
+    cutoff = _spectral_cutoff(vals)
+    if vals[-1] <= cutoff:
+        vals = np.where(vals > cutoff, vals, 0.0)
+    w = _duality_weights(vals, SchattenExponent(sp.p_star, sp.p))
     spectrum = EigDecomp(w, dec.eigenvectors)
     return hermitian_part(spectrum.reconstruct()), spectrum
 

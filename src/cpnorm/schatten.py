@@ -20,11 +20,19 @@ class SchattenExponent:
 
 
 def dual_exponent(p) -> SchattenExponent:
-    """Build the validated exponent pair with 1/p + 1/p_star = 1."""
+    """Build the validated exponent pair with 1/p + 1/p_star = 1.
+
+    Above about 2^53, p / (p - 1) rounds to 1; the duality map at the
+    dual would then raise the spectrum to the power p_star - 1 = 0 and send
+    every positive definite iterate to the same point. Such p are rejected.
+    """
     p = float(p)
     if not math.isfinite(p) or p <= 1.0:
         raise InvalidExponent(f"exponent must lie in the open interval (1, inf), got {p}")
-    return SchattenExponent(p, p / (p - 1.0))
+    p_star = p / (p - 1.0)
+    if p_star == 1.0:
+        raise InvalidExponent(f"exponent {p} is too large: its dual rounds to 1")
+    return SchattenExponent(p, p_star)
 
 
 def as_exponent(p) -> SchattenExponent:

@@ -7,6 +7,7 @@ import re
 import numpy as np
 
 from cpnorm import IterationStatus, default_start, hermitian_part, random_psd, schatten_norm
+from cpnorm.config import DISTANCE_OVERFLOW, subseed
 from cpnorm.hermitian import _psd_spectrum
 from cpnorm.hilbert import _hilbert_distance
 from cpnorm.schatten import SchattenExponent, _duality_map, _spectrum_norm, as_exponent
@@ -41,8 +42,9 @@ def unit_sp(a, p):
 
 
 def loop_apply(ops, a):
-    """Reference: the per-operator sum over a tuple of separate operators."""
-    out = np.zeros((ops[0].shape[0],) * 2, dtype=np.complex128)
+    """Reference: the per-operator sum over a tuple of separate operators, on
+    one matrix or on each matrix of a stack."""
+    out = np.zeros(a.shape[:-2] + (ops[0].shape[0],) * 2, dtype=np.complex128)
     for v in ops:
         out += v @ a @ v.conj().T
     return hermitian_part(out)
@@ -116,6 +118,33 @@ def two_apply_power_method(phi, config):
         prev_settled, prev_stalled = settled, stalled
         f_prev = f_cur
     return np.array(rows, dtype=np.float64), a, status, reason
+
+
+def sampled_diameter_reference(phi, samples, seed):
+    """Reference: the sampled diameter search as it ran before it was stacked,
+    one pair at a time with one QR, two map applications, two ``eigh`` and
+    one Hilbert distance each. Returns the ``ContractionReport`` fields of
+    ``hilbert._sampled_diameter``; the loop has no input checks."""
+    n = phi.input_dim
+    rng = subseed(seed, "diameter")
+    worst = 0.0
+    for j in range(samples):
+        r = 1 + j % n
+        if r == n:
+            a, b = random_psd(n, n, rng), random_psd(n, n, rng)
+        else:
+            g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+            basis, _ = np.linalg.qr(g)
+            a = hermitian_part(basis @ random_psd(r, r, rng) @ basis.conj().T)
+            b = hermitian_part(basis @ random_psd(r, r, rng) @ basis.conj().T)
+        d = _hilbert_distance(_psd_spectrum(phi._apply(a)),
+                              _psd_spectrum(phi._apply(b)))
+        if not d.same_part or d.value > DISTANCE_OVERFLOW:
+            return {"diameter_lower_bound": math.inf, "kappa_lower": 1.0,
+                    "sample_count": j + 1}
+        worst = max(worst, d.value)
+    return {"diameter_lower_bound": worst, "kappa_lower": math.tanh(worst / 4.0),
+            "sample_count": samples}
 
 
 # A JSON string, or a JSON number; strings come first so that digits inside

@@ -109,6 +109,13 @@ class TestCompute:
         assert code == 3
         assert "error:" in err
 
+    def test_exponent_with_dual_one_exit_3(self, capsys, identity_map_file):
+        code, out, err = run_cli(capsys, ["compute", "--map", identity_map_file,
+                                          "--p", "1e16", "--q", "2"])
+        assert code == 3
+        assert out == ""
+        assert "rounds to 1" in err
+
     @pytest.mark.parametrize("flag", ["--tol", "--tol-objective"])
     def test_nan_tolerance_exit_3(self, capsys, identity_map_file, flag):
         code, out, err = run_cli(capsys, ["compute", "--map", identity_map_file,
@@ -204,6 +211,24 @@ class TestDiagnose:
         _, out1, _ = run_cli(capsys, argv)
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
+
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-3"),
+                                             ("--samples", "-1")])
+    def test_bad_counts_exit_3(self, capsys, generic_map_file, flag, value):
+        code, out, err = run_cli(capsys, ["diagnose", "--map", generic_map_file,
+                                          "--p", "3", "--q", "2", flag, value])
+        assert code == 3
+        assert out == ""
+        assert "must be at least" in err
+
+    def test_zero_samples_samples_nothing(self, capsys, generic_map_file):
+        code, out, _ = run_cli(capsys, ["diagnose", "--map", generic_map_file,
+                                        "--p", "3", "--q", "2", "--trials", "4",
+                                        "--samples", "0"])
+        assert code == 0
+        contraction = json.loads(out)["diagnostics"]["contraction"]
+        assert contraction["sample_count"] == 0
+        assert contraction["diameter_lower_bound"] is None
 
 
 class TestVerify:

@@ -207,6 +207,13 @@ class TestFullyIndecomposable:
                                 Verdict.CERTIFIED}
 
 
+@pytest.mark.parametrize("trials", [0, -4, 2.5, True])
+@pytest.mark.parametrize("check", [check_fully_indecomposable, check_positively_improving])
+def test_structural_checks_reject_bad_trial_counts(check, trials):
+    with pytest.raises(InvalidInput, match="trials"):
+        check(depolarizing_channel(2), trials=trials)
+
+
 class TestPositivelyImproving:
     def test_depolarizing_margin(self):
         verdict = check_positively_improving(depolarizing_channel(3), trials=32, seed=0)

@@ -25,8 +25,8 @@ from cpnorm import (
     require_hermitian,
 )
 from cpnorm.config import HERMITIZE_RTOL
-from cpnorm.hermitian import _psd_spectrum
-from cpnorm.hilbert import _hilbert_distance
+from cpnorm.hermitian import _eig_decompose, _psd_spectrum, _rank, _spectral_cutoff
+from cpnorm.hilbert import _hilbert_distance, _inv_sqrt_conjugate
 from cpnorm.schatten import _duality_map
 from helpers import loewner_pair
 
@@ -203,13 +203,92 @@ def psd_matrices(draw, n=None, scaled=True):
 
 
 @st.composite
-def psd_pairs(draw):
+def psd_pairs(draw, n=None):
     """Two PSD matrices of one size: independent, or the second on the
     range of the first (its square), so that every part relation occurs."""
-    a = draw(psd_matrices())
+    a = draw(psd_matrices(n=n))
     if draw(st.booleans()):
         return a, draw(psd_matrices(n=a.shape[0]))
     return a, hermitian_part(a @ a) / max(np.abs(a).max(), 1e-300)
+
+
+@st.composite
+def stacks(draw, element):
+    """1 to 8 draws of ``element(n)``, for one size n from 1 to 6."""
+    n = draw(st.integers(1, 6))
+    return [draw(element(n)) for _ in range(draw(st.integers(1, 8)))]
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+class TestStackedKernels:
+    """Every kernel that takes stacks gives each matrix of a (B, n, n) stack
+    the bits of its call on that matrix alone, and a (1, B, n, n) stack the
+    bits of the (B, n, n) one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacks(lambda n: psd_matrices(n=n)), st.integers(0, 2**8 - 1))
+    def test_spectral_kernels(self, mats, signs):
+        # negated matrices make |lambda|_max the last eigenvalue
+        signed = np.stack([m if signs >> i & 1 else -m for i, m in enumerate(mats)])
+        dec = _eig_decompose(signed)
+        cutoffs, ranks = _spectral_cutoff(dec.eigenvalues), _rank(dec.eigenvalues)
+        rebuilt = dec.reconstruct()
+        for i, m in enumerate(signed):
+            one = _eig_decompose(m)
+            assert _bits(dec.eigenvalues[i]) == _bits(one.eigenvalues)
+            assert _bits(dec.eigenvectors[i]) == _bits(one.eigenvectors)
+            assert _bits(dec[i].eigenvectors) == _bits(one.eigenvectors)
+            assert _bits(rebuilt[i]) == _bits(one.reconstruct())
+            cutoff, rank = _spectral_cutoff(one.eigenvalues), _rank(one.eigenvalues)
+            assert type(cutoff) is float and type(rank) is int
+            assert _bits(cutoffs[i]) == _bits(cutoff) and ranks[i] == rank
+        nested = _eig_decompose(signed[None])
+        assert _bits(nested.eigenvectors[0]) == _bits(dec.eigenvectors)
+        assert _bits(_spectral_cutoff(nested.eigenvalues)[0]) == _bits(cutoffs)
+        assert _bits(_rank(nested.eigenvalues)[0]) == _bits(ranks)
+
+        stack = np.stack(mats)
+        psd = _psd_spectrum(stack)
+        for i, m in enumerate(mats):
+            one = _psd_spectrum(m)
+            assert _bits(psd.eigenvalues[i]) == _bits(one.eigenvalues)
+            assert _bits(psd.eigenvectors[i]) == _bits(one.eigenvectors)
+        assert _bits(_psd_spectrum(stack[None]).eigenvalues[0]) == _bits(psd.eigenvalues)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacks(lambda n: psd_pairs(n=n)))
+    def test_hilbert_distance_and_conjugate(self, pairs):
+        da = _psd_spectrum(np.stack([a for a, _ in pairs]))
+        db = _psd_spectrum(np.stack([b for _, b in pairs]))
+        d = _hilbert_distance(da, db)
+        nested = _hilbert_distance(da[None], db[None])
+        assert _bits(nested.value[0]) == _bits(d.value)
+        assert _bits(nested.same_part[0]) == _bits(d.same_part)
+        for i, (a, b) in enumerate(pairs):
+            one = _hilbert_distance(_psd_spectrum(a), _psd_spectrum(b))
+            assert type(one.value) is float
+            assert _bits(d.value[i]) == _bits(one.value)
+            assert d.same_part[i] == one.same_part
+        n = da.eigenvalues.shape[-1]
+        full = _rank(db.eigenvalues) == n
+        if full.any():
+            conj = _inv_sqrt_conjugate(da[full].reconstruct(), db[full])
+            for j, i in enumerate(np.flatnonzero(full)):
+                one = _inv_sqrt_conjugate(da[i].reconstruct(), db[i])
+                assert _bits(conj[j]) == _bits(one)
+
+    def test_not_psd_names_the_first_matrix_in_c_order(self):
+        mats = np.stack([random_psd(3, 3, s) for s in range(6)]).reshape(3, 2, 3, 3)
+        mats[1, 1] *= -1.0
+        mats[2, 0] *= -2.0
+        with pytest.raises(NotPsd) as single:
+            _psd_spectrum(mats[1, 1])
+        with pytest.raises(NotPsd) as stacked:
+            _psd_spectrum(mats)
+        assert str(stacked.value) == str(single.value)
 
 
 class TestTwoDecompositionPaths:

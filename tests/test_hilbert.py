@@ -1,6 +1,8 @@
 """Hilbert projective metric, diameter estimation, contraction bounds."""
 
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,11 +15,13 @@ from cpnorm import (
     CPMap,
     InvalidInput,
     KrausRedundancyWarning,
+    NotPsd,
     PowerConfig,
     Verdict,
     ZeroInput,
     contraction_report,
     depolarizing_channel,
+    embed_nonnegative_matrix,
     estimate_diameter,
     generate_map,
     hilbert_distance,
@@ -33,7 +37,13 @@ from cpnorm import (
     step_contraction_bound,
 )
 from cpnorm import hilbert, power
-from helpers import count_calls, shared_range_pair, well_conditioned_pd
+from cpnorm.config import subseed
+from helpers import (
+    count_calls,
+    sampled_diameter_reference,
+    shared_range_pair,
+    well_conditioned_pd,
+)
 
 
 class TestMRatio:
@@ -176,6 +186,127 @@ class TestDiameterEstimate:
         with pytest.raises(InvalidInput):
             estimate_diameter(identity_channel(2), samples=0)
 
+    @pytest.mark.parametrize("samples", [2.5, True, -1, "8"])
+    def test_rejects_non_count_samples(self, samples):
+        with pytest.raises(InvalidInput):
+            estimate_diameter(identity_channel(2), samples=samples)
+
+
+def _near_rank_one_map(seed, eps=1e-4):
+    """A rank-one Kraus operator plus a weak full one on C^3. The images'
+    small eigenvalues sit near the rank cutoff, so a sampled pair can land
+    in two parts, and the search stops there."""
+    rng = np.random.default_rng(seed)
+    v1 = rng.standard_normal((3, 1)) @ rng.standard_normal((1, 3))
+    v2 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return CPMap([v1, eps * v2])
+
+
+DIAMETER_MAPS = {
+    **{f"generic-{n}": (lambda n=n: generate_map(n, n, n, 40 + n).to_cpmap())
+       for n in range(2, 9)},
+    **{f"improving-{n}": (lambda n=n: generate_map(
+        n, n, n, 50 + n, kind="positively_improving").to_cpmap())
+       for n in range(2, 9)},
+    "rectangular-3to5": lambda: random_cpmap(3, 5, 4, 1),
+    "rectangular-5to2": lambda: random_cpmap(5, 2, 3, 2),
+    "kraus1-4": lambda: random_cpmap(4, 4, 1, 3),
+    "kraus1-3to2": lambda: random_cpmap(3, 2, 1, 4),
+    "identity": lambda: identity_channel(3),
+    "depolarizing": lambda: depolarizing_channel(4),
+    "embedded": lambda: embed_nonnegative_matrix(
+        [[1.0, 0.5, 0.0], [0.0, 2.0, 0.1], [0.3, 0.0, 1.0]]),
+    "near-rank-one": lambda: _near_rank_one_map(10),
+}
+
+
+class TestStackedDiameter:
+    """``_sampled_diameter`` against the per-sample loop it replaced
+    (``helpers.sampled_diameter_reference``): the returned fields bitwise,
+    with one pair per block and chunk, the default sizes, and one stack."""
+
+    CHUNKINGS = (1, hilbert._CHUNK_BYTES, 1 << 40)
+
+    @pytest.mark.filterwarnings("ignore::cpnorm.errors.KrausRedundancyWarning")
+    @pytest.mark.parametrize("name", sorted(DIAMETER_MAPS))
+    def test_matches_per_sample_loop_bitwise(self, monkeypatch, name):
+        phi = DIAMETER_MAPS[name]()
+        for side in (phi, phi.adjoint()):
+            for samples, seed in ((1, 0), (7, 1), (64, 2)):
+                expected = sampled_diameter_reference(side, samples, seed)
+                for chunk_bytes in self.CHUNKINGS:
+                    monkeypatch.setattr(hilbert, "_CHUNK_BYTES", chunk_bytes)
+                    assert hilbert._sampled_diameter(side, samples, seed) == expected
+
+    def test_stops_at_the_first_pair_in_two_parts(self, monkeypatch):
+        phi = _near_rank_one_map(10)
+        expected = sampled_diameter_reference(phi, 64, 0)
+        assert expected["sample_count"] == 50
+        assert expected["diameter_lower_bound"] == math.inf
+        for chunk_bytes in self.CHUNKINGS:
+            monkeypatch.setattr(hilbert, "_CHUNK_BYTES", chunk_bytes)
+            assert hilbert._sampled_diameter(phi, 64, 0) == expected
+
+    def test_not_psd_raised_where_the_loop_raises_it(self, monkeypatch):
+        """Images are negated or collapsed by a rule on their input, so some
+        searches stop at a pair in two parts before an image that is not PSD,
+        in the same stack, and others raise ``NotPsd`` first."""
+        real_apply = CPMap._apply
+
+        def tampered(self, a):
+            out = real_apply(self, a)
+            tag = (np.abs(a[..., 0, 0]) * 1e6).astype(np.int64)[..., None, None] % 13
+            collapsed = np.zeros_like(out)
+            collapsed[..., 0, 0] = out[..., 0, 0]
+            return np.where(tag == 0, -out, np.where(tag == 1, collapsed, out))
+
+        monkeypatch.setattr(CPMap, "_apply", tampered)
+        phi = random_cpmap(3, 3, 3, 5)
+        raised = stopped_before_a_bad_image = 0
+        for seed in range(12):
+            try:
+                expected = sampled_diameter_reference(phi, 64, seed)
+            except NotPsd as exc:
+                raised += 1
+                with pytest.raises(NotPsd, match=f"^{re.escape(str(exc))}$"):
+                    hilbert._sampled_diameter(phi, 64, seed)
+                continue
+            assert hilbert._sampled_diameter(phi, 64, seed) == expected
+            if expected["sample_count"] < 64:
+                stopped_before_a_bad_image += self._bad_image_after(
+                    phi, seed, expected["sample_count"])
+        assert raised and stopped_before_a_bad_image
+
+    @staticmethod
+    def _bad_image_after(phi, seed, stopped):
+        """Whether a pair after the ``stopped``-th has an image that is not
+        PSD. All 64 pairs of this map make one default block, whose images
+        are decomposed as one stack."""
+        pairs = hilbert._same_part_pairs(
+            3, [1 + j % 3 for j in range(64)], subseed(seed, "diameter"))
+        try:
+            hilbert._psd_spectrum(phi._apply(pairs[stopped:]))
+        except NotPsd:
+            return True
+        return False
+
+
+@pytest.mark.filterwarnings("ignore::cpnorm.errors.KrausRedundancyWarning")
+@pytest.mark.parametrize("n, limit_mib", [(6, 1), (16, 4)])
+def test_sampled_diameter_peak_memory(n, limit_mib):
+    """Blocks and chunks bound the allocations of the search: one stacked map
+    application on all 64 pairs of n = 6, k = 42 takes 3.3 MiB, and 138 MiB
+    at n = 16, k = 272."""
+    phi = generate_map(n, n, n, 3, kind="positively_improving").to_cpmap()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        hilbert._sampled_diameter(phi, 64, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
+
 
 class TestStepContractionBound:
     def test_arithmetic(self):
@@ -236,6 +367,15 @@ class TestContractionReport:
         result = run_power_method(phi, PowerConfig(p=3, q=2))
         assert result.contraction.upper_source == "choi"
         assert counts["_apply"] > 0 and counts["in_report"] == 0
+
+    @pytest.mark.parametrize("samples", [True, -1, 1.5])
+    def test_rejects_bad_samples(self, samples):
+        with pytest.raises(InvalidInput, match="samples"):
+            contraction_report(identity_channel(2), 3, 2, samples=samples)
+
+    def test_zero_samples_sample_nothing(self):
+        rep = contraction_report(identity_channel(2), 3, 2, samples=0)
+        assert rep.sample_count == 0 and rep.diameter_lower_bound is None
 
     def test_singular_kraus_matrix_stays_trivial(self):
         # k = n m operators whose matrix is rank deficient: the last row is a
@@ -344,6 +484,13 @@ class TestDiagnostics:
             run_diagnostics(phi, 3, 2, fi_trials=4, pi_trials=8, samples=8)
             phi.adjoint().adjoint()
         assert caught == []
+
+    @pytest.mark.parametrize("counts", [{"fi_trials": 0}, {"pi_trials": -1},
+                                        {"fi_trials": 2.0}, {"pi_trials": True}])
+    def test_rejects_bad_trial_counts(self, counts):
+        # checked even where the Choi tier would skip the trials
+        with pytest.raises(InvalidInput, match="trials"):
+            run_diagnostics(depolarizing_channel(3), 3, 2, samples=4, **counts)
 
     def test_deterministic(self):
         phi = random_cpmap(2, 2, 4, 5)

@@ -26,6 +26,7 @@ from cpnorm import (
     identity_channel,
     numerical_rank,
     objective,
+    oracle_max,
     power_step,
     psd_spectrum,
     random_cpmap,
@@ -407,6 +408,27 @@ class TestNearExponentOne:
             assert critical
         if res.status is IterationStatus.NOT_CRITICAL:
             assert not critical and any("not critical" in w for w in res.warnings)
+
+
+class TestRankDeficientPullBack:
+    """Maps with k m < n pull back to a matrix of rank below n. Its noise
+    eigenvalues, near 1e-17 of the largest, are zeroed before J_{p*}, which
+    would raise them to 1/(p-1) and let the iterate's null space flicker
+    above the fixed-point tolerance for all 1000 iterations."""
+
+    @pytest.mark.parametrize("n, m, k, seed, p, q", [
+        (4, 2, 1, 360264, 3.0, 2.0),
+        (4, 2, 1, 360264, 4.0, 1.2),
+        (6, 2, 2, 3, 4.0, 1.2),
+    ])
+    def test_converges_to_the_oracle_value(self, n, m, k, seed, p, q):
+        phi = random_cpmap(n, m, k, seed)
+        res = run_power_method(phi, PowerConfig(p=p, q=q, with_contraction=False))
+        assert res.status is IterationStatus.CONVERGED
+        assert res.iterations <= 64
+        assert numerical_rank(res.maximizer) < n
+        best = oracle_max(phi, p, q, seed=0).best_value
+        assert res.norm_estimate == pytest.approx(best, rel=1e-9)
 
 
 def test_results_keep_no_instance_dict():

@@ -76,6 +76,12 @@ class TestDualExponent:
         with pytest.raises(InvalidExponent):
             dual_exponent(p)
 
+    def test_rejects_exponents_whose_dual_rounds_to_one(self):
+        # a dual of exactly 1 makes the iterate's duality map constant
+        with pytest.raises(InvalidExponent, match="rounds to 1"):
+            dual_exponent(1e16)
+        assert dual_exponent(9e15).p_star == 1.0000000000000002
+
 
 class TestDualityMap:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
