@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .config import require_tolerance
 from .errors import CPNormError
 from .fileio import (
     GENERATOR_KINDS,
@@ -28,7 +29,7 @@ from .fileio import (
     write_trace,
 )
 from .hilbert import run_diagnostics
-from .oracle import _require_tol, cross_validate, oracle_max
+from .oracle import cross_validate, oracle_max
 from .power import IterationStatus, PowerConfig, run_power_method
 
 
@@ -102,7 +103,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _require_tol(args.tol)
+    require_tolerance(args.tol, "tol", zero_ok=True)
     mapfile = load_map(args.map)
     phi = mapfile.to_cpmap()
     config = PowerConfig(p=args.p, q=args.q, max_iter=3000)

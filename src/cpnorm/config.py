@@ -1,8 +1,9 @@
-"""Shared numerical tolerances, the count-argument check and deterministic
-seed derivation."""
+"""Shared numerical tolerances, the count and tolerance argument checks and
+deterministic seed derivation."""
 
+import math
 import zlib
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -35,6 +36,16 @@ def require_count(value, name: str, minimum: int = 1) -> None:
         raise InvalidInput(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise InvalidInput(f"{name} must be at least {minimum}")
+
+
+def require_tolerance(value, name: str, zero_ok: bool = False) -> None:
+    """Raise ``InvalidInput`` unless ``value`` is a real number, finite and
+    positive, or zero with ``zero_ok``; a bool is not a tolerance."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidInput(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and (value > 0 or zero_ok and value == 0)):
+        bound = "nonnegative" if zero_ok else "positive"
+        raise InvalidInput(f"{name} must be finite and {bound}, got {value!r}")
 
 
 def as_rng(seed):

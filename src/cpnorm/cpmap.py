@@ -141,13 +141,13 @@ class CPMap:
 
 
 def identity_channel(n: int) -> CPMap:
+    require_count(n, "n")
     return CPMap([np.eye(n, dtype=np.complex128)])
 
 
 def depolarizing_channel(n: int) -> CPMap:
     """The map A -> tr(A)/n * I, with Kraus operators e_i e_j^dag / sqrt(n)."""
-    if n < 1:
-        raise InvalidInput(f"dimension must be positive, got n={n}")
+    require_count(n, "n")
     rows, cols = np.divmod(np.arange(n * n), n)
     ops = np.zeros((n * n, n, n), dtype=np.complex128)
     ops[np.arange(n * n), rows, cols] = 1.0 / np.sqrt(n)
@@ -188,8 +188,8 @@ def _gaussian_kraus(rng, n: int, m: int, k: int) -> np.ndarray:
 
 def random_cpmap(n: int, m: int, k: int, seed) -> CPMap:
     """Seeded CP map with k complex Gaussian Kraus operators of shape m x n."""
-    if n < 1 or m < 1 or k < 1:
-        raise InvalidInput(f"dimensions must be positive, got n={n} m={m} k={k}")
+    for count, name in ((n, "n"), (m, "m"), (k, "k")):
+        require_count(count, name)
     return CPMap(_gaussian_kraus(as_rng(seed), n, m, k))
 
 

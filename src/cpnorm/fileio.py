@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import __about__
-from .config import subseed
+from .config import require_count, subseed
 from .errors import InvalidInput
 from .cpmap import CPMap, _gaussian_kraus, embed_nonnegative_matrix
 from .power import NormResult, PowerTrace
@@ -176,8 +176,8 @@ def generate_map(n: int, m: int, k: int, seed: int, kind: str = "generic",
         }
         return MapFile.from_cpmap(phi, metadata)
 
-    if n < 1 or m < 1 or k < 1:
-        raise InvalidInput(f"dimensions must be positive, got n={n} m={m} k={k}")
+    for count, name in ((n, "n"), (m, "m"), (k, "k")):
+        require_count(count, name)
     if kind == "generic" and k > n * m:
         raise InvalidInput(f"generic kind requires k <= n*m = {n * m}, got k={k}")
 

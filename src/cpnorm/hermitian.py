@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import HERMITIZE_RTOL, RANK_RTOL, as_rng
+from .config import HERMITIZE_RTOL, RANK_RTOL, as_rng, require_count
 from .errors import DimMismatch, InvalidInput, NotPsd
 
 
@@ -246,6 +246,7 @@ def classify_psd(a) -> PsdClass:
 
 def random_hermitian(n: int, seed) -> np.ndarray:
     """Seeded Hermitian matrix with complex Gaussian entries."""
+    require_count(n, "n")
     rng = as_rng(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return hermitian_part(g)
@@ -257,7 +258,9 @@ def random_psd(n: int, rank: int, seed) -> np.ndarray:
     Built as G G^dag with G an n x rank matrix of i.i.d. standard complex
     normal entries, so the rank is ``rank`` with probability 1.
     """
-    if not 1 <= rank <= n:
+    require_count(n, "n")
+    require_count(rank, "rank")
+    if rank > n:
         raise InvalidInput(f"rank must lie in [1, {n}], got {rank}")
     rng = as_rng(seed)
     return _gram(rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
@@ -272,6 +275,7 @@ def _gram(g: np.ndarray) -> np.ndarray:
 
 def random_unit_vector(n: int, seed) -> np.ndarray:
     """Seeded complex unit vector, uniform on the sphere."""
+    require_count(n, "n")
     rng = as_rng(seed)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return x / np.linalg.norm(x)

@@ -369,6 +369,7 @@ def sampled_contraction_ratio(phi: CPMap, pairs: int = 500, seed=0) -> float:
     A lower bound on the true contraction ratio; reported, never asserted
     as a universal bound.
     """
+    require_count(pairs, "pairs")
     n = phi.input_dim
     rng = subseed(seed, "contraction-ratio")
     worst = 0.0

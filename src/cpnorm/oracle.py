@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import require_count, subseed
+from .config import require_count, require_tolerance, subseed
 from .errors import DegenerateMap, DeskScaleExceeded, InvalidInput, NotApplicable, NotPsd
 from .cpmap import CPMap
 from .hermitian import hermitian_part, random_hermitian, random_psd
@@ -298,6 +298,7 @@ def spectral_grid_max(phi: CPMap, p, q, grid: int = 64, seed=0) -> OracleResult:
     evaluations. Raises ``NotApplicable`` if random diagonal probes produce
     non-diagonal images.
     """
+    require_count(grid, "grid")
     n = phi.input_dim
     if n > DESK_SCALE_LIMIT:
         raise DeskScaleExceeded(
@@ -364,6 +365,8 @@ def classical_pq_norm(a, p, q, tol: float = 1e-12, max_iter: int = 10000):
     Iterates x -> normalize( (A^T (A x)^(q-1))^(1/(p-1)) ) on nonnegative
     unit-l^p vectors and returns (norm value, maximizing vector).
     """
+    require_tolerance(tol, "tol", zero_ok=True)
+    require_count(max_iter, "max_iter")
     mat = np.asarray(a, dtype=np.float64)
     if mat.ndim != 2:
         raise InvalidInput(f"expected a 2-d matrix, got shape {mat.shape}")
@@ -400,14 +403,6 @@ class CrossValidation:
     messages: tuple[str, ...]
 
 
-def _require_tol(tol) -> None:
-    """Raise ``InvalidInput`` unless the agreement tolerance is finite and
-    nonnegative: a NaN or negative one fails every pair, an infinite one
-    passes every pair."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InvalidInput(f"tol must be finite and nonnegative, got {tol!r}")
-
-
 def cross_validate(
     power: NormResult, oracle: OracleResult, tol: float = 1e-4
 ) -> CrossValidation:
@@ -419,7 +414,8 @@ def cross_validate(
     since without the certificate the power method is only a lower bound.
     Raises ``InvalidInput`` for a non-finite or negative ``tol``.
     """
-    _require_tol(tol)
+    # a NaN or negative tolerance fails every pair, an infinite one passes all
+    require_tolerance(tol, "tol", zero_ok=True)
     certified = bool(power.contraction is not None and power.contraction.step_certified)
     difference = float(oracle.best_value - power.norm_estimate)
     messages = []

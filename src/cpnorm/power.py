@@ -13,14 +13,18 @@ critical-point residual at A. So ``run_power_method`` applies the map once
 per iteration, in its one ``power_step`` call, and once more for the start.
 J_{p*} is a spectral function, so the step decomposes the pull-back once
 and the next iterate's spectrum comes with it: the duality weights and the
-pull-back's eigenvectors. Only the start is decomposed on its own. At full
-rank an iteration makes three eigensolves: the image and the pull-back
-inside ``power_step``, and the Hilbert step into the iterate. The loop runs
-on the private kernels, whose eigenvectors keep ``eigh``'s phases: every
-matrix it builds from them (duality maps, reconstructions, ranges) is the
-same for any choice of phases. Its cutoffs and its objective stall are
-relative, so a run on c * phi takes the same iterations as one on phi and
-returns c times its estimate.
+pull-back's eigenvectors. Only the start is decomposed on its own. J_q of
+the image comes from ``schatten._norm_and_duality``: at q = 2 a Cholesky
+factorisation of a positive definite image and the closed form
+B / ||B||_F, otherwise an eigensolve. So at full rank an iteration makes
+three eigensolves at q != 2, the image and the pull-back inside
+``power_step`` and the Hilbert step into the iterate, and two eigensolves
+and one factorisation at q = 2. The loop runs on the private kernels,
+whose eigenvectors keep ``eigh``'s phases: every matrix it builds from them
+(duality maps, reconstructions, ranges) is the same for any choice of
+phases. Its cutoffs and its objective stall are relative, so a run on
+c * phi takes the same iterations as one on phi and returns c times its
+estimate.
 """
 
 from __future__ import annotations
@@ -31,13 +35,12 @@ from enum import Enum
 
 import numpy as np
 
-from .config import CRITICAL_RTOL, require_count
+from .config import CRITICAL_RTOL, require_count, require_tolerance
 from .errors import DegenerateMap, DimMismatch, InvalidInput, ZeroInput
 from .cpmap import CPMap, _require_dim
 from .hermitian import (
     EigDecomp,
     _psd_spectrum,
-    _rank,
     _require_finite,
     _spectral_cutoff,
     hermitian_part,
@@ -48,6 +51,7 @@ from .schatten import (
     SchattenExponent,
     _duality_map,
     _duality_weights,
+    _norm_and_duality,
     _spectrum_norm,
     as_exponent,
     schatten_norm,
@@ -93,8 +97,7 @@ class PowerConfig:
         as_exponent(self.p)
         as_exponent(self.q)
         for tol in (self.tol_fixed_point, self.tol_objective):
-            if not (math.isfinite(tol) and tol > 0):
-                raise InvalidInput("tolerances must be positive and finite")
+            require_tolerance(tol, "tolerances")
         require_count(self.max_iter, "max_iter")
         if self.start is not None:
             dec = _psd_spectrum(require_hermitian(self.start))
@@ -171,12 +174,13 @@ class PowerStep:
 def power_step(phi: CPMap, a, p, q) -> PowerStep:
     """One update of the fixed-point iteration, with the pull-back it computes.
 
-    Makes one application of the map and of its adjoint and two
-    eigensolves, of the image and of the pull-back; the second also gives
-    the iterate's spectrum. The iterate is a PSD matrix of unit Schatten-p
-    norm, scale invariant in the input. Raises ``DegenerateMap`` when the
-    map annihilates the input, since no information about the norm can be
-    extracted from that start.
+    Makes one application of the map and of its adjoint and decomposes the
+    pull-back, which also gives the iterate's spectrum. The image is
+    decomposed too, except at q = 2, where one Cholesky factorisation of a
+    positive definite image replaces its eigensolve. The iterate is a PSD
+    matrix of unit Schatten-p norm, scale invariant in the input. Raises
+    ``DegenerateMap`` when the map annihilates the input, since no
+    information about the norm can be extracted from that start.
     """
     sp = as_exponent(p)
     sq = as_exponent(q)
@@ -202,16 +206,18 @@ def critical_point_residual(phi: CPMap, a, p, q) -> float:
 def _pull_back(phi: CPMap, image: np.ndarray, sq: SchattenExponent
                ) -> tuple[float, np.ndarray]:
     """The Schatten-q norm of an image under the map and its pull-back
-    adjoint(phi)(J_q(image)), from one ``psd_spectrum`` of the image.
+    adjoint(phi)(J_q(image)), with J_q from ``schatten._norm_and_duality``:
+    one Cholesky factorisation of a positive definite image at q = 2, else
+    one ``psd_spectrum``.
 
     A map with huge Kraus operators overflows to inf, which the kernels
     would not notice, so both matrices are checked for finiteness.
     """
-    dec = _psd_spectrum(_require_finite(image))
-    if _rank(dec.eigenvalues) == 0:
-        raise DegenerateMap("the map annihilates this point")
-    pullback = _require_finite(phi._adjoint_apply(_duality_map(dec, sq)))
-    return _spectrum_norm(dec.eigenvalues, sq.p), pullback
+    try:
+        image_norm, grad = _norm_and_duality(_require_finite(image), sq)
+    except ZeroInput:
+        raise DegenerateMap("the map annihilates this point") from None
+    return image_norm, _require_finite(phi._adjoint_apply(grad))
 
 
 def _next_iterate(pullback: np.ndarray, sp: SchattenExponent

@@ -5,12 +5,27 @@ import math
 import re
 
 import numpy as np
+import pytest
 
-from cpnorm import IterationStatus, default_start, hermitian_part, random_psd, schatten_norm
+from cpnorm import (
+    IterationStatus,
+    default_start,
+    hermitian_part,
+    power,
+    random_psd,
+    run_power_method,
+    schatten_norm,
+)
 from cpnorm.config import DISTANCE_OVERFLOW, subseed
 from cpnorm.hermitian import _psd_spectrum
 from cpnorm.hilbert import _hilbert_distance
-from cpnorm.schatten import SchattenExponent, _duality_map, _spectrum_norm, as_exponent
+from cpnorm.schatten import (
+    SchattenExponent,
+    _duality_map,
+    _norm_and_duality,
+    _spectrum_norm,
+    as_exponent,
+)
 
 
 def well_conditioned_pd(n, seed, ridge=0.1):
@@ -75,19 +90,19 @@ def two_apply_power_method(phi, config):
     the next iterate and once to evaluate that iterate.
 
     Returns the trace table, the maximizer, the status and the termination
-    reason; the loop has no input checks.
+    reason; the loop has no input checks. It takes J_q of each image from the
+    loop's own kernel, ``schatten._norm_and_duality``.
     """
     sp, sq = as_exponent(config.p), as_exponent(config.q)
 
     def evaluate(a, dec):
-        image = _psd_spectrum(phi._apply(a))
-        pullback = phi._adjoint_apply(_duality_map(image, sq))
-        value = (_spectrum_norm(image.eigenvalues, sq.p)
-                 / _spectrum_norm(dec.eigenvalues, sp.p))
+        image_norm, grad = _norm_and_duality(phi._apply(a), sq)
+        pullback = phi._adjoint_apply(grad)
+        value = image_norm / _spectrum_norm(dec.eigenvalues, sp.p)
         return value, float(np.linalg.norm(pullback - value * _duality_map(dec, sp)))
 
     def step(a):
-        pullback = phi._adjoint_apply(_duality_map(_psd_spectrum(phi.apply(a)), sq))
+        pullback = phi._adjoint_apply(_norm_and_duality(phi.apply(a), sq)[1])
         return _duality_map(_psd_spectrum(pullback), SchattenExponent(sp.p_star, sp.p))
 
     a = default_start(phi.input_dim, sp)
@@ -118,6 +133,21 @@ def two_apply_power_method(phi, config):
         prev_settled, prev_stalled = settled, stalled
         f_prev = f_cur
     return np.array(rows, dtype=np.float64), a, status, reason
+
+
+def spectral_norm_and_duality(b, exp):
+    """Reference: (||B||_q, J_q(B)) from one ``psd_spectrum`` of B at every q,
+    as the power loop took them before the closed form at q = 2."""
+    dec = _psd_spectrum(b)
+    return _spectrum_norm(dec.eigenvalues, exp.p), _duality_map(dec, exp)
+
+
+def spectral_power_method(phi, config):
+    """Reference: ``run_power_method`` with J_q of every image taken from its
+    spectrum, through ``spectral_norm_and_duality``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(power, "_norm_and_duality", spectral_norm_and_duality)
+        return run_power_method(phi, config)
 
 
 def sampled_diameter_reference(phi, samples, seed):

@@ -420,3 +420,16 @@ def test_random_cpmap_deterministic():
     b = random_cpmap(2, 3, 2, 42)
     for v, w in zip(a.kraus, b.kraus):
         assert np.array_equal(v, w)
+
+
+@pytest.mark.parametrize("n,m,k", [(2.5, 2, 2), (2, 2.0, 2), (2, 2, True), (0, 2, 2)])
+def test_random_cpmap_rejects_bad_counts(n, m, k):
+    with pytest.raises(InvalidInput):
+        random_cpmap(n, m, k, 0)
+
+
+@pytest.mark.parametrize("channel", [identity_channel, depolarizing_channel])
+@pytest.mark.parametrize("n", [2.0, True, 0])
+def test_channels_reject_bad_dimensions(channel, n):
+    with pytest.raises(InvalidInput):
+        channel(n)

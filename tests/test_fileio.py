@@ -146,6 +146,11 @@ class TestGeneration:
         with pytest.raises(InvalidInput):
             generate_map(2, 2, 2, seed=0, kind="nonsense")
 
+    @pytest.mark.parametrize("n,m,k", [(2.0, 2, 2), (2, 2, 1.5), (2, True, 2), (2, 2, 0)])
+    def test_rejects_bad_counts(self, n, m, k):
+        with pytest.raises(InvalidInput):
+            generate_map(n, m, k, seed=0)
+
 
 class TestCanonicalJson:
     def test_nonfinite_floats_become_strings(self):

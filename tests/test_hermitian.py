@@ -22,6 +22,7 @@ from cpnorm import (
     psd_spectrum,
     random_hermitian,
     random_psd,
+    random_unit_vector,
     require_hermitian,
 )
 from cpnorm.config import HERMITIZE_RTOL
@@ -507,3 +508,14 @@ class TestRandomGeneration:
             random_psd(3, 4, 0)
         with pytest.raises(InvalidInput):
             random_psd(3, 0, 0)
+
+    @pytest.mark.parametrize("n,rank", [(3, 2.0), (3.0, 2), (True, 1)])
+    def test_psd_rejects_bad_counts(self, n, rank):
+        with pytest.raises(InvalidInput):
+            random_psd(n, rank, 0)
+
+    @pytest.mark.parametrize("sampler", [random_hermitian, random_unit_vector])
+    @pytest.mark.parametrize("n", [2.0, True, 0])
+    def test_samplers_reject_bad_dimensions(self, sampler, n):
+        with pytest.raises(InvalidInput):
+            sampler(n, 0)

@@ -439,6 +439,11 @@ class TestSampledContractionRatio:
         ratio = sampled_contraction_ratio(phi, pairs=100, seed=0)
         assert 0.0 < ratio < 1.0
 
+    @pytest.mark.parametrize("pairs", [2.5, -1, 0, True])
+    def test_rejects_bad_pair_counts(self, pairs):
+        with pytest.raises(InvalidInput):
+            sampled_contraction_ratio(random_cpmap(2, 2, 2, 0), pairs=pairs)
+
 
 class TestDiagnostics:
     def test_depolarizing_report(self):

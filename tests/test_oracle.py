@@ -389,6 +389,11 @@ class TestSpectralGrid:
         res = spectral_grid_max(identity_channel(2), 2, 4, grid=64)
         assert res.best_value == pytest.approx(1.0, abs=1e-7)
 
+    @pytest.mark.parametrize("grid", [2.5, 0, True])
+    def test_rejects_bad_grid(self, grid):
+        with pytest.raises(InvalidInput, match="grid"):
+            spectral_grid_max(identity_channel(2), 4, 2, grid=grid)
+
     def test_depolarizing_flat_optimum(self):
         res = spectral_grid_max(depolarizing_channel(3), 3, 2, grid=32)
         assert res.best_value == pytest.approx(3 ** (1.0 / 6.0), abs=1e-7)
@@ -443,9 +448,20 @@ class TestClassicalIteration:
         assert np.linalg.norm(x, ord=3) == pytest.approx(1.0, abs=1e-12)
         assert value == pytest.approx(np.linalg.norm(a @ x, ord=2), abs=1e-12)
 
+    @pytest.mark.parametrize("max_iter", [2.5, 0, True])
+    def test_rejects_bad_max_iter(self, max_iter):
+        with pytest.raises(InvalidInput, match="max_iter"):
+            classical_pq_norm(np.eye(2), 3, 2, max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, True, "1e-9"])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(InvalidInput, match="tol"):
+            classical_pq_norm(np.eye(2), 3, 2, tol=tol)
+
 
 class TestCrossValidate:
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf, -math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf, -math.inf,
+                                     True, "1e-4"])
     def test_bad_tol_rejected(self, tol):
         phi = random_cpmap(2, 2, 3, 21)
         power = run_power_method(phi, PowerConfig(p=3, q=2))

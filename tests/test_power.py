@@ -37,7 +37,12 @@ from cpnorm.config import CRITICAL_RTOL
 from cpnorm.hermitian import _psd_spectrum
 from cpnorm.hilbert import _hilbert_distance
 from cpnorm.schatten import _duality_map, _spectrum_norm, as_exponent
-from helpers import count_calls, two_apply_power_method, well_conditioned_pd
+from helpers import (
+    count_calls,
+    spectral_power_method,
+    two_apply_power_method,
+    well_conditioned_pd,
+)
 
 
 class TestPowerStep:
@@ -218,11 +223,21 @@ class TestRunPowerMethod:
     def test_at_most_three_eigensolves_per_full_rank_iteration(self, monkeypatch):
         phi = random_cpmap(4, 4, 3, 21)
         counts = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
-        res = run_power_method(phi, PowerConfig(p=3, q=2, with_contraction=False))
+        res = run_power_method(phi, PowerConfig(p=3, q=1.5, with_contraction=False))
         assert res.iterations >= 5
         # the start, its image and its pull-back come first; each iteration
         # then decomposes an image and a pull-back and takes a Hilbert step
         assert sum(counts.values()) <= 3 * res.iterations + 3
+
+    def test_two_eigensolves_and_one_cholesky_per_q2_iteration(self, monkeypatch):
+        phi = random_cpmap(4, 4, 3, 21)
+        counts = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh", "cholesky")
+        res = run_power_method(phi, PowerConfig(p=3, q=2, with_contraction=False))
+        k = res.iterations
+        assert k >= 5
+        # each positive definite image is factorised instead of decomposed
+        assert counts["eigh"] + counts["eigvalsh"] == 2 * k + 2
+        assert counts["cholesky"] == k + 1
 
     @pytest.mark.parametrize("p,q", [(3.0, 2.0), (2.0, 3.0)])
     def test_one_apply_and_one_adjoint_per_iteration(self, monkeypatch, p, q):
@@ -274,6 +289,13 @@ class TestRunPowerMethod:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_nonfinite_tolerance_rejected(self, field, value):
         with pytest.raises(InvalidInput):
+            PowerConfig(p=3, q=2, **{field: value})
+
+    @pytest.mark.parametrize("field", ["tol_fixed_point", "tol_objective"])
+    @pytest.mark.parametrize("value", [True, "1e-9", None])
+    def test_non_real_tolerance_rejected(self, field, value):
+        # a bool is not a tolerance, as it is not a count
+        with pytest.raises(InvalidInput, match="tolerances"):
             PowerConfig(p=3, q=2, **{field: value})
 
     @pytest.mark.parametrize("value", [2.5, "5", True, None])
@@ -429,6 +451,75 @@ class TestRankDeficientPullBack:
         assert numerical_rank(res.maximizer) < n
         best = oracle_max(phi, p, q, seed=0).best_value
         assert res.norm_estimate == pytest.approx(best, rel=1e-9)
+
+
+@st.composite
+def q2_maps(draw):
+    """Gaussian maps, rectangular maps with m > n k, whose images are
+    singular, and the identity and depolarizing channels."""
+    kind = draw(st.sampled_from(["gaussian", "rectangular", "identity", "depolarizing"]))
+    n = draw(st.integers(1, 6))
+    if kind == "identity":
+        return identity_channel(n)
+    if kind == "depolarizing":
+        return depolarizing_channel(n)
+    k = draw(st.integers(1, 4))
+    m = n if kind == "gaussian" else n * k + draw(st.integers(1, 3))
+    return random_cpmap(n, m, k, draw(st.integers(0, 2**32 - 1)))
+
+
+class TestClosedFormAtQ2:
+    """At q = 2 the image step takes J_2(B) = B / ||B||_F on positive
+    definite images, which one Cholesky factorisation recognises. Singular,
+    indefinite and zero images take the spectral path, with its errors."""
+
+    @pytest.mark.filterwarnings("ignore::cpnorm.errors.KrausRedundancyWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(phi=q2_maps(), p=st.floats(1.2, 6.0))
+    def test_matches_the_spectral_path(self, phi, p):
+        config = PowerConfig(p=p, q=2.0, max_iter=300, with_contraction=False)
+        res = run_power_method(phi, config)
+        ref = spectral_power_method(phi, config)
+        assert (res.iterations, res.status) == (ref.iterations, ref.status)
+        assert res.norm_estimate == pytest.approx(ref.norm_estimate, rel=1e-13)
+        np.testing.assert_allclose(res.trace.table[:, 1], ref.trace.table[:, 1],
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    @pytest.mark.parametrize("n,m,k", [(4, 4, 3), (3, 7, 2)])
+    def test_public_duality_map_is_the_loops(self, monkeypatch, q, n, m, k):
+        phi = random_cpmap(n, m, k, 5)
+        a = default_start(n, 3.0)
+        pulled = []
+        real = CPMap._adjoint_apply
+
+        def recording(self, mat):
+            pulled.append(mat)
+            return real(self, mat)
+
+        monkeypatch.setattr(CPMap, "_adjoint_apply", recording)
+        power_step(phi, a, 3.0, q)
+        assert duality_map(phi.apply(a), q).tobytes() == pulled[0].tobytes()
+
+    @pytest.mark.parametrize("tamper", [
+        lambda b: b - np.trace(b).real / len(b) * np.eye(len(b)),
+        lambda b: -b,
+    ], ids=["indefinite", "negative_definite"])
+    def test_non_psd_image_raises_the_spectral_not_psd(self, monkeypatch, tamper):
+        phi = random_cpmap(4, 4, 3, 8)
+        real = CPMap._apply
+        monkeypatch.setattr(CPMap, "_apply", lambda self, mat: tamper(real(self, mat)))
+        with pytest.raises(NotPsd) as spectral:
+            _psd_spectrum(phi._apply(default_start(4, 3.0)))
+        with pytest.raises(NotPsd) as raised:
+            run_power_method(phi, PowerConfig(p=3, q=2, with_contraction=False))
+        assert str(raised.value) == str(spectral.value)
+
+    def test_zero_image_raises_degenerate_map(self, monkeypatch):
+        monkeypatch.setattr(CPMap, "_apply", lambda self, mat: np.zeros_like(mat))
+        with pytest.raises(DegenerateMap, match="annihilates"):
+            run_power_method(random_cpmap(3, 3, 2, 0),
+                             PowerConfig(p=3, q=2, with_contraction=False))
 
 
 def test_results_keep_no_instance_dict():

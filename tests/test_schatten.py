@@ -1,5 +1,7 @@
 """Schatten norm and duality map tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,14 @@ from cpnorm import (
     dual_exponent,
     duality_map,
     frobenius_inner,
+    psd_spectrum,
     random_hermitian,
     random_psd,
     schatten_norm,
 )
-from helpers import loewner_pair, well_conditioned_pd
+from cpnorm import schatten
+from cpnorm.schatten import _norm_and_duality, as_exponent
+from helpers import loewner_pair, spectral_norm_and_duality, well_conditioned_pd
 
 
 def spectrum_norm(a, p):
@@ -158,3 +163,62 @@ class TestDualityMap:
         )
         analytic = frobenius_inner(h, duality_map(a, p))
         assert numeric == pytest.approx(analytic, abs=1e-5)
+
+
+class TestNormAndDuality:
+    """``_norm_and_duality`` gives (||B||_q, J_q(B)): at q = 2, on a positive
+    definite B that Cholesky factorises, in closed form, B / ||B||_F; on every
+    other B and at every other q, from the spectrum, bit for bit as before."""
+
+    Q2 = as_exponent(2.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_positive_definite_matches_the_spectral_path(self, seed):
+        b = well_conditioned_pd(5, seed)
+        norm, j = _norm_and_duality(b, self.Q2)
+        ref_norm, ref_j = spectral_norm_and_duality(b, self.Q2)
+        assert norm == pytest.approx(ref_norm, rel=1e-14)
+        assert norm == pytest.approx(np.linalg.norm(b), rel=1e-15)
+        np.testing.assert_allclose(j, ref_j, rtol=0, atol=1e-14)
+        assert np.array_equal(j, j.conj().T)
+
+    @pytest.mark.parametrize("e", [-1000, -1, 1, 1000])
+    def test_exact_under_powers_of_two(self, e):
+        # the norm neither overflows nor underflows at 2^(+-1000)
+        b = well_conditioned_pd(4, 3)
+        norm, j = _norm_and_duality(b, self.Q2)
+        scaled_norm, scaled_j = _norm_and_duality(b * 2.0**e, self.Q2)
+        assert scaled_j.tobytes() == j.tobytes()
+        assert scaled_norm == math.ldexp(norm, e)
+
+    def test_singular_takes_the_spectral_path(self):
+        # an exactly zero pivot fails the factorisation
+        b = np.zeros((4, 4), dtype=np.complex128)
+        b[:3, :3] = well_conditioned_pd(3, 1)
+        got = _norm_and_duality(b, self.Q2)
+        ref = spectral_norm_and_duality(b, self.Q2)
+        assert got[0] == ref[0]
+        assert got[1].tobytes() == ref[1].tobytes()
+
+    @pytest.mark.parametrize("q", [1.5, 2.0000001, 3.0])
+    def test_other_exponents_take_the_spectral_path(self, q):
+        b = well_conditioned_pd(4, 2)
+        got = _norm_and_duality(b, as_exponent(q))
+        ref = spectral_norm_and_duality(b, as_exponent(q))
+        assert got[0] == ref[0]
+        assert got[1].tobytes() == ref[1].tobytes()
+
+    def test_large_dimensions_take_the_spectral_path(self, monkeypatch):
+        monkeypatch.setattr(schatten, "_CHOLESKY_MAX_DIM", 3)
+        b = well_conditioned_pd(4, 2)
+        got = _norm_and_duality(b, self.Q2)
+        ref = spectral_norm_and_duality(b, self.Q2)
+        assert got[1].tobytes() == ref[1].tobytes()
+
+    def test_indefinite_raises_the_spectral_not_psd(self):
+        a = random_hermitian(4, 6)
+        with pytest.raises(NotPsd) as spectral:
+            psd_spectrum(a)
+        with pytest.raises(NotPsd) as raised:
+            duality_map(a, 2)
+        assert str(raised.value) == str(spectral.value)
