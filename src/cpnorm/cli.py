@@ -184,10 +184,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CPNormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (CPNormError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

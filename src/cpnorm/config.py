@@ -1,4 +1,4 @@
-"""Shared numerical tolerances, the count and tolerance argument checks and
+"""Shared numerical tolerances, the argument checks and conversion, and
 deterministic seed derivation."""
 
 import math
@@ -48,11 +48,19 @@ def require_tolerance(value, name: str, zero_ok: bool = False) -> None:
         raise InvalidInput(f"{name} must be finite and {bound}, got {value!r}")
 
 
+def converted(convert, value, what: str, error=InvalidInput):
+    """``convert(value)``, raising ``error`` in place of the ``TypeError`` or
+    ``ValueError`` of a value it cannot convert, such as a string."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise error(f"invalid {what}: {exc}") from None
+
+
 def as_rng(seed):
-    """Accept an integer seed or an existing numpy Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+    """Accept an integer seed or an existing numpy Generator, which
+    ``default_rng`` returns as it is."""
+    return converted(np.random.default_rng, seed, "seed")
 
 
 def subseed(seed, *path):
@@ -62,7 +70,7 @@ def subseed(seed, *path):
     runs and platforms; integer labels are used as-is. All randomness in the
     package flows through this function, keyed by one root seed.
     """
-    entropy = [int(seed) & 0xFFFFFFFF]
+    entropy = [converted(int, seed, "seed") & 0xFFFFFFFF]
     for part in path:
         if isinstance(part, str):
             entropy.append(zlib.crc32(part.encode("utf-8")))

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import as_rng, require_count, subseed
+from .config import as_rng, converted, require_count, subseed
 from .errors import DimMismatch, InvalidInput, KrausRedundancyWarning, ZeroInput
 from .hermitian import (
     _rank,
@@ -23,7 +23,7 @@ from .hermitian import (
     random_unit_vector,
     require_hermitian,
 )
-from .schatten import as_exponent, schatten_norm
+from .schatten import _spectrum_norm, as_exponent
 
 # Gain, relative to the output's largest eigenvalue, below which the
 # rank-one eigenvector search stops.
@@ -51,7 +51,8 @@ class CPMap:
     __slots__ = ("_stack",)
 
     def __init__(self, kraus):
-        ops = [np.asarray(v, dtype=np.complex128) for v in kraus]
+        ops = converted(lambda ks: [np.asarray(v, dtype=np.complex128) for v in ks],
+                        kraus, "Kraus operators")
         if not ops:
             raise InvalidInput("a CP map needs at least one Kraus operator")
         shape = ops[0].shape
@@ -161,7 +162,7 @@ def embed_nonnegative_matrix(a) -> CPMap:
     diag(a @ x), so its Schatten p->q norm equals the vector p->q norm of
     the matrix.
     """
-    mat = np.asarray(a, dtype=np.float64)
+    mat = converted(lambda v: np.asarray(v, dtype=np.float64), a, "matrix")
     if mat.ndim != 2:
         raise InvalidInput(f"expected a 2-d matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
@@ -200,11 +201,11 @@ def objective(phi: CPMap, a, p, q) -> float:
     """
     sp = as_exponent(p)
     sq = as_exponent(q)
-    mat = require_hermitian(a)
-    denom = schatten_norm(mat, sp.p)
+    mat = _require_dim(a, phi.input_dim, "map")
+    denom = _spectrum_norm(np.linalg.eigvalsh(mat), sp.p)
     if denom == 0.0:
         raise ZeroInput("objective is undefined at the zero matrix")
-    return schatten_norm(phi.apply(mat), sq.p) / denom
+    return _spectrum_norm(np.linalg.eigvalsh(phi._apply(mat)), sq.p) / denom
 
 
 class StructuralProperty(Enum):
@@ -310,38 +311,25 @@ def check_positively_improving(phi: CPMap, trials: int = 256, seed=0) -> Structu
     n = phi.input_dim
     rng = subseed(seed, "positively-improving")
     worst_val = np.inf
-    worst_x = None
+    worst_x = found = None
     for _ in range(trials):
         x = random_unit_vector(n, rng)
-        rho = np.outer(x, x.conj())
-        vals = np.linalg.eigvalsh(phi._apply(hermitian_part(rho)))
+        vals = np.linalg.eigvalsh(phi._apply(_projector(x)))
         if vals[0] <= _spectral_cutoff(vals):
-            return StructuralVerdict(
-                StructuralProperty.POSITIVELY_IMPROVING,
-                Verdict.COUNTEREXAMPLE_FOUND,
-                trials=trials,
-                witness=rho,
-                margin=float(vals[0]),
-            )
+            count, margin, found = trials, float(vals[0]), x
+            break
         if vals[0] < worst_val:
             worst_val = float(vals[0])
             worst_x = x
-
-    value, x = _rank_one_extreme(phi, worst_x)
-    refined = min(worst_val, value)
-    rho = np.outer(x, x.conj())
-    vals = np.linalg.eigvalsh(phi._apply(hermitian_part(rho)))
-    if refined <= _spectral_cutoff(vals):
-        return StructuralVerdict(
-            StructuralProperty.POSITIVELY_IMPROVING,
-            Verdict.COUNTEREXAMPLE_FOUND,
-            trials=trials + 1,
-            witness=rho,
-            margin=refined,
-        )
+    else:
+        value, x = _rank_one_extreme(phi, worst_x)
+        count, margin = trials + 1, min(worst_val, value)
+        if margin <= _spectral_cutoff(np.linalg.eigvalsh(phi._apply(_projector(x)))):
+            found = x
     return StructuralVerdict(
         StructuralProperty.POSITIVELY_IMPROVING,
-        Verdict.PROBABLY_TRUE,
-        trials=trials + 1,
-        margin=refined,
+        Verdict.PROBABLY_TRUE if found is None else Verdict.COUNTEREXAMPLE_FOUND,
+        trials=count,
+        witness=None if found is None else np.outer(found, found.conj()),
+        margin=margin,
     )

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import HERMITIZE_RTOL, RANK_RTOL, as_rng, require_count
+from .config import HERMITIZE_RTOL, RANK_RTOL, as_rng, converted, require_count
 from .errors import DimMismatch, InvalidInput, NotPsd
 
 
@@ -58,7 +58,7 @@ def require_hermitian(m) -> np.ndarray:
     symmetrization overflows; otherwise the copy itself is checked for
     finiteness.
     """
-    a = np.asarray(m, dtype=np.complex128)
+    a = converted(lambda v: np.asarray(v, dtype=np.complex128), m, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
@@ -180,21 +180,18 @@ def _psd_spectrum(m: np.ndarray) -> EigDecomp:
 
 def matrix_power(a, t: float) -> np.ndarray:
     """A**t for PSD A through the spectral calculus Q diag(lambda**t) Q^dag."""
-    t = float(t)
+    t = converted(float, t, "exponent")
     if not np.isfinite(t) or t <= 0:
         raise InvalidInput(f"exponent must be a positive real, got {t}")
     dec = _psd_spectrum(require_hermitian(a))
-    return hermitian_part(
-        (dec.eigenvectors * dec.eigenvalues**t) @ dec.eigenvectors.conj().T
-    )
+    return hermitian_part(EigDecomp(dec.eigenvalues**t, dec.eigenvectors).reconstruct())
 
 
 def abs_matrix(a) -> np.ndarray:
     """|A|: flip negative eigenvalues, keep eigenvectors."""
     dec = _eig_decompose(require_hermitian(a))
-    return hermitian_part(
-        (dec.eigenvectors * np.abs(dec.eigenvalues)) @ dec.eigenvectors.conj().T
-    )
+    flipped = EigDecomp(np.abs(dec.eigenvalues), dec.eigenvectors)
+    return hermitian_part(flipped.reconstruct())
 
 
 def loewner_geq(a, b) -> bool:

@@ -7,9 +7,10 @@ diameter is finite contracts it strictly, with ratio tanh(diameter/4).
 From the spectra of two positive definite matrices the distance costs one
 eigensolve, and for a stack of such pairs one stacked eigensolve; a pair of
 rank below n adds one of A+B to decide the part, and takes that branch on
-its own. The sampled diameter search stacks its sample pairs: one
-``eigh`` and one ``eigvalsh`` per block of pairs and one map application
-per chunk of a block, with blocks and chunks sized to bound their memory.
+its own. The sampled diameter search and the sampled contraction ratio
+stack their sample pairs: stacked ``eigh`` and ``eigvalsh`` calls per
+block of pairs and one map application per chunk of a block, with blocks
+and chunks sized to bound their memory.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .hermitian import (
     _rank,
     _spectral_cutoff,
     hermitian_part,
-    random_psd,
     require_hermitian,
 )
 from .schatten import as_exponent
@@ -57,19 +57,23 @@ class HilbertDistance:
     same_part: bool
 
 
+def _psd_pair(a, b, what: str):
+    """``psd_spectrum`` of two validated inputs of equal dimension."""
+    da = _psd_spectrum(require_hermitian(a))
+    db = _psd_spectrum(require_hermitian(b))
+    if da.eigenvalues.size != db.eigenvalues.size:
+        raise DimMismatch(f"{what} needs matrices of equal dimension")
+    return da, db
+
+
 def same_part(a, b) -> bool:
     """True when the PSD inputs have equal ranges at the rank cutoff.
 
     For PSD matrices the two-sided sandwich cB <= A <= CB is equivalent to
-    range equality, which is decided by comparing the numerical ranks of A,
-    B, and A + B.
+    range equality. This is the part flag of ``hilbert_distance``, which
+    decides it from the numerical ranks of A, B and A + B.
     """
-    da = _psd_spectrum(require_hermitian(a))
-    db = _psd_spectrum(require_hermitian(b))
-    if da.eigenvalues.size != db.eigenvalues.size:
-        raise DimMismatch("same_part needs matrices of equal dimension")
-    ds = _psd_spectrum(require_hermitian(da.reconstruct() + db.reconstruct()))
-    return _rank(da.eigenvalues) == _rank(db.eigenvalues) == _rank(ds.eigenvalues)
+    return _hilbert_distance(*_psd_pair(a, b, "same_part")).same_part
 
 
 def _inv_sqrt_conjugate(a_mat: np.ndarray, dec_b) -> np.ndarray:
@@ -87,10 +91,7 @@ def m_ratio(a, b) -> float:
     handled by compressing both matrices to an orthonormal basis of its
     range.
     """
-    da = _psd_spectrum(require_hermitian(a))
-    db = _psd_spectrum(require_hermitian(b))
-    if da.eigenvalues.size != db.eigenvalues.size:
-        raise DimMismatch("m_ratio needs matrices of equal dimension")
+    da, db = _psd_pair(a, b, "m_ratio")
     rb = _rank(db.eigenvalues)
     if rb == 0:
         raise ZeroInput("m_ratio denominator must be a nonzero PSD matrix")
@@ -105,7 +106,7 @@ def m_ratio(a, b) -> float:
             return math.inf
         basis = db.eigenvectors[:, :rb]
         a_mat = basis.conj().T @ a_mat @ basis
-        db = _psd_spectrum(require_hermitian(basis.conj().T @ db.reconstruct() @ basis))
+        db = _psd_spectrum(hermitian_part(basis.conj().T @ db.reconstruct() @ basis))
     w = np.linalg.eigvalsh(_inv_sqrt_conjugate(a_mat, db))
     return float(w[-1])
 
@@ -117,11 +118,7 @@ def hilbert_distance(a, b) -> HilbertDistance:
     infinite across parts. On a shared range the value reduces to the log
     of the spectral spread of B^{-1/2} A B^{-1/2}.
     """
-    da = _psd_spectrum(require_hermitian(a))
-    db = _psd_spectrum(require_hermitian(b))
-    if da.eigenvalues.size != db.eigenvalues.size:
-        raise DimMismatch("hilbert_distance needs matrices of equal dimension")
-    return _hilbert_distance(da, db)
+    return _hilbert_distance(*_psd_pair(a, b, "hilbert_distance"))
 
 
 def _hilbert_distance(da, db) -> HilbertDistance:
@@ -130,7 +127,9 @@ def _hilbert_distance(da, db) -> HilbertDistance:
     Two full-rank inputs share the interior part without a test, since
     lambda_min(A+B) >= lambda_min(A) + lambda_min(B) exceeds the sum of their
     cutoffs, which bounds the cutoff of A+B; otherwise the part is decided
-    from the rank of A+B and both matrices are compressed to its range.
+    from the rank of A+B and both matrices are compressed to its range. A
+    pair whose conjugated spectrum reads lambda_min <= 0, which rounding can
+    give near condition number 1e10, keeps its part at infinite distance.
 
     On two stacks of spectra, (..., n) and (..., n, n), the value and the
     part flag are arrays. The full-rank pairs share one stacked eigensolve;
@@ -150,7 +149,7 @@ def _hilbert_distance(da, db) -> HilbertDistance:
             inside[full] = w[:, 0] > 0.0
             w = w[inside[full]]
             value[inside] = np.log(w[:, -1] / w[:, 0])
-            same[inside] = True
+            same[full] = True
         return HilbertDistance(value, same)
     ra = _rank(da.eigenvalues)
     rb = _rank(db.eigenvalues)
@@ -170,7 +169,7 @@ def _hilbert_distance(da, db) -> HilbertDistance:
         db = _psd_spectrum(hermitian_part(b_mat))
     w = np.linalg.eigvalsh(_inv_sqrt_conjugate(a_mat, db))
     if w[0] <= 0.0:
-        return HilbertDistance(math.inf, False)
+        return HilbertDistance(math.inf, True)
     return HilbertDistance(float(np.log(w[-1] / w[0])), True)
 
 
@@ -275,19 +274,34 @@ def _same_part_pairs(n: int, ranks, rng) -> np.ndarray:
     return pairs
 
 
-def _image_distances(images: np.ndarray):
-    """(distance, same part) of each pair of a (B, 2, m, m) stack of images,
-    in order. If an image is not PSD, the pairs are taken one at a time, so
-    that ``NotPsd`` comes at that pair, after the outcomes before it."""
+def _pair_distances(pairs: np.ndarray):
+    """(distance, same part) of each pair of a (B, 2, m, m) stack, in order.
+    If a matrix is not PSD, the pairs are taken one at a time, so that
+    ``NotPsd`` comes at that pair, after the outcomes before it."""
     try:
-        spectra = _psd_spectrum(images)
+        spectra = _psd_spectrum(pairs)
     except NotPsd:
-        if len(images) == 1:
+        if len(pairs) == 1:
             raise
         return itertools.chain.from_iterable(
-            _image_distances(images[j:j + 1]) for j in range(len(images)))
+            _pair_distances(pairs[j:j + 1]) for j in range(len(pairs)))
     d = _hilbert_distance(spectra[:, 0], spectra[:, 1])
     return zip(d.value.tolist(), d.same_part.tolist())
+
+
+def _sampled_blocks(phi: CPMap, ranks: list, rng):
+    """(index of the first pair, pairs, images) per block of the
+    ``_same_part_pairs`` of the given ranks. A block's (2B, n, n) inputs and
+    (2B, m, m) images, and a chunk's (2B, m, k n) intermediate of its one
+    stacked map application, each fit in ``_CHUNK_BYTES`` or hold one pair.
+    """
+    n, m, k = phi.input_dim, phi.output_dim, phi.kraus_count
+    block = max(1, _CHUNK_BYTES // (32 * (n * n + m * m)))
+    chunk = max(1, _CHUNK_BYTES // (32 * m * k * n))
+    for start in range(0, len(ranks), block):
+        pairs = _same_part_pairs(n, ranks[start:start + block], rng)
+        yield start, pairs, np.concatenate([phi._apply(pairs[lo:lo + chunk])
+                                            for lo in range(0, len(pairs), chunk)])
 
 
 def _sampled_diameter(phi: CPMap, samples: int, seed) -> dict:
@@ -299,24 +313,13 @@ def _sampled_diameter(phi: CPMap, samples: int, seed) -> dict:
     image pair lands in different parts or exceeds the overflow threshold;
     the search stops at the first such pair.
 
-    The pairs are drawn in blocks, one ``eigh`` and one ``eigvalsh`` per
-    block, and go through the map in chunks, one stacked map application
-    per chunk. A block holds as many pairs as keep their (2B, n, n) inputs
-    and (2B, m, m) images together within ``_CHUNK_BYTES``, and a chunk as
-    many as keep the (2B, m, k n) intermediate of the application within
-    it; each holds at least one pair. Outcomes are read in sample order.
+    The pairs come from ``_sampled_blocks``, with one ``eigh`` and one
+    ``eigvalsh`` per block, and their outcomes are read in sample order.
     """
-    n, m, k = phi.input_dim, phi.output_dim, phi.kraus_count
-    block = max(1, _CHUNK_BYTES // (32 * (n * n + m * m)))
-    chunk = max(1, _CHUNK_BYTES // (32 * m * k * n))
-    rng = subseed(seed, "diameter")
+    ranks = [1 + j % phi.input_dim for j in range(samples)]
     worst = 0.0
-    for start in range(0, samples, block):
-        ranks = [1 + j % n for j in range(start, min(start + block, samples))]
-        pairs = _same_part_pairs(n, ranks, rng)
-        images = np.concatenate([phi._apply(pairs[lo:lo + chunk])
-                                 for lo in range(0, len(pairs), chunk)])
-        for j, (value, same) in enumerate(_image_distances(images), start):
+    for start, _, images in _sampled_blocks(phi, ranks, subseed(seed, "diameter")):
+        for j, (value, same) in enumerate(_pair_distances(images), start):
             if not same or value > DISTANCE_OVERFLOW:
                 return {"diameter_lower_bound": math.inf, "kappa_lower": 1.0,
                         "sample_count": j + 1}
@@ -367,22 +370,23 @@ def sampled_contraction_ratio(phi: CPMap, pairs: int = 500, seed=0) -> float:
     """Largest observed d(phi(A), phi(B)) / d(A, B) over random PD pairs.
 
     A lower bound on the true contraction ratio; reported, never asserted
-    as a universal bound.
+    as a universal bound. The pairs are full-rank ``random_psd`` draws,
+    sampled and mapped in blocks by ``_sampled_blocks``. Pairs closer than
+    1e-9, or too ill-conditioned for their distance to resolve, are
+    skipped; an image pair in different parts gives inf.
     """
     require_count(pairs, "pairs")
     n = phi.input_dim
-    rng = subseed(seed, "contraction-ratio")
     worst = 0.0
-    for _ in range(pairs):
-        a = random_psd(n, n, rng)
-        b = random_psd(n, n, rng)
-        d_in = hilbert_distance(a, b)
-        if not d_in.same_part or d_in.value < 1e-9:
-            continue
-        d_out = hilbert_distance(phi.apply(a), phi.apply(b))
-        if not d_out.same_part:
-            return math.inf
-        worst = max(worst, d_out.value / d_in.value)
+    for _, inputs, images in _sampled_blocks(phi, [n] * pairs,
+                                             subseed(seed, "contraction-ratio")):
+        for (d, _), (d_out, same_out) in zip(_pair_distances(inputs),
+                                             _pair_distances(images)):
+            if not 1e-9 <= d < math.inf:
+                continue
+            if not same_out:
+                return math.inf
+            worst = max(worst, d_out / d)
     return worst
 
 

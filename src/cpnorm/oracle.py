@@ -14,10 +14,11 @@ points and one of their images, while each start keeps its own
 inverse-Hessian approximation, step, budget share and stop rule. Each
 evaluation makes one public ``phi.apply``, and the round's pull-backs are one
 ``CPMap._adjoint_apply`` on the stack of their symmetrized image gradients.
-Stacking changes no bit of any start's path. A spectral-grid reduction,
-refined by the same ascent, handles maps that preserve diagonality, and the
-classical nonnegative-matrix power iteration is included for embedding
-cross-checks. The ascent is the module's only optimizer.
+Stacking changes no bit of any start's path. A spectral-grid reduction
+handles maps that preserve diagonality, on the vector map lam -> M lam
+that they restrict to, and the same ascent on the map kernel refines it.
+The classical nonnegative-matrix power iteration is included for
+embedding cross-checks. The ascent is the module's only optimizer.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ from enum import Enum
 
 import numpy as np
 
-from .config import require_count, require_tolerance, subseed
+from .config import converted, require_count, require_tolerance, subseed
 from .errors import DegenerateMap, DeskScaleExceeded, InvalidInput, NotApplicable, NotPsd
 from .cpmap import CPMap
 from .hermitian import hermitian_part, random_hermitian, random_psd
 from .hilbert import hilbert_distance
 from .power import NormResult, default_start
-from .schatten import as_exponent, schatten_norm
+from .schatten import as_exponent
 
 DESK_SCALE_LIMIT = 6
 
@@ -119,11 +120,11 @@ def _norm_and_grad(y: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     return nrm, grad
 
 
-def _values_and_grads(phi: CPMap, p: float, q: float, thetas: np.ndarray):
+def _values_and_grads(phi: CPMap, apply, p: float, q: float, thetas: np.ndarray):
     """F = ||phi(X)||_q / ||X||_p and dF/dtheta at each X = _vec_to_herm(theta)
-    of a (B, n^2) stack, with one ``phi.apply`` per nonzero X and one
-    ``phi._adjoint_apply`` on the stack of their image gradients, each made
-    exactly Hermitian as the public ``adjoint_apply`` would make it.
+    of a (B, n^2) stack, with one ``apply`` (``phi.apply`` or its kernel) per
+    nonzero X and one ``phi._adjoint_apply`` on the stack of their image
+    gradients, each made exactly Hermitian as ``adjoint_apply`` would.
 
     With M = (phi^*(G_q(phi(X))) - F G_p(X)) / ||X||_p the gradient of F
     over Hermitian X, the theta-gradient is [diag M, 2 Re M_iu, 2 Im M_iu].
@@ -137,7 +138,7 @@ def _values_and_grads(phi: CPMap, p: float, q: float, thetas: np.ndarray):
     applied = nrm != 0.0
     # a zero X stands for a zero image and a zero pull-back, with F = 0
     image_nrm, g_out = _norm_and_grad(np.stack([
-        phi.apply(a) if ok else np.zeros((m, m), dtype=np.complex128)
+        apply(a) if ok else np.zeros((m, m), dtype=np.complex128)
         for a, ok in zip(x, applied)
     ]), q)
     pulled = np.zeros_like(x)
@@ -257,7 +258,7 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
 
     def evaluate(thetas: np.ndarray):
         nonlocal used
-        values, grads, applied = _values_and_grads(phi, sp.p, sq.p, thetas)
+        values, grads, applied = _values_and_grads(phi, phi.apply, sp.p, sq.p, thetas)
         used += int(np.count_nonzero(applied))
         return values, grads, applied
 
@@ -287,16 +288,18 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
     )
 
 
-def spectral_grid_max(phi: CPMap, p, q, grid: int = 64, seed=0) -> OracleResult:
+def spectral_grid_max(phi: CPMap, p, q, grid: int = 64) -> OracleResult:
     """Exact-reduction oracle for maps that send diagonals to diagonals.
 
-    For such maps the maximizer can be taken diagonal with a nonnegative
-    spectrum. Scaled so that its largest entry is 1, that spectrum lies on
-    one of the n faces of the unit cube that touch the all-ones corner, so
-    the grid covers each face in turn: n * grid^(n-1) points. The best grid
-    point is refined by ``_ascend`` over diagonal X, with a share of 400 n
-    evaluations. Raises ``NotApplicable`` if random diagonal probes produce
-    non-diagonal images.
+    Such a map sends each basis projector E_jj to a diagonal image (else
+    ``NotApplicable``), and phi(diag(lam)) = diag(M lam) with M[i, j] =
+    phi(E_jj)_ii. The maximizer can be taken diagonal with a nonnegative
+    spectrum lam; scaled to largest entry 1, lam lies on one of the n faces
+    of the unit cube that touch the all-ones corner. The grid takes the
+    corner, then each face's grid^(n-1) points as one array expression
+    ||M lam||_q / ||lam||_p; ties keep the earlier point. ``_ascend`` over
+    diagonal X refines the best point with a share of 400 n evaluations.
+    ``budget_used`` counts the n projectors and the ascent's evaluations.
     """
     require_count(grid, "grid")
     n = phi.input_dim
@@ -306,41 +309,42 @@ def spectral_grid_max(phi: CPMap, p, q, grid: int = 64, seed=0) -> OracleResult:
         )
     sp = as_exponent(p)
     sq = as_exponent(q)
-    rng = subseed(seed, "spectral-grid")
-    for _ in range(3):
-        d = rng.uniform(-1.0, 1.0, size=n)
-        image = phi.apply(np.diag(d).astype(np.complex128))
-        off = image - np.diag(np.diag(image))
-        if np.linalg.norm(off) > 1e-10 * np.linalg.norm(image):
-            raise NotApplicable("map does not preserve diagonality")
+    projectors = np.zeros((n, n, n), dtype=np.complex128)
+    projectors[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    images = phi._apply(projectors)
+    diag = images.diagonal(axis1=1, axis2=2)
+    off = np.abs(images - diag[:, :, None] * np.eye(phi.output_dim)).max(axis=(1, 2))
+    if np.any(off > 1e-10 * np.abs(diag).max(axis=1)):
+        raise NotApplicable("map does not preserve diagonality")
 
-    used = 0
+    def ratios(points: np.ndarray) -> np.ndarray:
+        # each row holds a 1 and no larger entry, so ||x||_p lies in [1, n]
+        image = points @ diag.real
+        top = image.max(axis=1)
+        scaled = image / np.where(top == 0.0, 1.0, top)[:, None]
+        return (top * (scaled**sq.p).sum(axis=1) ** (1.0 / sq.p)
+                / (points**sp.p).sum(axis=1) ** (1.0 / sp.p))
 
-    def value_of(x: np.ndarray):
-        nonlocal used
-        used += 1
-        lam = np.abs(x)
-        nrm = np.linalg.norm(lam, ord=sp.p)
-        if nrm == 0.0:
-            return -math.inf, lam
-        lam = lam / nrm
-        return schatten_norm(phi.apply(np.diag(lam).astype(np.complex128)), sq.p), lam
-
-    best_value, best_lam = value_of(np.ones(n))
+    best_value = float(ratios(np.ones((1, n)))[0])
+    best_lam = np.ones(n) / np.linalg.norm(np.ones(n), ord=sp.p)
+    used = n
     if n > 1:
-        axes_count = n - 1
-        grid = max(2, min(grid, int(round((200000 / n) ** (1.0 / axes_count)))))
+        grid = max(2, min(grid, int(round((200000 / n) ** (1.0 / (n - 1))))))
         axis = np.linspace(0.0, 1.0, grid)
-        for face in range(n):
-            for idx in np.ndindex((grid,) * axes_count):
-                val, lam = value_of(np.insert(axis[list(idx)], face, 1.0))
-                if val > best_value:
-                    best_value, best_lam = val, lam
+        face = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"),
+                        axis=-1).reshape(-1, n - 1)
+        for j in range(n):
+            points = np.insert(face, j, 1.0, axis=1)
+            values = ratios(points)
+            i = int(np.argmax(values))
+            if values[i] > best_value:
+                best_value = float(values[i])
+                best_lam = points[i] / np.linalg.norm(points[i], ord=sp.p)
 
         def evaluate(thetas: np.ndarray):
             # a zero off-diagonal gradient keeps the ascent on diagonal X
             nonlocal used
-            values, grads, applied = _values_and_grads(phi, sp.p, sq.p, thetas)
+            values, grads, applied = _values_and_grads(phi, phi._apply, sp.p, sq.p, thetas)
             grads[:, n:] = 0.0
             used += int(np.count_nonzero(applied))
             return values, grads, applied
@@ -367,7 +371,7 @@ def classical_pq_norm(a, p, q, tol: float = 1e-12, max_iter: int = 10000):
     """
     require_tolerance(tol, "tol", zero_ok=True)
     require_count(max_iter, "max_iter")
-    mat = np.asarray(a, dtype=np.float64)
+    mat = converted(lambda v: np.asarray(v, dtype=np.float64), a, "matrix")
     if mat.ndim != 2:
         raise InvalidInput(f"expected a 2-d matrix, got shape {mat.shape}")
     if np.any(mat < 0) or not np.all(np.isfinite(mat)):

@@ -54,7 +54,6 @@ from .schatten import (
     _norm_and_duality,
     _spectrum_norm,
     as_exponent,
-    schatten_norm,
 )
 
 
@@ -281,7 +280,7 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
         mat = hermitian_part(np.asarray(config.start, dtype=np.complex128))
         if mat.shape[0] != n:
             raise DimMismatch(f"start must be {n}x{n}, got {mat.shape}")
-        a = mat / schatten_norm(mat, sp.p)
+        a = mat / _spectrum_norm(np.linalg.eigvalsh(mat), sp.p)
 
     # Each iterate's spectrum gives its Schatten-p norm, J_p in the residual
     # and both ends of the Hilbert steps into and out of it. Only the start is

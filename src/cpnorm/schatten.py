@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import converted
 from .errors import InvalidExponent, ZeroInput
 from .hermitian import EigDecomp, _psd_spectrum, hermitian_part, require_hermitian
 
@@ -37,7 +38,7 @@ def dual_exponent(p) -> SchattenExponent:
     dual would then raise the spectrum to the power p_star - 1 = 0 and send
     every positive definite iterate to the same point. Such p are rejected.
     """
-    p = float(p)
+    p = converted(float, p, "exponent", InvalidExponent)
     if not math.isfinite(p) or p <= 1.0:
         raise InvalidExponent(f"exponent must lie in the open interval (1, inf), got {p}")
     p_star = p / (p - 1.0)
@@ -60,7 +61,7 @@ def schatten_norm(a, p) -> float:
     """
     if isinstance(p, SchattenExponent):
         p = p.p
-    p = float(p)
+    p = converted(float, p, "exponent", InvalidExponent)
     if math.isnan(p) or p < 1.0:
         raise InvalidExponent(f"Schatten norms need p >= 1, got {p}")
     return _spectrum_norm(np.linalg.eigvalsh(require_hermitian(a)), p)

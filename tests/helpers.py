@@ -11,11 +11,13 @@ from cpnorm import (
     IterationStatus,
     default_start,
     hermitian_part,
+    hilbert_distance,
     power,
     random_psd,
     run_power_method,
     schatten_norm,
 )
+from cpnorm import cpmap, hermitian, hilbert, oracle, schatten
 from cpnorm.config import DISTANCE_OVERFLOW, subseed
 from cpnorm.hermitian import _psd_spectrum
 from cpnorm.hilbert import _hilbert_distance
@@ -82,6 +84,14 @@ def count_calls(monkeypatch, owner, *names):
 
         monkeypatch.setattr(owner, name, counted)
     return counts
+
+
+def count_validations(monkeypatch):
+    """Count ``require_hermitian`` calls wherever a ``cpnorm`` module binds
+    it; returns a function that reads the running total."""
+    counts = [count_calls(monkeypatch, module, "require_hermitian")
+              for module in (hermitian, cpmap, hilbert, power, schatten)]
+    return lambda: sum(c["require_hermitian"] for c in counts)
 
 
 def two_apply_power_method(phi, config):
@@ -175,6 +185,75 @@ def sampled_diameter_reference(phi, samples, seed):
         worst = max(worst, d.value)
     return {"diameter_lower_bound": worst, "kappa_lower": math.tanh(worst / 4.0),
             "sample_count": samples}
+
+
+def contraction_ratio_reference(phi, pairs, seed):
+    """Reference: ``sampled_contraction_ratio`` as it ran before it shared
+    the blocked sampler, one pair at a time with two public
+    ``hilbert_distance`` and two public ``phi.apply`` calls each."""
+    n = phi.input_dim
+    rng = subseed(seed, "contraction-ratio")
+    worst = 0.0
+    for _ in range(pairs):
+        a = random_psd(n, n, rng)
+        b = random_psd(n, n, rng)
+        d_in = hilbert_distance(a, b)
+        if not d_in.same_part or d_in.value < 1e-9:
+            continue
+        d_out = hilbert_distance(phi.apply(a), phi.apply(b))
+        if not d_out.same_part:
+            return math.inf
+        worst = max(worst, d_out.value / d_in.value)
+    return worst
+
+
+def spectral_grid_reference(phi, p, q, grid):
+    """Reference: ``spectral_grid_max`` as it ran before its grid became an
+    array expression, one public ``phi.apply`` and ``schatten_norm`` per
+    grid point, then the same ascent with one public ``phi.apply`` per
+    evaluation. Returns the best grid point, scaled to unit l^p norm (the
+    start of the ascent), and the best value; the loop has no input checks."""
+    sp, sq = as_exponent(p), as_exponent(q)
+    n = phi.input_dim
+
+    def value_of(x):
+        lam = np.abs(x) / np.linalg.norm(np.abs(x), ord=sp.p)
+        return schatten_norm(phi.apply(np.diag(lam).astype(np.complex128)), sq.p), lam
+
+    best_value, best_lam = value_of(np.ones(n))
+    if n == 1:
+        return best_lam, best_value
+    grid = max(2, min(grid, int(round((200000 / n) ** (1.0 / (n - 1))))))
+    axis = np.linspace(0.0, 1.0, grid)
+    for face in range(n):
+        for idx in np.ndindex((grid,) * (n - 1)):
+            val, lam = value_of(np.insert(axis[list(idx)], face, 1.0))
+            if val > best_value:
+                best_value, best_lam = val, lam
+
+    def evaluate(thetas):
+        values, grads, applied = oracle._values_and_grads(phi, phi.apply, sp.p, sq.p,
+                                                          thetas)
+        grads[:, n:] = 0.0
+        return values, grads, applied
+
+    _, values = oracle._ascend(evaluate, lambda t: oracle._project(t, n, sp.p),
+                               oracle._herm_to_vec(np.diag(best_lam)[None]), 400 * n)
+    return best_lam, max(best_value, values[0])
+
+
+def ascent_start(monkeypatch):
+    """Record the starts that ``oracle._ascend`` receives; returns the list
+    they are appended to."""
+    starts = []
+    real = oracle._ascend
+
+    def spy(evaluate, project, thetas, per_start):
+        starts.append(thetas.copy())
+        return real(evaluate, project, thetas, per_start)
+
+    monkeypatch.setattr(oracle, "_ascend", spy)
+    return starts
 
 
 # A JSON string, or a JSON number; strings come first so that digits inside

@@ -26,10 +26,11 @@ from cpnorm import (
     random_hermitian,
     random_psd,
     random_unit_vector,
+    schatten_norm,
 )
 from cpnorm.cpmap import _rank_one_extreme
 
-from helpers import loop_apply
+from helpers import count_validations, loop_apply
 
 
 class TestConstruction:
@@ -175,6 +176,20 @@ class TestObjective:
         phi = random_cpmap(3, 3, 3, seed)
         a = random_hermitian(3, seed + 100)
         assert objective(phi, a, 3, 2) <= objective(phi, abs_matrix(a), 3, 2) + 1e-9
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_validates_once_and_matches_public_norms_bitwise(self, monkeypatch, seed):
+        phi = random_cpmap(3, 2 + seed % 3, 1 + seed % 4, seed)
+        a = random_hermitian(3, seed + 200)
+        p, q = 1.5 + seed / 4, 1.2 + seed / 3
+        expected = schatten_norm(phi.apply(a), q) / schatten_norm(a, p)
+        validations = count_validations(monkeypatch)
+        assert objective(phi, a, p, q) == expected
+        assert validations() == 1
+
+    def test_rejects_input_of_the_wrong_size(self):
+        with pytest.raises(DimMismatch):
+            objective(identity_channel(2), np.eye(3), 3, 2)
 
 
 class TestFullyIndecomposable:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cpnorm import (
     CPMap,
+    DimMismatch,
     InvalidInput,
     KrausRedundancyWarning,
     NotPsd,
@@ -24,9 +25,11 @@ from cpnorm import (
     embed_nonnegative_matrix,
     estimate_diameter,
     generate_map,
+    hermitian_part,
     hilbert_distance,
     identity_channel,
     m_ratio,
+    numerical_rank,
     random_cpmap,
     random_psd,
     random_unit_vector,
@@ -39,7 +42,9 @@ from cpnorm import (
 from cpnorm import hilbert, power
 from cpnorm.config import subseed
 from helpers import (
+    contraction_ratio_reference,
     count_calls,
+    count_validations,
     sampled_diameter_reference,
     shared_range_pair,
     well_conditioned_pd,
@@ -157,6 +162,36 @@ class TestSamePart:
         assert same_part(np.eye(2), 2 * np.eye(2))
         assert same_part(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]))
         assert not same_part(np.diag([1.0, 0.0]), np.eye(2))
+
+    def test_validates_each_input_once(self, monkeypatch):
+        validations = count_validations(monkeypatch)
+        assert same_part(np.eye(2), 2 * np.eye(2))
+        assert validations() == 2
+
+    def test_dimension_mismatch_names_same_part(self):
+        with pytest.raises(DimMismatch, match="same_part"):
+            same_part(np.eye(2), np.eye(3))
+
+    def test_ill_conditioned_positive_definite_pair_shares_the_interior(self):
+        # condition numbers near 1e9: B^{-1/2} A B^{-1/2} can read a
+        # negative smallest eigenvalue, which leaves the distance unresolved
+        # but not the part, since both matrices are positive definite
+        rng = np.random.default_rng(5)
+
+        def draw(vals):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            u = np.linalg.qr(g)[0]
+            return hermitian_part((u * np.array(vals)) @ u.conj().T)
+
+        a = draw([1.0, 0.4, 3e-3, 1e-9])
+        b = draw([1.0, 0.3, 0.16, 4e-9])
+        assert numerical_rank(a) == numerical_rank(b) == 4
+        assert same_part(a, b)
+        d = hilbert_distance(a, b)
+        assert d.same_part
+        stacked = hilbert._hilbert_distance(hilbert._psd_spectrum(np.stack([a, a])),
+                                            hilbert._psd_spectrum(np.stack([b, b])))
+        assert stacked.same_part.all() and (stacked.value == d.value).all()
 
 
 class TestDiameterEstimate:
@@ -443,6 +478,41 @@ class TestSampledContractionRatio:
     def test_rejects_bad_pair_counts(self, pairs):
         with pytest.raises(InvalidInput):
             sampled_contraction_ratio(random_cpmap(2, 2, 2, 0), pairs=pairs)
+
+    # n = 1, k = 1, m != n, the identity and depolarizing channels, a
+    # diagonal embedding, positively improving maps, several blocks (n = 5)
+    # and several chunks per block (k = 9)
+    MAPS = {
+        "scalar": lambda: random_cpmap(1, 1, 1, 0),
+        "rank-one-kraus": lambda: random_cpmap(3, 3, 1, 1),
+        "identity": lambda: identity_channel(3),
+        "depolarizing": lambda: depolarizing_channel(3),
+        "wide-output": lambda: random_cpmap(2, 4, 3, 2),
+        "narrow-output": lambda: random_cpmap(4, 2, 2, 3),
+        "five-blocks": lambda: random_cpmap(5, 5, 5, 4),
+        "nine-kraus": lambda: random_cpmap(3, 3, 9, 5),
+        "embedding": lambda: embed_nonnegative_matrix(
+            np.random.default_rng(0).uniform(0.0, 1.0, (3, 3))),
+        "improving-0": lambda: generate_map(3, 3, 3, 4200,
+                                            kind="positively_improving").to_cpmap(),
+        "improving-1": lambda: generate_map(3, 3, 3, 4201,
+                                            kind="positively_improving").to_cpmap(),
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", list(MAPS))
+    def test_matches_per_pair_reference_bitwise(self, name, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KrausRedundancyWarning)
+            phi = self.MAPS[name]()
+        assert (sampled_contraction_ratio(phi, pairs=200, seed=seed)
+                == contraction_ratio_reference(phi, 200, seed))
+
+    def test_runs_on_the_kernels(self, monkeypatch):
+        phi = random_cpmap(3, 3, 3, 0)
+        validations = count_validations(monkeypatch)
+        sampled_contraction_ratio(phi, pairs=500, seed=0)
+        assert validations() == 0
 
 
 class TestDiagnostics:

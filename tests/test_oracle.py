@@ -2,6 +2,7 @@
 power iteration, cross-validation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from cpnorm import (
     spectral_grid_max,
 )
 from cpnorm.config import subseed
+from helpers import ascent_start, count_calls, count_validations, spectral_grid_reference
 from cpnorm.oracle import (
     _herm_to_vec,
     _lr_norm,
@@ -67,7 +69,7 @@ def sequential_oracle_max(phi: CPMap, p: float, q: float, budget: int, seed: int
 
     def fg(theta):
         nonlocal used
-        values, grads, applied = _values_and_grads(phi, p, q, theta[None])
+        values, grads, applied = _values_and_grads(phi, phi.apply, p, q, theta[None])
         if not applied[0]:
             return 0.0, np.zeros_like(theta)
         used += 1
@@ -144,15 +146,16 @@ class TestGradient:
         p, q = rng.uniform(1.2, 5.0, size=2)
         x = random_hermitian(n, seed)
         assert np.linalg.eigvalsh(x)[0] < 0 < np.linalg.eigvalsh(x)[-1]
-        values, grads, _ = _values_and_grads(phi, p, q, _herm_to_vec(x)[None])
-        reference = central_grad(lambda t: _values_and_grads(phi, p, q, t[None])[0][0],
-                                 _herm_to_vec(x))
+        values, grads, _ = _values_and_grads(phi, phi.apply, p, q, _herm_to_vec(x)[None])
+        reference = central_grad(
+            lambda t: _values_and_grads(phi, phi.apply, p, q, t[None])[0][0], _herm_to_vec(x))
         assert values[0] == pytest.approx(objective(phi, x, p, q), rel=1e-12)
         assert np.linalg.norm(grads[0] - reference) <= 1e-6 * np.linalg.norm(reference)
 
     def test_zero_point_applies_no_map(self):
         phi = CountingMap(random_cpmap(2, 2, 2, 0).kraus)
-        values, grads, applied = _values_and_grads(phi, 3.0, 2.0, np.zeros((1, 4)))
+        values, grads, applied = _values_and_grads(phi, phi.apply, 3.0, 2.0,
+                                                   np.zeros((1, 4)))
         assert not applied[0] and values[0] == 0.0 and not grads[0].any()
         assert phi.applies == 0
 
@@ -331,12 +334,12 @@ class TestStackedHelpers:
         phi = CountingMap(random_cpmap(3, 2, 2, 4).kraus)
         thetas = _herm_to_vec(np.stack([random_hermitian(3, s) for s in range(3)]))
         thetas[1] = 0.0
-        values, grads, applied = _values_and_grads(phi, 3.0, 2.0, thetas)
+        values, grads, applied = _values_and_grads(phi, phi.apply, 3.0, 2.0, thetas)
         assert applied.tolist() == [True, False, True]
         assert phi.applies == 2
         assert values[1] == 0.0 and not grads[1].any()
         for i in (0, 2):
-            value, grad, _ = _values_and_grads(phi, 3.0, 2.0, thetas[i][None])
+            value, grad, _ = _values_and_grads(phi, phi.apply, 3.0, 2.0, thetas[i][None])
             assert values[i] == value[0]
             assert grads[i].tobytes() == grad[0].tobytes()
 
@@ -347,7 +350,7 @@ class TestStackedHelpers:
         for n, m in ((3, 3), (3, 2), (2, 4)):
             phi = random_cpmap(n, m, 2, b)
             x = np.stack([random_hermitian(n, (b, n, m, i)) for i in range(b)])
-            _, grads, _ = _values_and_grads(phi, 3.0, 2.0, _herm_to_vec(x))
+            _, grads, _ = _values_and_grads(phi, phi.apply, 3.0, 2.0, _herm_to_vec(x))
             nrm, g_in = _norm_and_grad(x, 3.0)
             image_nrm, g_out = _norm_and_grad(np.stack([phi.apply(a) for a in x]), 2.0)
             pulled = np.stack([phi.adjoint_apply(g) for g in g_out])
@@ -429,6 +432,60 @@ class TestSpectralGrid:
         res = spectral_grid_max(embed_nonnegative_matrix(a), 3, 2, grid=24)
         expected, _ = classical_pq_norm(a, 3, 2)
         assert res.best_value == pytest.approx(expected, rel=1e-8)
+
+    def test_dense_four_by_four_matches_classical(self):
+        a = np.random.default_rng(9).uniform(0.0, 1.0, (4, 4))
+        t0 = time.perf_counter()
+        res = spectral_grid_max(embed_nonnegative_matrix(a), 3, 2)
+        elapsed = time.perf_counter() - t0
+        expected, _ = classical_pq_norm(a, 3, 2)
+        assert res.best_value == pytest.approx(expected, rel=1e-8)
+        assert elapsed < 1.0
+
+    def test_not_applicable_when_one_projector_leaves_the_diagonal(self):
+        # only phi(E_33) has off-diagonal entries, and they are 1e-12 of the
+        # other images, so a probe on a random diagonal would read them as
+        # rounding
+        ops = list(embed_nonnegative_matrix(np.diag([1.0, 2.0, 0.0])).kraus)
+        leak = np.zeros((3, 3), dtype=np.complex128)
+        leak[0, 2] = leak[1, 2] = 1e-6
+        with pytest.raises(NotApplicable):
+            spectral_grid_max(CPMap(ops + [leak]), 3, 2)
+
+    # every case above, with the two of acceptance criterion 1
+    REFERENCE_CASES = {
+        "identity-4-2": (lambda: identity_channel(2), 4, 2, 64),
+        "identity-2-4": (lambda: identity_channel(2), 2, 4, 64),
+        "depolarizing": (lambda: depolarizing_channel(3), 3, 2, 32),
+        "scalar": (lambda: CPMap([np.array([[3.0]])]), 3, 2, 8),
+        "asymmetric-diagonal": (
+            lambda: embed_nonnegative_matrix(np.diag([1.0, 2.0, 0.5])), 3, 2, 64),
+        **{f"dense-{seed}": (
+            lambda seed=seed: embed_nonnegative_matrix(
+                np.random.default_rng(seed).uniform(0.0, 1.0, (3, 3))), 3, 2, 24)
+           for seed in range(4)},
+    }
+
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    def test_picks_the_reference_grid_point(self, monkeypatch, case):
+        make, p, q, grid = self.REFERENCE_CASES[case]
+        phi = make()
+        lam, best = spectral_grid_reference(phi, p, q, grid)
+        starts = ascent_start(monkeypatch)
+        res = spectral_grid_max(phi, p, q, grid=grid)
+        n = phi.input_dim
+        picked = starts[0][0, :n] if n > 1 else np.diag(res.best_point).real
+        np.testing.assert_array_equal(picked, lam)
+        assert res.best_value == pytest.approx(best, rel=1e-12)
+
+    def test_runs_on_the_kernels(self, monkeypatch):
+        phi = embed_nonnegative_matrix(np.diag([1.0, 2.0, 0.5]))
+        validations = count_validations(monkeypatch)
+        applies = count_calls(monkeypatch, CPMap, "_apply")
+        res = spectral_grid_max(phi, 3, 2, grid=64)
+        assert validations() == 0
+        # one stacked call on the three projectors, then one per evaluation
+        assert res.budget_used == 3 + applies["_apply"] - 1
 
 
 class TestClassicalIteration:
