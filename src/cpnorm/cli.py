@@ -5,12 +5,14 @@ Subcommands: ``gen`` (seeded map files), ``compute`` (power iteration),
 (power method against the brute-force oracle). All output is canonical
 JSON on stdout; warnings go to stderr. Exit codes: 0 success (or PASS or
 WARN), 1 verification FAIL, 2 iteration budget exhausted or a run that
-settled off a critical point, 3 errors.
+settled off a critical point, 3 errors. Calls of ``main`` in one process
+share one parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import require_tolerance
@@ -180,8 +182,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that every ``main`` call in the process shares, built by
+    the first. ``parse_args`` returns a fresh namespace and leaves the
+    parser as it was, so no call sees options of an earlier one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CPNormError, OSError) as exc:

@@ -330,6 +330,6 @@ def check_positively_improving(phi: CPMap, trials: int = 256, seed=0) -> Structu
         StructuralProperty.POSITIVELY_IMPROVING,
         Verdict.PROBABLY_TRUE if found is None else Verdict.COUNTEREXAMPLE_FOUND,
         trials=count,
-        witness=None if found is None else np.outer(found, found.conj()),
+        witness=None if found is None else _projector(found),
         margin=margin,
     )

@@ -8,9 +8,9 @@ From the spectra of two positive definite matrices the distance costs one
 eigensolve, and for a stack of such pairs one stacked eigensolve; a pair of
 rank below n adds one of A+B to decide the part, and takes that branch on
 its own. The sampled diameter search and the sampled contraction ratio
-stack their sample pairs: stacked ``eigh`` and ``eigvalsh`` calls per
-block of pairs and one map application per chunk of a block, with blocks
-and chunks sized to bound their memory.
+stack their sample pairs: one draw of normals, stacked ``qr``, ``eigh``
+and ``eigvalsh`` calls per block of pairs and one map application per
+chunk of a block, with blocks and chunks sized to bound their memory.
 """
 
 from __future__ import annotations
@@ -250,25 +250,27 @@ def _same_part_pairs(n: int, ranks, rng) -> np.ndarray:
     """A (B, 2, n, n) stack of same-part PSD pairs, pair j of rank ranks[j].
 
     Both matrices of a pair are ``random_psd(r, r)`` draws; below full rank
-    they are moved onto the range of one random n x r isometry, from a QR per
-    pair. The normals are drawn pair by pair in that order, and the products
-    run on one stack per rank.
+    they are moved onto the range of one random n x r isometry, the Q of a
+    QR. The normals of all pairs come from one draw, read in the order of a
+    pair-by-pair loop: the isometry's real then imaginary part when r < n,
+    then the real and imaginary parts of both factors. Each rank takes one
+    stacked QR and one stack of products.
     """
-    bases, factors = [], []
-    for r in ranks:
-        basis = None
-        if r < n:
-            g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-            basis, _ = np.linalg.qr(g)
-        bases.append(basis)
-        factors.append([rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-                        for _ in range(2)])
+    ranks = np.asarray(ranks)
+    sizes = 4 * ranks ** 2 + np.where(ranks < n, 2 * n * ranks, 0)
+    offsets = np.cumsum(sizes) - sizes
+    normals = rng.standard_normal(int(sizes.sum()))
     pairs = np.empty((len(ranks), 2, n, n), dtype=np.complex128)
-    for r in set(ranks):
-        idx = [j for j, s in enumerate(ranks) if s == r]
-        psd = _gram(np.stack([factors[j] for j in idx]))
-        if r < n:
-            basis = np.stack([bases[j] for j in idx])[:, None]
+    # a set, not np.unique, whose first call imports numpy.ma (1.6 MB)
+    for r in set(ranks.tolist()):
+        idx = np.flatnonzero(ranks == r)
+        draws = normals[offsets[idx, None] + np.arange(sizes[idx[0]])]
+        head = 2 * n * r if r < n else 0
+        f = draws[:, head:].reshape(-1, 2, 2, r, r)
+        psd = _gram(f[:, :, 0] + 1j * f[:, :, 1])
+        if head:
+            g = draws[:, :head].reshape(-1, 2, n, r)
+            basis = np.linalg.qr(g[:, 0] + 1j * g[:, 1])[0][:, None]
             psd = hermitian_part(basis @ psd @ basis.conj().swapaxes(-1, -2))
         pairs[idx] = psd
     return pairs

@@ -81,7 +81,8 @@ class PowerConfig:
     critical-point residual is at most ``config.CRITICAL_RTOL`` times the
     estimate, else ``NOT_CRITICAL``. The default start is I/n^(1/p),
     positive definite and therefore in the same part of the cone as the
-    positive definite fixed point whenever one exists.
+    positive definite fixed point whenever one exists. A given start is
+    validated and decomposed once, here, and the run reuses both.
     """
 
     p: float
@@ -91,6 +92,9 @@ class PowerConfig:
     max_iter: int = 1000
     start: np.ndarray | None = None
     with_contraction: bool = True
+    # Not a field, so records and repr leave it out: the validated start and
+    # its psd_spectrum, which __post_init__ sets when a start is given.
+    _start = None
 
     def __post_init__(self):
         as_exponent(self.p)
@@ -99,9 +103,11 @@ class PowerConfig:
             require_tolerance(tol, "tolerances")
         require_count(self.max_iter, "max_iter")
         if self.start is not None:
-            dec = _psd_spectrum(require_hermitian(self.start))
+            mat = require_hermitian(self.start)
+            dec = _psd_spectrum(mat)
             if dec.eigenvalues[0] <= 0:
                 raise ZeroInput("start matrix must be nonzero")
+            object.__setattr__(self, "_start", (mat, dec))
 
 
 @dataclass(frozen=True)
@@ -273,21 +279,22 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
     sq = as_exponent(config.q)
     n = phi.input_dim
 
-    if config.start is None:
-        a = default_start(n, sp)
-    else:
-        # PowerConfig validated the start; only its size depends on the map
-        mat = hermitian_part(np.asarray(config.start, dtype=np.complex128))
-        if mat.shape[0] != n:
-            raise DimMismatch(f"start must be {n}x{n}, got {mat.shape}")
-        a = mat / _spectrum_norm(np.linalg.eigvalsh(mat), sp.p)
-
     # Each iterate's spectrum gives its Schatten-p norm, J_p in the residual
     # and both ends of the Hilbert steps into and out of it. Only the start is
-    # decomposed and evaluated privately; every later iterate comes with its
-    # spectrum from the step that builds it, and is evaluated by the power
-    # step that also yields its successor.
-    dec = _psd_spectrum(a)
+    # decomposed and evaluated privately, a given start by PowerConfig; every
+    # later iterate comes with its spectrum from the step that builds it, and
+    # is evaluated by the power step that also yields its successor.
+    if config._start is None:
+        a = default_start(n, sp)
+        dec = _psd_spectrum(a)
+    else:
+        # only the size of a validated start depends on the map
+        mat, dec = config._start
+        if mat.shape[0] != n:
+            raise DimMismatch(f"start must be {n}x{n}, got {mat.shape}")
+        norm = _spectrum_norm(dec.eigenvalues, sp.p)
+        a = mat / norm
+        dec = EigDecomp(dec.eigenvalues / norm, dec.eigenvectors)
     f_prev, residual, pullback = _evaluate(phi, a, dec, sp, sq)
     nxt, nxt_dec = _next_iterate(pullback, sp)
     rows = [(0, f_prev, math.nan, math.nan, residual)]

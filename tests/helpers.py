@@ -160,6 +160,19 @@ def spectral_power_method(phi, config):
         return run_power_method(phi, config)
 
 
+def same_part_pair_reference(n, r, rng):
+    """Reference: one same-part pair of rank r as ``hilbert._same_part_pairs``
+    drew it before its draws were stacked: below full rank the normals of an
+    n x r isometry first and one QR, then two ``random_psd(r, r)`` factors,
+    each moved onto the isometry's range on its own."""
+    if r == n:
+        return random_psd(n, n, rng), random_psd(n, n, rng)
+    g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    basis, _ = np.linalg.qr(g)
+    return tuple(hermitian_part(basis @ random_psd(r, r, rng) @ basis.conj().T)
+                 for _ in range(2))
+
+
 def sampled_diameter_reference(phi, samples, seed):
     """Reference: the sampled diameter search as it ran before it was stacked,
     one pair at a time with one QR, two map applications, two ``eigh`` and
@@ -169,14 +182,7 @@ def sampled_diameter_reference(phi, samples, seed):
     rng = subseed(seed, "diameter")
     worst = 0.0
     for j in range(samples):
-        r = 1 + j % n
-        if r == n:
-            a, b = random_psd(n, n, rng), random_psd(n, n, rng)
-        else:
-            g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-            basis, _ = np.linalg.qr(g)
-            a = hermitian_part(basis @ random_psd(r, r, rng) @ basis.conj().T)
-            b = hermitian_part(basis @ random_psd(r, r, rng) @ basis.conj().T)
+        a, b = same_part_pair_reference(n, 1 + j % n, rng)
         d = _hilbert_distance(_psd_spectrum(phi._apply(a)),
                               _psd_spectrum(phi._apply(b)))
         if not d.same_part or d.value > DISTANCE_OVERFLOW:

@@ -1,5 +1,6 @@
 """CLI behaviour: subcommands, exit codes, reproducibility."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -263,6 +264,64 @@ class TestVerify:
                                         "--p", "3", "--q", "2"])
         assert code == 3
         assert "error:" in err
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process and every call parses its
+    own arguments into a fresh namespace."""
+
+    def test_parser_is_built_once(self, capsys, monkeypatch, generic_map_file):
+        builds = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._parser.cache_clear()
+        argv = ["compute", "--map", generic_map_file, "--p", "3", "--q", "2"]
+        for _ in range(5):
+            assert run_cli(capsys, argv)[0] == 0
+            assert run_cli(capsys, ["diagnose", *argv[1:], "--trials", "2"])[0] == 0
+        assert builds.count("cpnorm") == 1
+        # the four subcommand parsers come with the one top-level parser
+        assert len(builds) == 5
+
+    def test_trace_option_does_not_carry_over(self, capsys, generic_map_file, tmp_path):
+        trace = tmp_path / "trace.tsv"
+        argv = ["compute", "--map", generic_map_file, "--p", "3", "--q", "2"]
+        assert run_cli(capsys, [*argv, "--trace", str(trace)])[0] == 0
+        trace.unlink()
+        assert run_cli(capsys, argv)[0] == 0
+        assert not trace.exists()
+
+    def test_trials_option_does_not_carry_over(self, capsys, generic_map_file):
+        argv = ["diagnose", "--map", generic_map_file, "--p", "3", "--q", "2"]
+        cli._parser.cache_clear()
+        _, fresh, _ = run_cli(capsys, argv)
+        assert run_cli(capsys, [*argv, "--trials", "8"])[0] == 0
+        _, after, _ = run_cli(capsys, argv)
+        assert json.loads(after)["input"]["trials"] == 64
+        assert after == fresh
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--map", "m.json", "--q", "2"],
+        ["diagnose", "--map", "m.json", "--p", "3", "--q", "2", "--trials", "x"],
+        ["verify", "--bogus"],
+        ["frobnicate"],
+        [],
+    ])
+    def test_bad_arguments_exit_as_argparse_does(self, capsys, argv):
+        with pytest.raises(SystemExit) as fresh:
+            cli.build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as shared:
+                main(argv)
+            assert shared.value.code == fresh.value.code == 2
+            assert capsys.readouterr() == expected
+        assert expected.err.startswith("usage: cpnorm")
 
 
 class TestFreshInterpreter:

@@ -241,6 +241,17 @@ class TestPositivelyImproving:
         assert verdict.witness is not None
         assert numerical_rank(verdict.witness) == 1
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_witness_is_exactly_hermitian(self, seed):
+        """The witness is the projector x x^dag symmetrized, so its diagonal
+        is exactly real; a raw outer product carries rounding there."""
+        phi = random_cpmap(4, 4, 1, seed)
+        verdict = check_positively_improving(phi, trials=16, seed=seed)
+        assert verdict.verdict is Verdict.COUNTEREXAMPLE_FOUND
+        w = verdict.witness
+        assert np.array_equal(w, w.conj().T)
+        assert not np.diag(w).imag.any()
+
     def test_single_full_rank_kraus_fails_for_n_ge_2(self):
         phi = CPMap([np.array([[1.0, 2.0], [0.5, 1.5]])])
         verdict = check_positively_improving(phi, trials=16, seed=0)

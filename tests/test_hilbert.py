@@ -45,6 +45,7 @@ from helpers import (
     contraction_ratio_reference,
     count_calls,
     count_validations,
+    same_part_pair_reference,
     sampled_diameter_reference,
     shared_range_pair,
     well_conditioned_pd,
@@ -324,6 +325,39 @@ class TestStackedDiameter:
         except NotPsd:
             return True
         return False
+
+
+@st.composite
+def _dims_and_ranks(draw):
+    """A dimension n in 1..8 and 1 to 24 ranks in 1..n, repeats allowed."""
+    n = draw(st.integers(1, 8))
+    return n, draw(st.lists(st.integers(1, n), min_size=1, max_size=24))
+
+
+class TestSamePartPairs:
+    """``_same_part_pairs`` against the pair-by-pair draws, QRs and products
+    of ``helpers.same_part_pair_reference``, bitwise."""
+
+    @staticmethod
+    def _assert_matches_pair_by_pair(n, ranks, seed):
+        rng = np.random.default_rng(seed)
+        expected = np.array([same_part_pair_reference(n, r, rng) for r in ranks])
+        stacked_rng = np.random.default_rng(seed)
+        pairs = hilbert._same_part_pairs(n, ranks, stacked_rng)
+        assert pairs.tobytes() == expected.tobytes()
+        # both consumed the same normals, so a following block draws the same
+        assert stacked_rng.standard_normal() == rng.standard_normal()
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims_and_ranks=_dims_and_ranks(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_pair_by_pair_draws(self, dims_and_ranks, seed):
+        self._assert_matches_pair_by_pair(*dims_and_ranks, seed)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_single_pairs_and_a_diameter_block(self, n):
+        for r in range(1, n + 1):
+            self._assert_matches_pair_by_pair(n, [r], n + r)
+        self._assert_matches_pair_by_pair(n, [1 + j % n for j in range(64)], n)
 
 
 @pytest.mark.filterwarnings("ignore::cpnorm.errors.KrausRedundancyWarning")

@@ -266,6 +266,18 @@ class TestRunPowerMethod:
             if math.isfinite(prev.hilbert_step) and math.isfinite(cur.hilbert_step):
                 assert cur.hilbert_step <= tau * prev.hilbert_step + 1e-9
 
+    def test_explicit_default_start_costs_what_the_default_costs(self, monkeypatch):
+        """PowerConfig decomposes a given start once and the run reuses that
+        spectrum, so passing the default start adds no eigensolve."""
+        phi = random_cpmap(3, 3, 3, 0)
+        runs = []
+        for start in (None, default_start(3, 3)):
+            counts = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+            res = run_power_method(phi, PowerConfig(p=3, q=2.5, start=start))
+            runs.append((dict(counts), res.iterations))
+        assert runs[0] == runs[1]
+        assert runs[0][1] >= 5
+
     def test_start_validation(self):
         with pytest.raises(NotPsd):
             PowerConfig(p=3, q=2, start=np.diag([1.0, -1.0]))
