@@ -167,10 +167,17 @@ def _hilbert_distance(da, db) -> HilbertDistance:
         a_mat = basis.conj().T @ a_mat @ basis
         b_mat = basis.conj().T @ b_mat @ basis
         db = _psd_spectrum(hermitian_part(b_mat))
+    return HilbertDistance(_interior_distance(a_mat, db), True)
+
+
+def _interior_distance(a_mat: np.ndarray, db) -> float:
+    """d(A, B) of two positive definite matrices, from A and the eigendata of
+    B: the log of the spectral spread of B^{-1/2} A B^{-1/2}, or inf when
+    that spectrum reads lambda_min <= 0."""
     w = np.linalg.eigvalsh(_inv_sqrt_conjugate(a_mat, db))
     if w[0] <= 0.0:
-        return HilbertDistance(math.inf, True)
-    return HilbertDistance(float(np.log(w[-1] / w[0])), True)
+        return math.inf
+    return float(np.log(w[-1] / w[0]))
 
 
 @dataclass(frozen=True)

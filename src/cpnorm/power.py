@@ -6,20 +6,26 @@ exactly the critical points of the ratio ||phi(A)||_q / ||A||_p, and the
 iteration converges to the unique maximizer whenever the step map is a
 contraction in the Hilbert projective metric.
 
-``power_step`` applies the map once and returns, with the next iterate
-and its spectrum, the image's norm and the pull-back it computed on the
-way; with the decomposition of A they give the objective and the
-critical-point residual at A. So ``run_power_method`` applies the map once
-per iteration, in its one ``power_step`` call, and once more for the start.
-J_{p*} is a spectral function, so the step decomposes the pull-back once
-and the next iterate's spectrum comes with it: the duality weights and the
-pull-back's eigenvectors. Only the start is decomposed on its own. J_q of
-the image comes from ``schatten._norm_and_duality``: at q = 2 a Cholesky
-factorisation of a positive definite image and the closed form
+``power_step`` applies the map once and returns the image's norm and the
+pull-back it computed on the way; with the spectrum of A they give the
+objective and the critical-point residual at A. So ``run_power_method``
+applies the map once per iteration, in its one ``power_step`` call, and
+once more for the start. J_{p*} is a spectral function, so one
+decomposition of the pull-back gives the next iterate and its spectrum:
+the duality weights and the pull-back's eigenvectors. The step builds them
+on first access, so the successor of a run's last step, which the run never
+reads, costs nothing. The default start I/n^(1/p) has the known spectrum
+(n^(-1/p), I); only a given start is decomposed, once, by ``PowerConfig``.
+J_q of the image comes from ``schatten._norm_and_duality``: at q = 2 a
+Cholesky factorisation of a positive definite image and the closed form
 B / ||B||_F, otherwise an eigensolve. So at full rank an iteration makes
-three eigensolves at q != 2, the image and the pull-back inside
-``power_step`` and the Hilbert step into the iterate, and two eigensolves
-and one factorisation at q = 2. The loop runs on the private kernels,
+three eigensolves at q != 2, the image inside ``power_step``, the
+pull-back for the successor and the Hilbert step into the iterate, and two
+eigensolves and one factorisation at q = 2. A run of K iterations makes
+K + 1 map applications and 3K + 1 eigensolves at q != 2, or 2K eigensolves
+and K + 1 factorisations at q = 2. The residual of an iterate X = J_{p*}(P)
+takes J_p(X) = P / ||P||_{p*} from the pull-back P it was built from, with
+no matrix function of X. The loop runs on the private kernels,
 whose eigenvectors keep ``eigh``'s phases: every matrix it builds from them
 (duality maps, reconstructions, ranges) is the same for any choice of
 phases. Its cutoffs and its objective stall are relative, so a run on
@@ -30,7 +36,7 @@ estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -46,7 +52,12 @@ from .hermitian import (
     hermitian_part,
     require_hermitian,
 )
-from .hilbert import ContractionReport, _hilbert_distance, contraction_report
+from .hilbert import (
+    ContractionReport,
+    _hilbert_distance,
+    _interior_distance,
+    contraction_report,
+)
 from .schatten import (
     SchattenExponent,
     _duality_map,
@@ -55,6 +66,10 @@ from .schatten import (
     _spectrum_norm,
     as_exponent,
 )
+
+# The smallest positive normal float: an iterate whose duality weights all
+# reach it takes J_p from its pull-back (see ``TraceRow``).
+_TINY = float(np.finfo(float).tiny)
 
 
 class IterationStatus(Enum):
@@ -79,10 +94,11 @@ class PowerConfig:
     the displacement tolerance. The trace records which criterion was
     binding. A run that meets both reports ``CONVERGED`` only if its final
     critical-point residual is at most ``config.CRITICAL_RTOL`` times the
-    estimate, else ``NOT_CRITICAL``. The default start is I/n^(1/p),
-    positive definite and therefore in the same part of the cone as the
-    positive definite fixed point whenever one exists. A given start is
-    validated and decomposed once, here, and the run reuses both.
+    estimate, else ``NOT_CRITICAL``; ``TraceRow`` defines the residual. The
+    default start is I/n^(1/p), positive definite and therefore in the same
+    part of the cone as the positive definite fixed point whenever one
+    exists. The exponents, and a given start, are validated once, here, and
+    a given start is decomposed once too; the run reuses all of them.
     """
 
     p: float
@@ -92,13 +108,13 @@ class PowerConfig:
     max_iter: int = 1000
     start: np.ndarray | None = None
     with_contraction: bool = True
-    # Not a field, so records and repr leave it out: the validated start and
-    # its psd_spectrum, which __post_init__ sets when a start is given.
+    # Not fields, so records and repr leave them out: the validated exponent
+    # pair, and the validated start with its psd_spectrum, which
+    # __post_init__ sets when a start is given.
     _start = None
 
     def __post_init__(self):
-        as_exponent(self.p)
-        as_exponent(self.q)
+        object.__setattr__(self, "_exponents", (as_exponent(self.p), as_exponent(self.q)))
         for tol in (self.tol_fixed_point, self.tol_objective):
             require_tolerance(tol, "tolerances")
         require_count(self.max_iter, "max_iter")
@@ -112,6 +128,21 @@ class PowerConfig:
 
 @dataclass(frozen=True)
 class TraceRow:
+    """One iterate X_k of a run, k = 0 for the start: the objective f_k, the
+    Hilbert and Frobenius steps from X_{k-1} (nan at k = 0) and the
+    critical-point residual ||P_k - f_k J_p(X_k)||_F, where P_k is the
+    pull-back at X_k.
+
+    For k >= 1, X_k = J_{p*}(P_{k-1}), so J_p(X_k) = P_{k-1} / ||P_{k-1}||_{p*}
+    and the residual is ||P_k - f_k P_{k-1} / ||P_{k-1}||_{p*}||_F. No power
+    of X_k's spectrum enters, which keeps the residual accurate where J_p
+    of the spectrum is ill-conditioned, as at p >= 1e12. The identity holds
+    only while every duality weight of X_k is a positive normal float: a
+    pull-back eigenvalue zeroed at the rank cutoff, or a weight that
+    underflows near p = 1, breaks it. Such a row, and the start, take J_p
+    from the spectrum of X_k instead.
+    """
+
     k: int
     objective: float
     hilbert_step: float
@@ -167,37 +198,58 @@ class PowerStep:
     ``spectrum`` is the iterate's eigendecomposition: the duality weights,
     descending and nonnegative with unit l^p norm, and the pull-back's
     eigenvectors. Unlike ``psd_spectrum``, it keeps ``eigh``'s eigenvector
-    phases.
+    phases. ``iterate`` and ``spectrum`` come from one decomposition of the
+    pull-back, made on first access to either and kept.
     """
 
-    iterate: np.ndarray
-    spectrum: EigDecomp
     image_norm: float
     pullback: np.ndarray
+    _exponent: SchattenExponent = field(repr=False)
+    _successor: tuple | None = field(default=None, init=False, repr=False)
+
+    @property
+    def iterate(self) -> np.ndarray:
+        return self._next()[0]
+
+    @property
+    def spectrum(self) -> EigDecomp:
+        return self._next()[2]
+
+    def _next(self) -> tuple[np.ndarray, np.ndarray, EigDecomp, float]:
+        """``_next_iterate`` of the pull-back, built once."""
+        if self._successor is None:
+            object.__setattr__(self, "_successor",
+                               _next_iterate(self.pullback, self._exponent))
+        return self._successor
 
 
 def power_step(phi: CPMap, a, p, q) -> PowerStep:
     """One update of the fixed-point iteration, with the pull-back it computes.
 
-    Makes one application of the map and of its adjoint and decomposes the
-    pull-back, which also gives the iterate's spectrum. The image is
-    decomposed too, except at q = 2, where one Cholesky factorisation of a
-    positive definite image replaces its eigensolve. The iterate is a PSD
-    matrix of unit Schatten-p norm, scale invariant in the input. Raises
-    ``DegenerateMap`` when the map annihilates the input, since no
-    information about the norm can be extracted from that start.
+    Makes one application of the map and of its adjoint. The image is
+    decomposed, except at q = 2, where one Cholesky factorisation of a
+    positive definite image replaces its eigensolve. The first access to
+    the step's iterate or spectrum decomposes the pull-back, which gives
+    both. The iterate is a PSD matrix of unit Schatten-p norm, scale
+    invariant in the input. Raises ``DegenerateMap`` when the map
+    annihilates the input, since no information about the norm can be
+    extracted from that start.
     """
     sp = as_exponent(p)
     sq = as_exponent(q)
-    image_norm, pullback = _pull_back(phi, phi.apply(a), sq)
-    return PowerStep(*_next_iterate(pullback, sp), image_norm, pullback)
+    return PowerStep(*_pull_back(phi, phi.apply(a), sq), sp)
 
 
 def critical_point_residual(phi: CPMap, a, p, q) -> float:
     """Frobenius norm of adjoint(phi)(J_q(phi(A))) - f(A) * J_p(A).
 
     Zero exactly at critical points of the objective; the input must be PSD
-    with unit Schatten-p norm.
+    with unit Schatten-p norm. It decomposes A and takes J_p(A) from that
+    spectrum, which is ill-conditioned near p = 1, where eigenvalues below
+    about 1e-16 of the largest come back as rounding noise raised to the
+    power p - 1, and at large p, where J_p raises a nearly flat spectrum to
+    the power p - 1. A run's own residual (``TraceRow``) is neither: it
+    takes J_p of each iterate from the pull-back the iterate was built from.
     """
     sp = as_exponent(p)
     sq = as_exponent(q)
@@ -205,7 +257,7 @@ def critical_point_residual(phi: CPMap, a, p, q) -> float:
     dec = _psd_spectrum(mat)
     if abs(_spectrum_norm(dec.eigenvalues, sp.p) - 1.0) > 1e-9:
         raise InvalidInput("residual is defined on unit Schatten-p norm matrices")
-    return _evaluate(phi, mat, dec, sp, sq)[1]
+    return _evaluate(phi, mat, dec, sp, sq)[2]
 
 
 def _pull_back(phi: CPMap, image: np.ndarray, sq: SchattenExponent
@@ -226,41 +278,51 @@ def _pull_back(phi: CPMap, image: np.ndarray, sq: SchattenExponent
 
 
 def _next_iterate(pullback: np.ndarray, sp: SchattenExponent
-                  ) -> tuple[np.ndarray, EigDecomp]:
-    """J_{p*} of a pull-back, the iterate that follows the point it was
-    pulled back from, and its spectrum: the duality weights with the
-    pull-back's eigenvectors, which the iterate is built from.
+                  ) -> tuple[np.ndarray, np.ndarray, EigDecomp, float]:
+    """J_{p*} of a pull-back P, the iterate that follows the point P was
+    pulled back from, with what the loop reads off the same decomposition:
+    the iterate; its reconstruction V w V^dag before symmetrisation, the
+    input of the Hilbert step; its spectrum, the duality weights w with P's
+    eigenvectors; and ||P||_{p*}, which gives J_p(iterate) = P / ||P||_{p*}.
 
     Eigenvalues at or below ``_spectral_cutoff`` are zeroed first. Below
     full rank they are rounding noise, which J_{p*} raises to 1/(p-1) < 1
     for p > 2 and so magnifies: the iterate's null space would flicker
-    from step to step above the fixed-point tolerance.
+    from step to step above the fixed-point tolerance. A zeroed eigenvalue
+    gives a zero weight, where the identity for J_p no longer holds.
     """
     dec = _psd_spectrum(pullback)
     vals = dec.eigenvalues
     cutoff = _spectral_cutoff(vals)
     if vals[-1] <= cutoff:
         vals = np.where(vals > cutoff, vals, 0.0)
-    w = _duality_weights(vals, SchattenExponent(sp.p_star, sp.p))
-    spectrum = EigDecomp(w, dec.eigenvectors)
-    return hermitian_part(spectrum.reconstruct()), spectrum
-
-
-def _value_and_residual(image_norm: float, pullback: np.ndarray, dec: EigDecomp,
-                        sp: SchattenExponent) -> tuple[float, float]:
-    """Objective and critical-point residual at a PSD point with spectrum
-    ``dec``, from the norm of its image and its pull-back."""
-    value = image_norm / _spectrum_norm(dec.eigenvalues, sp.p)
-    return value, float(np.linalg.norm(pullback - value * _duality_map(dec, sp)))
+    spectrum = EigDecomp(_duality_weights(vals, sp.dual), dec.eigenvectors)
+    raw = spectrum.reconstruct()
+    return hermitian_part(raw), raw, spectrum, _spectrum_norm(vals, sp.p_star)
 
 
 def _evaluate(phi: CPMap, a: np.ndarray, dec: EigDecomp, sp: SchattenExponent,
-              sq: SchattenExponent) -> tuple[float, float, np.ndarray]:
-    """Objective, critical-point residual and pull-back at a trusted PSD
-    point ``a`` with ``psd_spectrum`` ``dec``: one application of the map,
-    one decomposition of the image and one pull-back serve all three."""
-    image_norm, pullback = _pull_back(phi, phi._apply(a), sq)
-    return (*_value_and_residual(image_norm, pullback, dec, sp), pullback)
+              sq: SchattenExponent) -> tuple[PowerStep, float, float]:
+    """The power step, objective and critical-point residual at a trusted
+    PSD point ``a`` with ``psd_spectrum`` ``dec``: one application of the
+    map, one decomposition of the image and one pull-back serve all three,
+    and J_p(a) comes from ``dec``."""
+    step = PowerStep(*_pull_back(phi, phi._apply(a), sq), sp)
+    value = step.image_norm / _spectrum_norm(dec.eigenvalues, sp.p)
+    residual = float(np.linalg.norm(step.pullback - value * _duality_map(dec, sp)))
+    return step, value, residual
+
+
+def _hilbert_step(raw: np.ndarray, new: EigDecomp, old: EigDecomp) -> float:
+    """Hilbert distance between two iterates from their spectra and the
+    successor's unsymmetrised reconstruction ``raw``, which the step built:
+    bitwise ``_hilbert_distance(new, old).value``. Both spectra are sorted
+    and nonnegative, so each is full rank when its last eigenvalue exceeds
+    the cutoff; then the pair shares the interior part."""
+    w, v = new.eigenvalues, old.eigenvalues
+    if w.item(-1) > _spectral_cutoff(w) and v.item(-1) > _spectral_cutoff(v):
+        return _interior_distance(raw, old)
+    return _hilbert_distance(new, old).value
 
 
 def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
@@ -271,22 +333,22 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
     contraction report certifies the step map as a contraction. Runs in the
     p <= q regime carry an explicit warning unless the report certifies the
     step, since no other convergence certificate exists there. Every
-    iterate is PSD by construction; an image or pull-back that leaves the
-    PSD cone raises ``NotPsd``. A run that settles off a critical point
+    iterate is PSD by construction; an image, or a pull-back that yields a
+    successor, that leaves the PSD cone raises ``NotPsd``. A run that settles off a critical point
     (``NOT_CRITICAL``) carries a warning.
     """
-    sp = as_exponent(config.p)
-    sq = as_exponent(config.q)
+    sp, sq = config._exponents
     n = phi.input_dim
 
-    # Each iterate's spectrum gives its Schatten-p norm, J_p in the residual
-    # and both ends of the Hilbert steps into and out of it. Only the start is
-    # decomposed and evaluated privately, a given start by PowerConfig; every
-    # later iterate comes with its spectrum from the step that builds it, and
-    # is evaluated by the power step that also yields its successor.
+    # Each iterate's spectrum gives its Schatten-p norm and both ends of the
+    # Hilbert steps into and out of it. Only the start is evaluated privately;
+    # the default start's spectrum is known, and a given start comes
+    # decomposed by PowerConfig. Every later iterate comes with its spectrum
+    # from the step that builds it, and is evaluated by the power step that
+    # also yields its successor.
     if config._start is None:
         a = default_start(n, sp)
-        dec = _psd_spectrum(a)
+        dec = EigDecomp(np.full(n, a[0, 0].real), np.eye(n, dtype=np.complex128))
     else:
         # only the size of a validated start depends on the map
         mat, dec = config._start
@@ -295,8 +357,7 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
         norm = _spectrum_norm(dec.eigenvalues, sp.p)
         a = mat / norm
         dec = EigDecomp(dec.eigenvalues / norm, dec.eigenvectors)
-    f_prev, residual, pullback = _evaluate(phi, a, dec, sp, sq)
-    nxt, nxt_dec = _next_iterate(pullback, sp)
+    step, f_prev, residual = _evaluate(phi, a, dec, sp, sq)
     rows = [(0, f_prev, math.nan, math.nan, residual)]
     status = IterationStatus.MAX_ITER_REACHED
     reason = None
@@ -304,13 +365,18 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
     prev_settled = prev_stalled = False
 
     for k in range(1, config.max_iter + 1):
+        nxt, raw, nxt_dec, pullback_norm = step._next()
         frobenius_step = float(np.linalg.norm(nxt - a))
-        hilbert_step = _hilbert_distance(nxt_dec, dec).value
-        step = power_step(phi, nxt, sp, sq)
-        f_cur, residual = _value_and_residual(step.image_norm, step.pullback,
-                                              nxt_dec, sp)
+        hilbert_step = _hilbert_step(raw, nxt_dec, dec)
+        prev, step = step, power_step(phi, nxt, sp, sq)
+        f_cur = step.image_norm / _spectrum_norm(nxt_dec.eigenvalues, sp.p)
+        if nxt_dec.eigenvalues.item(-1) >= _TINY:
+            j_p = prev.pullback / pullback_norm
+        else:
+            j_p = _duality_map(nxt_dec, sp)
+        residual = float(np.linalg.norm(step.pullback - f_cur * j_p))
         rows.append((k, f_cur, hilbert_step, frobenius_step, residual))
-        a, dec, nxt, nxt_dec = nxt, nxt_dec, step.iterate, step.spectrum
+        a, dec = nxt, nxt_dec
         iterations = k
         settled = frobenius_step <= config.tol_fixed_point
         stalled = abs(f_cur - f_prev) <= config.tol_objective * abs(f_cur)

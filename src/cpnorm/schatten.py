@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,11 @@ class SchattenExponent:
 
     p: float
     p_star: float
+
+    @cached_property
+    def dual(self) -> SchattenExponent:
+        """The pair (p_star, p), the exponent of J_{p*}; built once per pair."""
+        return SchattenExponent(self.p_star, self.p)
 
 
 def dual_exponent(p) -> SchattenExponent:

@@ -160,6 +160,24 @@ def spectral_power_method(phi, config):
         return run_power_method(phi, config)
 
 
+def spectral_residuals(phi, p, q, iterations):
+    """Reference: the residual column of a run from the default start as the
+    loop computed it before it took J_p of each iterate from the previous
+    pull-back, ||P_k - f_k J_p(X_k)||_F with J_p(X_k) from the spectrum that
+    the step to X_k carries (the start's from ``psd_spectrum``)."""
+    sp = as_exponent(p)
+    a = default_start(phi.input_dim, sp)
+    dec = _psd_spectrum(a)
+    residuals = []
+    for _ in range(iterations + 1):
+        step = power.power_step(phi, a, sp, q)
+        value = step.image_norm / _spectrum_norm(dec.eigenvalues, sp.p)
+        residuals.append(float(np.linalg.norm(step.pullback
+                                              - value * _duality_map(dec, sp))))
+        a, dec = step.iterate, step.spectrum
+    return np.array(residuals)
+
+
 def same_part_pair_reference(n, r, rng):
     """Reference: one same-part pair of rank r as ``hilbert._same_part_pairs``
     drew it before its draws were stacked: below full rank the normals of an

@@ -143,6 +143,17 @@ class TestCompute:
         assert json.loads(out)["result"]["status"] == "not_critical"
         assert "not critical" in err
 
+    def test_large_exponent_converges_exit_0(self, capsys, tmp_path):
+        # the residual takes J_p from the pull-back, not from the nearly flat
+        # spectrum of the iterate
+        path = tmp_path / "gauss4.json"
+        save_map(MapFile.from_cpmap(random_cpmap(4, 4, 4, 3), {"name": "g4"}), path)
+        code, out, err = run_cli(capsys, ["compute", "--map", str(path),
+                                          "--p", "1e12", "--q", "2"])
+        assert code == 0
+        assert json.loads(out)["result"]["status"] == "converged"
+        assert "not critical" not in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_map_exit_3(self, capsys, tmp_path):
         path = tmp_path / "huge.json"

@@ -33,13 +33,15 @@ from cpnorm import (
     run_power_method,
     schatten_norm,
 )
+from cpnorm import power, schatten
 from cpnorm.config import CRITICAL_RTOL
-from cpnorm.hermitian import _psd_spectrum
+from cpnorm.hermitian import EigDecomp, _psd_spectrum
 from cpnorm.hilbert import _hilbert_distance
 from cpnorm.schatten import _duality_map, _spectrum_norm, as_exponent
 from helpers import (
     count_calls,
     spectral_power_method,
+    spectral_residuals,
     two_apply_power_method,
     well_conditioned_pd,
 )
@@ -225,9 +227,10 @@ class TestRunPowerMethod:
         counts = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
         res = run_power_method(phi, PowerConfig(p=3, q=1.5, with_contraction=False))
         assert res.iterations >= 5
-        # the start, its image and its pull-back come first; each iteration
-        # then decomposes an image and a pull-back and takes a Hilbert step
-        assert sum(counts.values()) <= 3 * res.iterations + 3
+        # the default start's spectrum is known; its image and pull-back are
+        # decomposed, then each iteration decomposes an image and takes a
+        # Hilbert step, and each but the last decomposes its pull-back
+        assert sum(counts.values()) == 3 * res.iterations + 1
 
     def test_two_eigensolves_and_one_cholesky_per_q2_iteration(self, monkeypatch):
         phi = random_cpmap(4, 4, 3, 21)
@@ -236,8 +239,34 @@ class TestRunPowerMethod:
         k = res.iterations
         assert k >= 5
         # each positive definite image is factorised instead of decomposed
-        assert counts["eigh"] + counts["eigvalsh"] == 2 * k + 2
+        assert counts["eigh"] + counts["eigvalsh"] == 2 * k
         assert counts["cholesky"] == k + 1
+
+    @pytest.mark.parametrize("p,q", [(3.0, 2.0), (2.0, 3.0), (3.0, 1.5)])
+    def test_last_successor_is_never_built(self, monkeypatch, p, q):
+        steps = []
+        real = power.power_step
+
+        def recording(*args):
+            steps.append(real(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(power, "power_step", recording)
+        res = run_power_method(random_cpmap(4, 4, 3, 21),
+                               PowerConfig(p=p, q=q, with_contraction=False))
+        assert len(steps) == res.iterations >= 5
+        assert all(step._successor is not None for step in steps[:-1])
+        assert steps[-1]._successor is None
+        assert steps[-2].iterate is res.maximizer
+
+    def test_exponents_are_validated_once(self, monkeypatch):
+        config = PowerConfig(p=3, q=2.5, with_contraction=False)
+        sp, sq = config._exponents
+        assert (sp.p, sp.p_star, sq.p) == (3.0, 1.5, 2.5)
+        counts = count_calls(monkeypatch, schatten, "dual_exponent")
+        res = run_power_method(random_cpmap(3, 3, 3, 0), config)
+        assert res.iterations >= 5
+        assert counts["dual_exponent"] == 0
 
     @pytest.mark.parametrize("p,q", [(3.0, 2.0), (2.0, 3.0)])
     def test_one_apply_and_one_adjoint_per_iteration(self, monkeypatch, p, q):
@@ -266,17 +295,21 @@ class TestRunPowerMethod:
             if math.isfinite(prev.hilbert_step) and math.isfinite(cur.hilbert_step):
                 assert cur.hilbert_step <= tau * prev.hilbert_step + 1e-9
 
-    def test_explicit_default_start_costs_what_the_default_costs(self, monkeypatch):
-        """PowerConfig decomposes a given start once and the run reuses that
-        spectrum, so passing the default start adds no eigensolve."""
+    def test_explicit_default_start_costs_one_eigh_more(self, monkeypatch):
+        """The default start's spectrum is known. A given start is decomposed
+        once, by PowerConfig, and the run reuses that spectrum, so passing
+        the default start costs one eigh more and changes no result."""
         phi = random_cpmap(3, 3, 3, 0)
         runs = []
         for start in (None, default_start(3, 3)):
             counts = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
             res = run_power_method(phi, PowerConfig(p=3, q=2.5, start=start))
-            runs.append((dict(counts), res.iterations))
-        assert runs[0] == runs[1]
-        assert runs[0][1] >= 5
+            runs.append((dict(counts), res))
+        (default, base), (given, res) = runs
+        assert given == {"eigh": default["eigh"] + 1, "eigvalsh": default["eigvalsh"]}
+        assert base.iterations == res.iterations >= 5
+        assert res.norm_estimate == base.norm_estimate
+        assert res.maximizer.tobytes() == base.maximizer.tobytes()
 
     def test_start_validation(self):
         with pytest.raises(NotPsd):
@@ -444,6 +477,52 @@ class TestNearExponentOne:
             assert not critical and any("not critical" in w for w in res.warnings)
 
 
+class TestPullBackResidual:
+    """For k >= 1 the loop takes J_p(X_k) = P_{k-1} / ||P_{k-1}||_{p*} from
+    the pull-back that X_k = J_{p*}(P_{k-1}) was built from. Where J_p of
+    the spectrum is well conditioned the two forms agree."""
+
+    @pytest.mark.filterwarnings("ignore::cpnorm.errors.KrausRedundancyWarning")
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(1, 6),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        p=st.floats(1.2, 6.0),
+        q=st.floats(1.2, 6.0),
+    )
+    def test_agrees_with_the_spectral_residual(self, n, k, seed, p, q):
+        phi = random_cpmap(n, n, k, seed)
+        res = run_power_method(phi, PowerConfig(p=p, q=q, max_iter=300,
+                                                with_contraction=False))
+        table = res.trace.table
+        ref = spectral_residuals(phi, p, q, res.iterations)
+        assert np.all(np.abs(table[:, 4] - ref) <= 1e-12 * table[:, 1])
+
+
+class TestLargeExponent:
+    """At p >= 1e12 J_p raises a nearly flat spectrum to the power p - 1, so
+    a residual that took J_p from the iterate's spectrum read 3.8e-5 to 0.21
+    of the estimate on this map, and the run ended ``NOT_CRITICAL``. The
+    pull-back form is exact there. The norm lies in the bracket
+    n^(-1/p) ||phi(I)||_q <= ||phi|| <= ||phi(I)||_q, since X <= I on the
+    unit p-ball of PSD matrices and n^(-1/p) I is in it; the bracket is
+    narrower than rounding at these p, so it is checked to 4 ulps."""
+
+    @pytest.mark.parametrize("p", [1e12, 1e14, 1e15, 9e15])
+    def test_converges_inside_the_endpoint_bracket(self, p):
+        phi = random_cpmap(4, 4, 4, 3)
+        res = run_power_method(phi, PowerConfig(p=p, q=2.0, with_contraction=False))
+        _, f, _, _, residual = res.trace.table[-1]
+        assert res.status is IterationStatus.CONVERGED
+        assert residual <= CRITICAL_RTOL * f
+        upper = schatten_norm(phi.apply(np.eye(4)), 2.0)
+        slack = 4 * np.finfo(float).eps
+        assert 4 ** (-1.0 / p) * upper * (1 - slack) <= f <= upper * (1 + slack)
+        best = oracle_max(phi, p, 2.0, seed=0).best_value
+        assert f == pytest.approx(best, rel=1e-12)
+
+
 class TestRankDeficientPullBack:
     """Maps with k m < n pull back to a matrix of rank below n. Its noise
     eigenvalues, near 1e-17 of the largest, are zeroed before J_{p*}, which
@@ -546,10 +625,14 @@ def _replay(phi, p, q, iterations):
     final iterate.
 
     Like the loop, it reads each iterate's spectrum off the step that built
-    it and takes the row's objective, Hilbert step and residual from that
-    spectrum. Each is checked against the public calls, which decompose the
-    iterate afresh: the objective and the Hilbert step to 1e-12 relative,
-    and the residual to 1e-12 of the objective.
+    it and takes the row's objective and Hilbert step from that spectrum.
+    The residual of row k >= 1 comes from two consecutive pull-backs,
+    ||P_k - f_k P_{k-1} / ||P_{k-1}||_{p*}||_F, with the p*-norm from the
+    spectrum of P_{k-1}; the start's is ||P_0 - f_0 J_p(X_0)||_F, with J_p
+    from the start's closed-form spectrum (n^(-1/p), I), which is the one
+    ``eigh`` gives. Each value is checked against the public calls, which
+    decompose the iterate afresh: the objective and the Hilbert step to
+    1e-12 relative, and the residual to 1e-12 of the objective.
     """
     sp = as_exponent(p)
 
@@ -557,24 +640,28 @@ def _replay(phi, p, q, iterations):
         image = psd_spectrum(phi.apply(a)).eigenvalues
         return _spectrum_norm(image, q) / _spectrum_norm(psd_spectrum(a).eigenvalues, p)
 
-    def evaluated(a, dec):
+    def evaluated(a, dec, j_p):
         step = power_step(phi, a, p, q)
         value = step.image_norm / _spectrum_norm(dec.eigenvalues, p)
-        residual = float(np.linalg.norm(step.pullback - value * _duality_map(dec, sp)))
+        residual = float(np.linalg.norm(step.pullback - value * j_p))
         assert value == pytest.approx(ratio(a), rel=1e-12)
         assert abs(residual - critical_point_residual(phi, a, p, q)) <= 1e-12 * value
         return step, value, residual
 
-    a = default_start(phi.input_dim, p)
-    dec = _psd_spectrum(a)
-    step, value, residual = evaluated(a, dec)
+    n = phi.input_dim
+    a = default_start(n, p)
+    dec = EigDecomp(np.full(n, a[0, 0].real), np.eye(n, dtype=np.complex128))
+    assert dec.eigenvalues.tobytes() == _psd_spectrum(a).eigenvalues.tobytes()
+    step, value, residual = evaluated(a, dec, _duality_map(dec, sp))
     rows = [TraceRow(0, value, math.nan, math.nan, residual)]
     for k in range(1, iterations + 1):
         nxt, nxt_dec = step.iterate, step.spectrum
         hilbert_step = _hilbert_distance(nxt_dec, dec).value
         assert hilbert_step == pytest.approx(hilbert_distance(nxt, a).value,
                                              rel=1e-12, abs=1e-12)
-        step, value, residual = evaluated(nxt, nxt_dec)
+        assert nxt_dec.eigenvalues[-1] >= np.finfo(float).tiny
+        pullback_norm = _spectrum_norm(_psd_spectrum(step.pullback).eigenvalues, sp.p_star)
+        step, value, residual = evaluated(nxt, nxt_dec, step.pullback / pullback_norm)
         rows.append(TraceRow(k, value, hilbert_step, float(np.linalg.norm(nxt - a)),
                              residual))
         a, dec = nxt, nxt_dec
@@ -584,7 +671,8 @@ def _replay(phi, p, q, iterations):
 class TestReplay:
     """``run_power_method`` applies the map once per iteration and takes each
     iterate's spectrum from the step that built it; the values it records
-    are bit for bit those of the public ``power_step`` calls. Its iterates,
+    are bit for bit those of the public ``power_step`` calls, its residuals
+    those of consecutive pull-backs. Its iterates,
     statuses and Frobenius steps are bit for bit those of the loop that
     applied the map twice and decomposed every iterate."""
 

@@ -87,6 +87,13 @@ class TestDualExponent:
             dual_exponent(1e16)
         assert dual_exponent(9e15).p_star == 1.0000000000000002
 
+    def test_dual_pair_is_built_once(self):
+        exp = dual_exponent(3.0)
+        dual = exp.dual
+        assert (dual.p, dual.p_star) == (1.5, 3.0)
+        assert exp.dual is dual
+        assert exp == dual_exponent(3.0) and repr(exp) == repr(dual_exponent(3.0))
+
 
 class TestDualityMap:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
