@@ -7,6 +7,13 @@ prints one row of [re, im] pairs per line and a real matrix on one line.
 Records are derived from the package's dataclasses, one key per field;
 only the power-method result is reshaped (``encode_norm_result``).
 Parsing followed by serialization is byte-identical on canonical input.
+
+The encoder writes each matrix with one inline ``JSONEncoder.encode`` call
+and then breaks that text into lines at its bracket boundaries
+(``_encode_matrix``), which gives the layout of encoding it row by row. The
+parser converts a map file's whole Kraus list with one ``np.asarray`` and
+decodes entry by entry only to name a bad entry. Files that are not UTF-8
+or nest JSON past the recursion limit raise ``InvalidInput``.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ class MapFile:
 def decode_complex_matrix(entries, rows: int, cols: int, where: str) -> np.ndarray:
     try:
         arr = np.asarray(entries, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"{where}: entries must be [re, im] number pairs ({exc})")
     if arr.shape != (rows, cols, 2):
         raise InvalidInput(
@@ -77,20 +84,50 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of the file ``path``; bytes that are not UTF-8 raise
+    ``InvalidInput`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+
+
 def _read_json(source, text: str | None = None):
     """Decode ``text``, or the file ``source`` when no text is given.
 
-    Syntax errors become ``InvalidInput`` naming the source, line and column.
+    Syntax errors become ``InvalidInput`` naming the source, line and column;
+    nesting deeper than the interpreter's recursion limit, ``InvalidInput``
+    naming the source.
     """
     if text is None:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(source)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(
             f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+    except RecursionError:
+        raise InvalidInput(f"{source}: JSON nested too deeply") from None
+
+
+def _decode_kraus(entries: list, m: int, n: int, source: str) -> np.ndarray:
+    """The (k, m, n) Kraus stack of a map file's entries, from one conversion
+    of the whole list. A list that does not convert to k m x n matrices of
+    [re, im] pairs is decoded entry by entry, which names the first bad
+    entry."""
+    try:
+        arr = np.asarray(entries, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.shape != (len(entries), m, n, 2):
+        return np.stack([
+            decode_complex_matrix(entry, m, n, f"{source}: kraus[{i}]")
+            for i, entry in enumerate(entries)
+        ])
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def parse_map(text: str, source: str = "<string>") -> MapFile:
@@ -108,10 +145,7 @@ def parse_map(text: str, source: str = "<string>") -> MapFile:
     kraus_raw = _require_field(obj, "kraus", source)
     if not isinstance(kraus_raw, list) or not kraus_raw:
         raise InvalidInput(f"{source}: field 'kraus' must be a nonempty list")
-    kraus = np.stack([
-        decode_complex_matrix(entry, m, n, f"{source}: kraus[{i}]")
-        for i, entry in enumerate(kraus_raw)
-    ])
+    kraus = _decode_kraus(kraus_raw, m, n, source)
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):
         raise InvalidInput(f"{source}: field 'metadata' must be an object")
@@ -123,8 +157,7 @@ def serialize_map(mapfile: MapFile) -> str:
 
 
 def load_map(path) -> MapFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_map(fh.read(), source=str(path))
+    return parse_map(_read_text(path), source=str(path))
 
 
 def save_map(mapfile: MapFile, path) -> None:
@@ -137,7 +170,7 @@ def load_matrix(path) -> np.ndarray:
     obj = _read_json(path)
     try:
         mat = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"{path}: expected a 2-d array of numbers ({exc})")
     if mat.ndim != 2:
         raise InvalidInput(f"{path}: expected a 2-d array, got shape {mat.shape}")
@@ -238,15 +271,8 @@ def _jsonable(x):
 _INLINE = json.JSONEncoder(allow_nan=False).encode
 
 
-def _is_row(x: list, shape: tuple | None) -> bool:
-    """True for a list nested at most two deep: scalars, or lists of scalars.
-
-    For the [re, im] lists of a matrix of the given shape, the shape answers
-    without a scan of the pairs: such a list is deeper only when its first
-    two axes are nonempty.
-    """
-    if shape is not None:
-        return len(shape) < 2 or 0 in shape[:2]
+def _is_row(x: list) -> bool:
+    """True for a list nested at most two deep: scalars, or lists of scalars."""
     return not any(
         isinstance(v, dict)
         or isinstance(v, list) and any(isinstance(w, (list, dict)) for w in v)
@@ -254,16 +280,47 @@ def _is_row(x: list, shape: tuple | None) -> bool:
     )
 
 
-def _encode(x, indent: str, shape: tuple | None = None) -> str:
+def _encode_matrix(x: _Pairs, indent: str) -> str:
+    """``_encode`` of a matrix: one inline encoding, then line breaks at the
+    bracket boundaries of the levels that break.
+
+    A level breaks, one item per line, while it and the next axis are both
+    nonempty, as in the row-by-row layout; the items of the deepest broken
+    level stay inline. Those items are lists nested ``depth`` deep, so two
+    of them meet at ']' * depth + ', ' + '[' * depth, and where the meeting
+    also closes and reopens t broken levels there are t more brackets on
+    each side. Such boundaries are replaced longest first.
+    """
+    text = _INLINE(x)
+    shape = x.shape
+    broken = 0
+    while broken + 1 < len(shape) and shape[broken] and shape[broken + 1]:
+        broken += 1
+    if not broken:
+        return text
+    full = shape + (2,)  # the [re, im] axis
+    depth = (full.index(0) + 1 if 0 in full else len(full)) - broken
+    ind = [indent + "  " * j for j in range(broken + 1)]
+    for t in range(broken - 1, -1, -1):
+        closes = "".join("\n" + ind[j] + "]" for j in range(broken - 1, broken - 1 - t, -1))
+        opens = "".join("[\n" + ind[j + 1] for j in range(broken - t, broken))
+        text = text.replace("]" * (depth + t) + ", " + "[" * (depth + t),
+                            "]" * depth + closes + ",\n" + ind[broken - t] + opens
+                            + "[" * depth)
+    head = "".join("[\n" + ind[j + 1] for j in range(broken))
+    tail = "".join("\n" + ind[j] + "]" for j in range(broken - 1, -1, -1))
+    return head + text[broken:len(text) - broken] + tail
+
+
+def _encode(x, indent: str) -> str:
     inner = indent + "  "
     if isinstance(x, dict) and x:
         items = (f"{inner}{_INLINE(k)}: {_encode(x[k], inner)}" for k in sorted(x))
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
     if isinstance(x, _Pairs):
-        shape = x.shape
-    if isinstance(x, list) and not _is_row(x, shape):
-        sub = None if shape is None else shape[1:]
-        items = (inner + _encode(v, inner, sub) for v in x)
+        return _encode_matrix(x, indent)
+    if isinstance(x, list) and not _is_row(x):
+        items = (inner + _encode(v, inner) for v in x)
         return "[\n" + ",\n".join(items) + "\n" + indent + "]"
     return _INLINE(x)
 

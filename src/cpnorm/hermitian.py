@@ -15,6 +15,11 @@ API returns eigenvectors, in ``eig_decompose`` and ``psd_spectrum``; the
 kernels return ``eigh``'s own phases, which no product V f(Lambda) V^dag,
 range or rank built from them can see. One public result is the exception:
 ``power.PowerStep.spectrum`` returns eigenvectors with ``eigh``'s phases.
+
+``require_hermitian`` validates on two paths. A short one accepts ordinary
+matrices from two ``np.vdot`` squared norms, with a threshold 0.1 % inside
+the rule; the full test (``_require_hermitian_full``) takes every other
+input, so both give the same bits, decisions and messages.
 """
 
 from __future__ import annotations
@@ -48,6 +53,12 @@ def _require_finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# The short path's window: the rule's threshold less 0.1 %, squared, and
+# squared norms far from overflow and from subnormal rounding.
+_LEAN_RTOL2 = (HERMITIZE_RTOL * (1 - 1e-3)) ** 2
+_LEAN_MIN, _LEAN_MAX = 1e-290, 1e290
+
+
 def require_hermitian(m) -> np.ndarray:
     """Validate a square matrix and return its finite symmetrized copy.
 
@@ -57,6 +68,13 @@ def require_hermitian(m) -> np.ndarray:
     which is exact. A finite ||M||_F bounds every entry far below where the
     symmetrization overflows; otherwise the copy itself is checked for
     finiteness.
+
+    Most calls take a short path that can only accept: squared norms from
+    two ``np.vdot`` calls, a threshold 0.1 % inside the rule, and ||M||_F^2
+    within [1e-290, 1e290]. Rounding moves those squares by far less than
+    the margin, so the path accepts only matrices the full test accepts, and
+    returns the same copy. Every other input, rejections, non-finite entries
+    and deviations near the threshold included, takes the full test.
     """
     a = converted(lambda v: np.asarray(v, dtype=np.complex128), m, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -64,6 +82,17 @@ def require_hermitian(m) -> np.ndarray:
     if a.shape[0] < 1:
         raise InvalidInput("matrix dimension must be at least 1")
     ah = a.conj().T
+    size2 = np.vdot(a, a).real
+    if _LEAN_MIN < size2 < _LEAN_MAX:  # false for NaN and inf too
+        d = a - ah
+        if np.vdot(d, d).real < _LEAN_RTOL2 * size2:
+            return (a + ah) / 2
+    return _require_hermitian_full(a, ah)
+
+
+def _require_hermitian_full(a: np.ndarray, ah: np.ndarray) -> np.ndarray:
+    """``require_hermitian``'s full test of a square complex matrix ``a``
+    and its conjugate transpose ``ah``, valid on every input."""
     with np.errstate(over="ignore", invalid="ignore"):
         deviation = np.linalg.norm(a - ah)
         size = np.linalg.norm(a)

@@ -11,12 +11,16 @@ are independent of the power iteration it cross-checks. The seven starts of
 the ascent run in lock-step rounds: the candidates of one round are projected
 with one stacked ``eigvalsh`` and evaluated with one stacked ``eigh`` of the
 points and one of their images, while each start keeps its own
-inverse-Hessian approximation, step, budget share and stop rule. Each
-evaluation makes one public ``phi.apply``, and the round's pull-backs are one
-``CPMap._adjoint_apply`` on the stack of their symmetrized image gradients.
-Stacking changes no bit of any start's path. A spectral-grid reduction
-handles maps that preserve diagonality, on the vector map lam -> M lam
-that they restrict to, and the same ascent on the map kernel refines it.
+inverse-Hessian approximation, step, budget share and stop rule. The
+projection builds each round's matrices once and hands them to the
+evaluation with the coordinates (``_project``), bitwise the matrices the
+coordinates stand for. Each evaluation makes one public ``phi.apply`` on its
+matrix, and the round's pull-backs are one ``CPMap._adjoint_apply`` on the
+stack of their symmetrized image gradients, the whole stack when every
+candidate applied the map. Stacking changes no bit of any start's path. A
+spectral-grid reduction handles maps that preserve diagonality, on the
+vector map lam -> M lam that they restrict to, and the same ascent on the
+map kernel refines it.
 The classical nonnegative-matrix power iteration is included for
 embedding cross-checks. The ascent is the module's only optimizer.
 """
@@ -120,9 +124,9 @@ def _norm_and_grad(y: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     return nrm, grad
 
 
-def _values_and_grads(phi: CPMap, apply, p: float, q: float, thetas: np.ndarray):
-    """F = ||phi(X)||_q / ||X||_p and dF/dtheta at each X = _vec_to_herm(theta)
-    of a (B, n^2) stack, with one ``apply`` (``phi.apply`` or its kernel) per
+def _values_and_grads(phi: CPMap, apply, p: float, q: float, x: np.ndarray):
+    """F = ||phi(X)||_q / ||X||_p and dF/dtheta at each X of a Hermitian
+    (B, n, n) stack, with one ``apply`` (``phi.apply`` or its kernel) per
     nonzero X and one ``phi._adjoint_apply`` on the stack of their image
     gradients, each made exactly Hermitian as ``adjoint_apply`` would.
 
@@ -133,7 +137,6 @@ def _values_and_grads(phi: CPMap, apply, p: float, q: float, thetas: np.ndarray)
     ``applied`` marks the rows that applied the map.
     """
     n, m = phi.input_dim, phi.output_dim
-    x = _vec_to_herm(thetas, n)
     nrm, g_in = _norm_and_grad(x, p)
     applied = nrm != 0.0
     # a zero X stands for a zero image and a zero pull-back, with F = 0
@@ -141,8 +144,11 @@ def _values_and_grads(phi: CPMap, apply, p: float, q: float, thetas: np.ndarray)
         apply(a) if ok else np.zeros((m, m), dtype=np.complex128)
         for a, ok in zip(x, applied)
     ]), q)
-    pulled = np.zeros_like(x)
-    pulled[applied] = phi._adjoint_apply(hermitian_part(g_out[applied]))
+    if applied.all():
+        pulled = phi._adjoint_apply(hermitian_part(g_out))
+    else:
+        pulled = np.zeros_like(x)
+        pulled[applied] = phi._adjoint_apply(hermitian_part(g_out[applied]))
     scale = np.where(applied, nrm, 1.0)
     values = image_nrm / scale
     grads = _herm_to_vec((pulled - values[:, None, None] * g_in) / scale[:, None, None])
@@ -150,14 +156,29 @@ def _values_and_grads(phi: CPMap, apply, p: float, q: float, thetas: np.ndarray)
     return values, grads, applied
 
 
-def _project(theta: np.ndarray, n: int, p: float) -> np.ndarray:
+def _project(theta: np.ndarray, n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Scale each row of a (B, n^2) stack to the unit Schatten-p sphere; a
-    zero row stays as it is."""
+    zero row stays as it is. Returns the scaled rows and their matrices,
+    bitwise ``_vec_to_herm`` of the rows.
+
+    The matrices are the scaled matrices themselves when every norm is
+    positive and finite and no off-diagonal coordinate is zero, before or
+    after the scaling. A zero part can leave the scaled lower triangle a
+    signed zero away from the conjugate of the upper one, so the matrices
+    are otherwise rebuilt from the rows.
+    """
     a = _vec_to_herm(theta, n)
     nrm = _lr_norm(np.linalg.eigvalsh(a), p)
-    zero = nrm == 0.0
-    scaled = _herm_to_vec(a / np.where(zero, 1.0, nrm)[:, None, None])
-    return np.where(zero[:, None], theta, scaled)
+    if all(0.0 < v < math.inf for v in nrm.tolist()):
+        scaled = a / nrm[:, None, None]
+        rows = _herm_to_vec(scaled)
+        if theta[:, n:].all() and rows[:, n:].all():
+            return rows, scaled
+    else:
+        zero = nrm == 0.0
+        scaled = a / np.where(zero, 1.0, nrm)[:, None, None]
+        rows = np.where(zero[:, None], theta, _herm_to_vec(scaled))
+    return rows, _vec_to_herm(rows, n)
 
 
 def _row_norms(g: np.ndarray) -> list[float]:
@@ -179,11 +200,12 @@ def _ascend(evaluate, project, thetas: np.ndarray, per_start: int):
     on a loss. A row stays active while more than one of its evaluations is
     left, its gradient is nonzero and its proposed step exceeds 1e-9. Each
     round, the active rows propose one candidate each, evaluated as one
-    stack, so every row follows the path it would follow alone. Returns the
-    final points and their values.
+    stack, so every row follows the path it would follow alone. ``project``
+    returns the projected rows and their matrices, and ``evaluate`` takes
+    the matrices. Returns the final points and their values.
     """
-    x = project(thetas)
-    fx, gx, applied = evaluate(x)
+    x, mats = project(thetas)
+    fx, gx, applied = evaluate(mats)
     fx = fx.tolist()
     evals = applied.astype(int).tolist()
     eye = np.eye(x.shape[1])
@@ -201,8 +223,8 @@ def _ascend(evaluate, project, thetas: np.ndarray, per_start: int):
         active = list(steps)
         if not active:
             return x, fx
-        cand = project(x[active] + np.stack(list(steps.values())))
-        fc, gc, applied = evaluate(cand)
+        cand, mats = project(x[active] + np.stack(list(steps.values())))
+        fc, gc, applied = evaluate(mats)
         for j, i in enumerate(active):
             evals[i] += int(applied[j])
             if fc[j] <= fx[i]:
@@ -256,9 +278,9 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
     sq = as_exponent(q)
     used = 0
 
-    def evaluate(thetas: np.ndarray):
+    def evaluate(x: np.ndarray):
         nonlocal used
-        values, grads, applied = _values_and_grads(phi, phi.apply, sp.p, sq.p, thetas)
+        values, grads, applied = _values_and_grads(phi, phi.apply, sp.p, sq.p, x)
         used += int(np.count_nonzero(applied))
         return values, grads, applied
 
@@ -341,10 +363,10 @@ def spectral_grid_max(phi: CPMap, p, q, grid: int = 64) -> OracleResult:
                 best_value = float(values[i])
                 best_lam = points[i] / np.linalg.norm(points[i], ord=sp.p)
 
-        def evaluate(thetas: np.ndarray):
+        def evaluate(x: np.ndarray):
             # a zero off-diagonal gradient keeps the ascent on diagonal X
             nonlocal used
-            values, grads, applied = _values_and_grads(phi, phi._apply, sp.p, sq.p, thetas)
+            values, grads, applied = _values_and_grads(phi, phi._apply, sp.p, sq.p, x)
             grads[:, n:] = 0.0
             used += int(np.count_nonzero(applied))
             return values, grads, applied

@@ -7,5 +7,7 @@ inputs whatever the machine's speed.
 
 from hypothesis import settings
 
+pytest_plugins = ["pytester"]
+
 settings.register_profile("cpnorm", derandomize=True, deadline=None)
 settings.load_profile("cpnorm")

@@ -1,6 +1,7 @@
 """Shared sample generators, call counters and record comparisons for the
 test suite."""
 
+import json
 import math
 import re
 
@@ -17,7 +18,7 @@ from cpnorm import (
     run_power_method,
     schatten_norm,
 )
-from cpnorm import cpmap, hermitian, hilbert, oracle, schatten
+from cpnorm import cpmap, fileio, hermitian, hilbert, oracle, schatten
 from cpnorm.config import DISTANCE_OVERFLOW, subseed
 from cpnorm.hermitian import _psd_spectrum
 from cpnorm.hilbert import _hilbert_distance
@@ -255,9 +256,8 @@ def spectral_grid_reference(phi, p, q, grid):
             if val > best_value:
                 best_value, best_lam = val, lam
 
-    def evaluate(thetas):
-        values, grads, applied = oracle._values_and_grads(phi, phi.apply, sp.p, sq.p,
-                                                          thetas)
+    def evaluate(x):
+        values, grads, applied = oracle._values_and_grads(phi, phi.apply, sp.p, sq.p, x)
         grads[:, n:] = 0.0
         return values, grads, applied
 
@@ -319,3 +319,52 @@ def records_close(text_a, text_b, rtol):
         elif a != b:
             return False
     return True
+
+
+def canonical_json_reference(obj) -> str:
+    """Reference: ``fileio.canonical_json`` as it encoded records before each
+    matrix became one inline encoding, one ``JSONEncoder.encode`` call per
+    line of a matrix. A matrix breaks into one item per line while its
+    first two axes are nonempty."""
+
+    def is_row(x, shape):
+        if shape is not None:
+            return len(shape) < 2 or 0 in shape[:2]
+        return not any(
+            isinstance(v, dict)
+            or isinstance(v, list) and any(isinstance(w, (list, dict)) for w in v)
+            for v in x
+        )
+
+    def encode(x, indent, shape=None):
+        inner = indent + "  "
+        if isinstance(x, dict) and x:
+            items = (f"{inner}{fileio._INLINE(k)}: {encode(x[k], inner)}" for k in sorted(x))
+            return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+        if isinstance(x, fileio._Pairs):
+            shape = x.shape
+        if isinstance(x, list) and not is_row(x, shape):
+            sub = None if shape is None else shape[1:]
+            items = (inner + encode(v, inner, sub) for v in x)
+            return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+        return fileio._INLINE(x)
+
+    return encode(fileio._jsonable(obj), "") + "\n"
+
+
+def kraus_reference(text: str, source: str = "<string>") -> np.ndarray:
+    """Reference: the Kraus stack of a valid map file as ``parse_map`` built
+    it before the whole list became one conversion, entry by entry."""
+    obj = json.loads(text)
+    return np.stack([
+        fileio.decode_complex_matrix(entry, obj["m"], obj["n"], f"{source}: kraus[{i}]")
+        for i, entry in enumerate(obj["kraus"])
+    ])
+
+
+# Files no loader can decode: bytes that are not UTF-8, and JSON nested far
+# past the interpreter's recursion limit.
+UNDECODABLE_FILES = {
+    "not-utf8": b"\xff\xfe[1]",
+    "too-deep": b"[" * 100_000 + b"]" * 100_000,
+}

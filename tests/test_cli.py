@@ -13,7 +13,7 @@ from cpnorm import CPMap, MapFile, cli, generate_map, identity_channel, random_c
 from cpnorm.cli import main
 from cpnorm.fileio import save_map
 
-from helpers import loop_apply, records_close
+from helpers import UNDECODABLE_FILES, loop_apply, records_close
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -275,6 +275,30 @@ class TestVerify:
                                         "--p", "3", "--q", "2"])
         assert code == 3
         assert "error:" in err
+
+
+class TestUndecodableFiles:
+    """A file that is not UTF-8, or JSON nested past the recursion limit,
+    exits 3 with an error naming the file, on every subcommand that reads
+    one; for ``verify`` an exit code of 1 would mean FAIL."""
+
+    @pytest.mark.parametrize("content", sorted(UNDECODABLE_FILES))
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "diagonal_from_matrix", "--matrix", "{bad}"],
+        ["compute", "--map", "{bad}", "--p", "3", "--q", "2"],
+        ["compute", "--map", "{good}", "--p", "3", "--q", "2", "--start", "{bad}"],
+        ["diagnose", "--map", "{bad}", "--p", "3", "--q", "2"],
+        ["verify", "--map", "{bad}", "--p", "3", "--q", "2"],
+    ], ids=["gen-matrix", "compute-map", "compute-start", "diagnose-map", "verify-map"])
+    def test_exit_3_naming_the_file(self, capsys, tmp_path, generic_map_file,
+                                    argv, content):
+        bad = tmp_path / f"{content}.json"
+        bad.write_bytes(UNDECODABLE_FILES[content])
+        argv = [a.format(bad=bad, good=generic_map_file) for a in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {bad}: ")
 
 
 class TestSharedParser:

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpnorm import (
     ContractionReport,
@@ -30,9 +32,21 @@ from cpnorm import (
     subseed,
 )
 from cpnorm import cli, fileio
-from cpnorm.fileio import _jsonable, canonical_json, load_map, save_map
+from cpnorm.fileio import (
+    _jsonable,
+    canonical_json,
+    load_hermitian,
+    load_map,
+    load_matrix,
+    save_map,
+)
 
-from helpers import records_close
+from helpers import (
+    UNDECODABLE_FILES,
+    canonical_json_reference,
+    kraus_reference,
+    records_close,
+)
 
 
 class TestRoundTrip:
@@ -348,3 +362,138 @@ class TestRecordLayout:
             },
             "p": 3.0, "positively_improving": pi_record, "q": 2.0,
         })
+
+
+@st.composite
+def nested_matrices(draw):
+    """Arrays nested 1-4 deep with axes of length 0-3, real or complex, over
+    the float range, some with a non-finite entry or a negative zero."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    if draw(st.booleans()):
+        mat = mat + 1j * rng.standard_normal(shape)
+    special = draw(st.sampled_from([None, math.inf, -math.inf, math.nan, -0.0,
+                                    complex(0.5, -math.inf)]))
+    if mat.size and special is not None:
+        mat = mat.astype(complex) if isinstance(special, complex) else mat
+        mat.flat[rng.integers(mat.size)] = special
+    return mat
+
+
+def _captured_record(command, tmp_path, monkeypatch, capsys):
+    """The record object a CLI command encodes, and its stdout."""
+    path = tmp_path / "map.json"
+    save_map(generate_map(3, 2, 3, seed=5), path)
+    records = []
+
+    def capture(obj):
+        records.append(obj)
+        return canonical_json(obj)
+
+    monkeypatch.setattr(cli, "canonical_json", capture)
+    monkeypatch.setattr(fileio, "canonical_json", capture)
+    argv = {
+        "gen": ["gen", "--n", "3", "--m", "2", "--k", "4", "--seed", "4"],
+        "compute": ["compute", "--map", str(path), "--p", "2", "--q", "3"],
+        "diagnose": ["diagnose", "--map", str(path), "--p", "3", "--q", "2",
+                     "--trials", "8", "--samples", "8"],
+        "verify": ["verify", "--map", str(path), "--p", "3", "--q", "2",
+                   "--budget", "200"],
+    }[command]
+    assert cli.main(argv) == 0
+    (record,) = records
+    return record, capsys.readouterr().out
+
+
+class TestMatrixEncoder:
+    """``canonical_json`` encodes each matrix in one call and breaks the text
+    at bracket boundaries; the text is that of the row-by-row encoder."""
+
+    @settings(max_examples=300)
+    @given(nested_matrices())
+    def test_matches_the_row_by_row_encoder(self, mat):
+        for obj in (mat, {"m": mat}, {"a": {"b": [mat, 1.5, mat]}}, [[mat]]):
+            assert canonical_json(obj) == canonical_json_reference(obj)
+
+    @pytest.mark.parametrize("command", ["gen", "compute", "diagnose", "verify"])
+    def test_records_match_the_row_by_row_encoder(self, command, tmp_path,
+                                                   monkeypatch, capsys):
+        record, out = _captured_record(command, tmp_path, monkeypatch, capsys)
+        assert out == canonical_json_reference(record)
+
+
+@st.composite
+def map_texts(draw):
+    """Valid map files with k, m, n <= 4, entries over the float range, some
+    written as JSON integers or as negative zeros."""
+    k, m, n = (draw(st.integers(1, 4)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((k, m, n, 2)) * 10.0 ** rng.integers(-300, 300, (k, m, n, 2))
+    values[rng.random(values.shape) < 0.1] = -0.0
+    kraus = values.tolist()
+    for entry in kraus:
+        for row in entry:
+            for pair in row:
+                if rng.random() < 0.2:
+                    pair[0] = int(rng.integers(-5, 6))
+    return json.dumps({"version": 1, "n": n, "m": m, "kraus": kraus})
+
+
+class TestOnePassParse:
+    """``parse_map`` converts the Kraus list with one ``np.asarray`` and
+    decodes entry by entry only to name a bad entry."""
+
+    @settings(max_examples=200)
+    @given(map_texts())
+    def test_same_stack_as_per_entry_decoding(self, text):
+        assert parse_map(text).kraus.tobytes() == kraus_reference(text).tobytes()
+
+    GOOD = [[[1.0, 0.0], [0.5, -0.5]]]
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[[1.0, 0.0]]], "m.json: kraus[1]: expected shape 1x2 of [re, im] pairs, got (1, 1, 2)"),
+        ([[[1.0, 0.0], [0.5, 0.0]], [[1.0, 0.0], [0.5, 0.0]]],
+         "m.json: kraus[1]: expected shape 1x2 of [re, im] pairs, got (2, 2, 2)"),
+        ([[[1.0, 0.0, 0.0], [0.5, 0.0, 0.0]]],
+         "m.json: kraus[1]: expected shape 1x2 of [re, im] pairs, got (1, 2, 3)"),
+        (3.0, "m.json: kraus[1]: expected shape 1x2 of [re, im] pairs, got ()"),
+    ])
+    def test_wrongly_shaped_entry_message(self, bad, message):
+        text = json.dumps({"version": 1, "n": 2, "m": 1, "kraus": [self.GOOD, bad]})
+        with pytest.raises(InvalidInput) as info:
+            parse_map(text, source="m.json")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad, detail", [
+        ([[[1.0, 0.0], ["a", 0.0]]], "could not convert string to float: 'a'"),
+        ([[[1.0, 0.0], {"re": 1.0}]], "inhomogeneous shape"),
+        ([[[1.0, 0.0], [0.5]]], "inhomogeneous shape"),
+        ([[[10**400, 0.0], [0.5, 0.0]]], "int too large to convert to float"),
+    ])
+    def test_ragged_or_non_numeric_entry_message(self, bad, detail):
+        text = json.dumps({"version": 1, "n": 2, "m": 1, "kraus": [self.GOOD, bad]})
+        with pytest.raises(InvalidInput) as info:
+            parse_map(text, source="m.json")
+        message = str(info.value)
+        assert message.startswith("m.json: kraus[1]: entries must be [re, im] number pairs (")
+        assert detail in message
+
+
+class TestUndecodableFiles:
+    """Bytes that are not UTF-8, JSON nested past the recursion limit and
+    integers too large for a float raise ``InvalidInput`` naming the file."""
+
+    @pytest.mark.parametrize("loader", [load_map, load_hermitian, load_matrix])
+    @pytest.mark.parametrize("content", sorted(UNDECODABLE_FILES))
+    def test_loaders_raise_invalid_input(self, loader, content, tmp_path):
+        path = tmp_path / f"{content}.json"
+        path.write_bytes(UNDECODABLE_FILES[content])
+        with pytest.raises(InvalidInput, match=re.escape(str(path))):
+            loader(path)
+
+    def test_huge_integer_matrix(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(f"[[{10**400}, 0], [0, 1]]")
+        with pytest.raises(InvalidInput, match=re.escape(str(path))):
+            load_matrix(path)

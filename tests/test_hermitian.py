@@ -26,7 +26,14 @@ from cpnorm import (
     require_hermitian,
 )
 from cpnorm.config import HERMITIZE_RTOL
-from cpnorm.hermitian import _eig_decompose, _psd_spectrum, _rank, _spectral_cutoff
+from cpnorm import hermitian
+from cpnorm.hermitian import (
+    _eig_decompose,
+    _psd_spectrum,
+    _rank,
+    _require_hermitian_full,
+    _spectral_cutoff,
+)
 from cpnorm.hilbert import _hilbert_distance, _inv_sqrt_conjugate
 from cpnorm.schatten import _duality_map
 from helpers import loewner_pair
@@ -375,6 +382,81 @@ class TestRequireHermitianReference:
                 require_hermitian(m)
             return
         assert require_hermitian(m).tobytes() == expected.tobytes()
+
+
+def _scaled(m: np.ndarray, k: int) -> np.ndarray:
+    """m * 2^k, exact until the parts underflow or overflow."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(m.real, k) + 1j * np.ldexp(m.imag, k)
+
+
+def _off_hermitian(n: int, rng, ratio: float) -> np.ndarray:
+    """H + cK with ||M - M^dag||_F = ratio * HERMITIZE_RTOL * ||M||_F up to
+    rounding: H Hermitian, K anti-Hermitian, and the two orthogonal, so
+    ||M||^2 = ||H||^2 + c^2 ||K||^2."""
+    h = random_hermitian(n, rng)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k = (g - g.conj().T) / 2
+    t = ratio * HERMITIZE_RTOL
+    c = t * np.linalg.norm(h) / (np.linalg.norm(k) * np.sqrt(4.0 - t * t))
+    return h + c * k
+
+
+@st.composite
+def threshold_matrices(draw):
+    """Matrices within 2e-3 relative of the rejection threshold on either
+    side, or well inside or outside it, scaled by 2^k for k in [-600, 600],
+    some with an inf or nan entry."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ratio = draw(st.one_of(st.floats(1 - 2e-3, 1 + 2e-3),
+                           st.sampled_from([0.0, 0.5, 2.0])))
+    m = _scaled(_off_hermitian(n, rng, ratio), draw(st.integers(-600, 600)))
+    bad = draw(st.sampled_from([None, None, None, np.inf, -np.inf, np.nan]))
+    if bad is not None:
+        m[rng.integers(n), rng.integers(n)] = bad
+    return m
+
+
+def _outcome(check, m):
+    """The bits ``check`` returns, or the message it raises."""
+    try:
+        return check(m).tobytes()
+    except InvalidInput as exc:
+        return str(exc)
+
+
+class TestLeanValidation:
+    """``require_hermitian``'s short accept path gives the bits, decisions
+    and messages of the full test."""
+
+    @staticmethod
+    def full(m):
+        a = np.asarray(m, dtype=np.complex128)
+        return _require_hermitian_full(a, a.conj().T)
+
+    @settings(max_examples=400)
+    @given(threshold_matrices())
+    def test_same_outcome_as_the_full_test(self, m):
+        assert _outcome(require_hermitian, m) == _outcome(self.full, m)
+
+    @pytest.mark.parametrize("k", [-500, 0, 500])
+    def test_both_sides_of_the_threshold(self, k):
+        rng = np.random.default_rng(k + 1000)
+        inside = _scaled(_off_hermitian(4, rng, 1 - 5e-4), k)
+        outside = _scaled(_off_hermitian(4, rng, 1 + 5e-4), k)
+        assert require_hermitian(inside).tobytes() == self.full(inside).tobytes()
+        with pytest.raises(InvalidInput, match="not Hermitian"):
+            require_hermitian(outside)
+
+    def test_ordinary_matrices_skip_the_full_test(self, monkeypatch):
+        def unreachable(a, ah):
+            raise AssertionError("took the full test")
+
+        monkeypatch.setattr(hermitian, "_require_hermitian_full", unreachable)
+        for n in range(1, 7):
+            require_hermitian(_off_hermitian(n, np.random.default_rng(n), 0.5))
+            require_hermitian(np.eye(n))
 
 
 class TestMatrixPower:

@@ -1,6 +1,7 @@
 """Brute-force oracle tests: projected ascent, spectral grid, classical
 power iteration, cross-validation."""
 
+import hashlib
 import math
 import time
 
@@ -69,14 +70,15 @@ def sequential_oracle_max(phi: CPMap, p: float, q: float, budget: int, seed: int
 
     def fg(theta):
         nonlocal used
-        values, grads, applied = _values_and_grads(phi, phi.apply, p, q, theta[None])
+        values, grads, applied = _values_and_grads(phi, phi.apply, p, q,
+                                                   _vec_to_herm(theta[None], n))
         if not applied[0]:
             return 0.0, np.zeros_like(theta)
         used += 1
         return float(values[0]), grads[0]
 
     def project(theta):
-        return _project(theta[None], n, p)[0]
+        return _project(theta[None], n, p)[0][0]
 
     def ascend(x0, cap):
         x = project(x0)
@@ -146,16 +148,17 @@ class TestGradient:
         p, q = rng.uniform(1.2, 5.0, size=2)
         x = random_hermitian(n, seed)
         assert np.linalg.eigvalsh(x)[0] < 0 < np.linalg.eigvalsh(x)[-1]
-        values, grads, _ = _values_and_grads(phi, phi.apply, p, q, _herm_to_vec(x)[None])
+        values, grads, _ = _values_and_grads(phi, phi.apply, p, q, x[None])
         reference = central_grad(
-            lambda t: _values_and_grads(phi, phi.apply, p, q, t[None])[0][0], _herm_to_vec(x))
+            lambda t: _values_and_grads(phi, phi.apply, p, q, _vec_to_herm(t[None], n))[0][0],
+            _herm_to_vec(x))
         assert values[0] == pytest.approx(objective(phi, x, p, q), rel=1e-12)
         assert np.linalg.norm(grads[0] - reference) <= 1e-6 * np.linalg.norm(reference)
 
     def test_zero_point_applies_no_map(self):
         phi = CountingMap(random_cpmap(2, 2, 2, 0).kraus)
         values, grads, applied = _values_and_grads(phi, phi.apply, 3.0, 2.0,
-                                                   np.zeros((1, 4)))
+                                                   np.zeros((1, 2, 2), dtype=complex))
         assert not applied[0] and values[0] == 0.0 and not grads[0].any()
         assert phi.applies == 0
 
@@ -323,7 +326,8 @@ class TestStackedHelpers:
     def test_project_and_row_norms(self, b):
         for n, a in self.stacks(b):
             theta = _herm_to_vec(a)
-            out = _project(theta, n, 2.5)
+            out, mats = _project(theta, n, 2.5)
+            assert mats.tobytes() == _vec_to_herm(out, n).tobytes()
             for i in range(b):
                 one = _vec_to_herm(theta[i][None], n)[0]
                 nrm = _lr_norm(np.linalg.eigvalsh(one)[None], 2.5)[0]
@@ -332,14 +336,14 @@ class TestStackedHelpers:
 
     def test_values_and_grads_skip_a_zero_row(self):
         phi = CountingMap(random_cpmap(3, 2, 2, 4).kraus)
-        thetas = _herm_to_vec(np.stack([random_hermitian(3, s) for s in range(3)]))
-        thetas[1] = 0.0
-        values, grads, applied = _values_and_grads(phi, phi.apply, 3.0, 2.0, thetas)
+        x = np.stack([random_hermitian(3, s) for s in range(3)])
+        x[1] = 0.0
+        values, grads, applied = _values_and_grads(phi, phi.apply, 3.0, 2.0, x)
         assert applied.tolist() == [True, False, True]
         assert phi.applies == 2
         assert values[1] == 0.0 and not grads[1].any()
         for i in (0, 2):
-            value, grad, _ = _values_and_grads(phi, phi.apply, 3.0, 2.0, thetas[i][None])
+            value, grad, _ = _values_and_grads(phi, phi.apply, 3.0, 2.0, x[i][None])
             assert values[i] == value[0]
             assert grads[i].tobytes() == grad[0].tobytes()
 
@@ -350,7 +354,7 @@ class TestStackedHelpers:
         for n, m in ((3, 3), (3, 2), (2, 4)):
             phi = random_cpmap(n, m, 2, b)
             x = np.stack([random_hermitian(n, (b, n, m, i)) for i in range(b)])
-            _, grads, _ = _values_and_grads(phi, phi.apply, 3.0, 2.0, _herm_to_vec(x))
+            _, grads, _ = _values_and_grads(phi, phi.apply, 3.0, 2.0, x)
             nrm, g_in = _norm_and_grad(x, 3.0)
             image_nrm, g_out = _norm_and_grad(np.stack([phi.apply(a) for a in x]), 2.0)
             pulled = np.stack([phi.adjoint_apply(g) for g in g_out])
@@ -362,7 +366,8 @@ class TestStackedHelpers:
     def test_project_keeps_a_zero_row(self):
         theta = np.zeros((2, 4))
         theta[0, 0] = 3.0
-        out = _project(theta, 2, 3.0)
+        out, mats = _project(theta, 2, 3.0)
+        assert mats.tobytes() == _vec_to_herm(out, 2).tobytes()
         assert out[0, 0] == 1.0
         assert not out[1].any()
 
@@ -575,3 +580,151 @@ class TestCrossValidate:
         assert np.all(np.linalg.eigvalsh(oracle.best_point) < 0.0)
         distance = cross_validate(power, oracle).maximizer_distance
         assert distance is not None and distance < 1e-6
+
+
+# Maps of the pinned oracle results: Gaussian, real Kraus operators (whose
+# ascents meet off-diagonal entries with a zero imaginary part, where
+# ``_project`` rebuilds its matrices), and diagonal-preserving maps.
+PINNED_MAPS = {
+    "random_cpmap(2, 2, 2, 1)": lambda: random_cpmap(2, 2, 2, 1),
+    "random_cpmap(3, 2, 3, 2)": lambda: random_cpmap(3, 2, 3, 2),
+    "random_cpmap(4, 4, 4, 3)": lambda: random_cpmap(4, 4, 4, 3),
+    "real-2x2-k2": lambda: CPMap([[[1.0, -0.5], [0.0, 1.0]], [[0.3, 1.0], [1.0, 0.0]]]),
+    "real-2x2-k1": lambda: CPMap([[[1.0, -0.5], [0.0, 1.0]]]),
+    "real-2x3-k2": lambda: CPMap([[[1.0, -0.5, 0.2], [0.0, 1.0, 0.1]],
+                                  [[0.3, 1.0, -1.0], [1.0, 0.0, 0.5]]]),
+    "embed_nonnegative_matrix(M3)":
+        lambda: embed_nonnegative_matrix(np.arange(1.0, 10.0).reshape(3, 3) % 4),
+    "depolarizing_channel(3)": lambda: depolarizing_channel(3),
+    "identity_channel(2)": lambda: identity_channel(2),
+}
+
+
+def _point_digest(point: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(point).tobytes()).hexdigest()[:16]
+
+
+class TestPinnedResults:
+    """Values, point bytes and ``budget_used`` of both oracles, pinned from
+    the code before ``_project`` handed its matrices to the evaluation and
+    before the lean Hermitian validation."""
+
+    @pytest.mark.parametrize("name, p, q, seed, value, point, used", [
+    ("random_cpmap(2, 2, 2, 1)", 3.0, 2.0, 0, "0x1.fa85e303b9018p+0", "a8a62cd2904f9e9e", 126),
+    ("random_cpmap(2, 2, 2, 1)", 3.0, 2.0, 5, "0x1.fa85e303b9018p+0", "a8a62cd2904f9e9e", 144),
+    ("random_cpmap(2, 2, 2, 1)", 2.0, 3.0, 0, "0x1.f54fd5f15ef6fp+0", "c30b4d656fd88f8f", 86),
+    ("random_cpmap(2, 2, 2, 1)", 2.0, 3.0, 5, "0x1.f54fd5f15ef6fp+0", "e969ea51d658ff92", 94),
+    ("random_cpmap(3, 2, 3, 2)", 3.0, 2.0, 0, "0x1.291968a559a92p+3", "eaa4246f7cf4516a", 150),
+    ("random_cpmap(3, 2, 3, 2)", 3.0, 2.0, 5, "0x1.291968a559a92p+3", "eaa4246f7cf4516a", 139),
+    ("random_cpmap(3, 2, 3, 2)", 2.0, 3.0, 0, "0x1.0225aa314075ep+3", "70aa630346b125fb", 142),
+    ("random_cpmap(3, 2, 3, 2)", 2.0, 3.0, 5, "0x1.0225aa314075ep+3", "70aa630346b125fb", 134),
+    ("random_cpmap(4, 4, 4, 3)", 3.0, 2.0, 0, "0x1.d0c3b346b299bp+4", "e316ce9415fd636d", 174),
+    ("random_cpmap(4, 4, 4, 3)", 3.0, 2.0, 5, "0x1.d0c3b346b2999p+4", "29a71cf9ce58b742", 182),
+    ("random_cpmap(4, 4, 4, 3)", 2.0, 3.0, 0, "0x1.7817b2d74b96fp+4", "7be3e5613f3e2c67", 205),
+    ("random_cpmap(4, 4, 4, 3)", 2.0, 3.0, 5, "0x1.7817b2d74b971p+4", "85e771e96245c52a", 156),
+    ("real-2x2-k2", 3.0, 2.0, 0, "0x1.3fbd40e9dabf3p+1", "af3dc336c6d0f992", 92),
+    ("real-2x2-k2", 3.0, 2.0, 5, "0x1.3fbd40e9dabf4p+1", "1b87996c57305555", 115),
+    ("real-2x2-k2", 2.0, 3.0, 0, "0x1.31559e81a78e0p+1", "cc328f2f0691813a", 90),
+    ("real-2x2-k2", 2.0, 3.0, 5, "0x1.31559e81a78e0p+1", "b3a18622f1b1c558", 172),
+    ("embed_nonnegative_matrix(M3)", 3.0, 2.0, 0, "0x1.60fe5c31d6079p+2", "a9a84069b7537ce8", 121),
+    ("embed_nonnegative_matrix(M3)", 3.0, 2.0, 5, "0x1.60fe5c31d6079p+2", "05043d94f9590c46", 129),
+    ("embed_nonnegative_matrix(M3)", 2.0, 3.0, 0, "0x1.041a6230f5633p+2", "7359281fb846a6ad", 92),
+    ("embed_nonnegative_matrix(M3)", 2.0, 3.0, 5, "0x1.041a6230f5632p+2", "daa4e1cdddbce7c2", 92),
+    ("depolarizing_channel(3)", 3.0, 2.0, 0, "0x1.33709ab309ebbp+0", "4ad00a8cf4a68a2a", 112),
+    ("depolarizing_channel(3)", 3.0, 2.0, 5, "0x1.33709ab309ebbp+0", "d54678a112aaba90", 120),
+    ("depolarizing_channel(3)", 2.0, 3.0, 0, "0x1.aa55730feb9ccp-1", "b115998f6b4299fb", 94),
+    ("depolarizing_channel(3)", 2.0, 3.0, 5, "0x1.aa55730feb9cdp-1", "2cf08bfef241cce5", 97),
+    ("real-2x2-k1", 3.0, 2.0, 0, "0x1.a41fa06fbd21ap+0", "8ca177af2cda53cc", 119),
+    ("real-2x2-k1", 2.0, 3.0, 0, "0x1.a3f07b357f685p+0", "e6abba64fcecdbf8", 100),
+    ("real-2x3-k2", 3.0, 2.0, 0, "0x1.a2833e1ea9dc2p+1", "bf15df7df8b31f2a", 171),
+    ("real-2x3-k2", 2.0, 3.0, 0, "0x1.8c55f930e747dp+1", "2ed40353b88a799d", 134),
+    ])
+    def test_oracle_max(self, name, p, q, seed, value, point, used):
+        res = oracle_max(PINNED_MAPS[name](), p, q, budget=700, seed=seed)
+        assert (res.best_value.hex(), _point_digest(res.best_point), res.budget_used) \
+            == (value, point, used)
+
+    @pytest.mark.parametrize("name, p, q, value, point, used", [
+    ("embed_nonnegative_matrix(M3)", 3.0, 2.0, "0x1.60fe5c31d6076p+2", "cefdff327bdfacee", 14),
+    ("embed_nonnegative_matrix(M3)", 2.0, 3.0, "0x1.041a6230f5632p+2", "63602b7ac36e42c0", 15),
+    ("depolarizing_channel(3)", 3.0, 2.0, "0x1.33709ab309ebap+0", "b5eff16f4e668cb7", 7),
+    ("depolarizing_channel(3)", 2.0, 3.0, "0x1.aa55730feb9ccp-1", "1ce781d032115d26", 32),
+    ("identity_channel(2)", 3.0, 2.0, "0x1.1f59ac3c7d6c0p+0", "2a3ab6b10fd2854d", 3),
+    ("identity_channel(2)", 2.0, 3.0, "0x1.0000000000000p+0", "193102fb2674025f", 3),
+    ])
+    def test_spectral_grid_max(self, name, p, q, value, point, used):
+        res = spectral_grid_max(PINNED_MAPS[name](), p, q, grid=16)
+        assert (float(res.best_value).hex(), _point_digest(res.best_point),
+                res.budget_used) == (value, point, used)
+
+
+def _project_reference(theta, n, p):
+    """Reference: ``_project`` as it was before it handed its matrices on,
+    with the matrices rebuilt from its rows as the evaluation rebuilt them."""
+    a = _vec_to_herm(theta, n)
+    nrm = _lr_norm(np.linalg.eigvalsh(a), p)
+    zero = nrm == 0.0
+    rows = np.where(zero[:, None], theta,
+                    _herm_to_vec(a / np.where(zero, 1.0, nrm)[:, None, None]))
+    return rows, _vec_to_herm(rows, n)
+
+
+@st.composite
+def projection_stacks(draw):
+    """(B, n^2) stacks of normal floats from 2^-1000 to 2^1000, spread over
+    up to 1200 binary orders of magnitude, so that some scaled coordinates
+    underflow to zero; zeros of both signs among them, and sometimes a zero
+    row."""
+    b, n = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([-400, 0, 400]))
+    spread = draw(st.sampled_from([4, 60, 600]))
+    theta = np.ldexp(rng.standard_normal((b, n * n)),
+                     scale + rng.integers(-spread, spread, (b, n * n)))
+    u = rng.random(theta.shape)
+    theta[u < 0.15] = 0.0
+    theta[(u >= 0.15) & (u < 0.3)] = -0.0
+    if draw(st.booleans()):
+        theta[rng.integers(b)] = 0.0
+    return n, theta
+
+
+class TestProjectHandOff:
+    """``_project`` hands on matrices bitwise equal to the ones the rows
+    stand for, so the evaluation need not rebuild them."""
+
+    @settings(max_examples=300)
+    @given(projection_stacks())
+    def test_rows_and_matrices_match_the_rebuild(self, stack):
+        n, theta = stack
+        rows, mats = _project(theta, n, 2.5)
+        ref_rows, ref_mats = _project_reference(theta, n, 2.5)
+        assert rows.tobytes() == ref_rows.tobytes()
+        assert mats.tobytes() == ref_mats.tobytes()
+
+    @pytest.mark.parametrize("re, im", [(-1.0, 0.0), (-1.0, -0.0), (-0.0, -1.0)])
+    def test_signed_zero_entries_are_rebuilt(self, re, im):
+        # dividing these entries by the norm leaves the lower triangle a
+        # signed zero away from the conjugate of the upper one
+        theta = np.array([[1.0, 1.0, re, im]])
+        a = _vec_to_herm(theta, 2)
+        scaled = a / _lr_norm(np.linalg.eigvalsh(a), 2.5)[:, None, None]
+        assert scaled.tobytes() != _vec_to_herm(_herm_to_vec(scaled), 2).tobytes()
+        rows, mats = _project(theta, 2, 2.5)
+        assert mats.tobytes() == _vec_to_herm(rows, 2).tobytes()
+
+    def test_whole_round_pulls_back_the_stack_once(self, monkeypatch):
+        phi = random_cpmap(3, 2, 2, 4)
+        x = np.stack([random_hermitian(3, s) for s in range(4)])
+        shapes = []
+        real = CPMap._adjoint_apply
+
+        def spy(self, mat):
+            shapes.append(mat.shape)
+            return real(self, mat)
+
+        monkeypatch.setattr(CPMap, "_adjoint_apply", spy)
+        _values_and_grads(phi, phi.apply, 3.0, 2.0, x)
+        x[2] = 0.0
+        _values_and_grads(phi, phi.apply, 3.0, 2.0, x)
+        assert shapes == [(4, 2, 2), (3, 2, 2)]
