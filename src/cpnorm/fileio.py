@@ -12,8 +12,10 @@ The encoder writes each matrix with one inline ``JSONEncoder.encode`` call
 and then breaks that text into lines at its bracket boundaries
 (``_encode_matrix``), which gives the layout of encoding it row by row. The
 parser converts a map file's whole Kraus list with one ``np.asarray`` and
-decodes entry by entry only to name a bad entry. Files that are not UTF-8
-or nest JSON past the recursion limit raise ``InvalidInput``.
+decodes entry by entry only to name a bad entry. Files that are not UTF-8,
+nest JSON past the recursion limit or hold a number that is not finite
+(``null``, ``NaN``, ``Infinity`` or one beyond the float range) raise
+``InvalidInput`` naming the file.
 """
 
 from __future__ import annotations
@@ -61,6 +63,13 @@ class MapFile:
         )
 
 
+def _require_finite_entries(arr: np.ndarray, where: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise InvalidInput(f"{where}: entries must be finite numbers, not null, "
+                           "NaN, Infinity or beyond the float range")
+    return arr
+
+
 def decode_complex_matrix(entries, rows: int, cols: int, where: str) -> np.ndarray:
     try:
         arr = np.asarray(entries, dtype=np.float64)
@@ -71,6 +80,7 @@ def decode_complex_matrix(entries, rows: int, cols: int, where: str) -> np.ndarr
             f"{where}: expected shape {rows}x{cols} of [re, im] pairs, "
             f"got {arr.shape}"
         )
+    _require_finite_entries(arr, where)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -116,13 +126,13 @@ def _read_json(source, text: str | None = None):
 def _decode_kraus(entries: list, m: int, n: int, source: str) -> np.ndarray:
     """The (k, m, n) Kraus stack of a map file's entries, from one conversion
     of the whole list. A list that does not convert to k m x n matrices of
-    [re, im] pairs is decoded entry by entry, which names the first bad
-    entry."""
+    finite [re, im] pairs is decoded entry by entry, which names the first
+    bad entry."""
     try:
         arr = np.asarray(entries, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         arr = None
-    if arr is None or arr.shape != (len(entries), m, n, 2):
+    if arr is None or arr.shape != (len(entries), m, n, 2) or not np.isfinite(arr).all():
         return np.stack([
             decode_complex_matrix(entry, m, n, f"{source}: kraus[{i}]")
             for i, entry in enumerate(entries)
@@ -174,7 +184,7 @@ def load_matrix(path) -> np.ndarray:
         raise InvalidInput(f"{path}: expected a 2-d array of numbers ({exc})")
     if mat.ndim != 2:
         raise InvalidInput(f"{path}: expected a 2-d array, got shape {mat.shape}")
-    return mat
+    return _require_finite_entries(mat, str(path))
 
 
 def load_hermitian(path) -> np.ndarray:

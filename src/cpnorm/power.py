@@ -11,25 +11,30 @@ pull-back it computed on the way; with the spectrum of A they give the
 objective and the critical-point residual at A. So ``run_power_method``
 applies the map once per iteration, in its one ``power_step`` call, and
 once more for the start. J_{p*} is a spectral function, so one
-decomposition of the pull-back gives the next iterate and its spectrum:
-the duality weights and the pull-back's eigenvectors. The step builds them
-on first access, so the successor of a run's last step, which the run never
-reads, costs nothing. The default start I/n^(1/p) has the known spectrum
-(n^(-1/p), I); only a given start is decomposed, once, by ``PowerConfig``.
-J_q of the image comes from ``schatten._norm_and_duality``: at q = 2 a
-Cholesky factorisation of a positive definite image and the closed form
-B / ||B||_F, otherwise an eigensolve. So at full rank an iteration makes
-three eigensolves at q != 2, the image inside ``power_step``, the
-pull-back for the successor and the Hilbert step into the iterate, and two
-eigensolves and one factorisation at q = 2. A run of K iterations makes
-K + 1 map applications and 3K + 1 eigensolves at q != 2, or 2K eigensolves
-and K + 1 factorisations at q = 2. The residual of an iterate X = J_{p*}(P)
-takes J_p(X) = P / ||P||_{p*} from the pull-back P it was built from, with
-no matrix function of X. The loop runs on the private kernels,
-whose eigenvectors keep ``eigh``'s phases: every matrix it builds from them
+decomposition of the pull-back gives the next iterate and its spectrum: the
+duality weights and the pull-back's eigenvectors. The loop keeps the
+current pull-back and builds the successor from it, with ``_next_iterate``,
+only when it goes on to the next iteration, so the successor of a run's
+last step is never built. The default start I/n^(1/p) has the known
+spectrum (n^(-1/p), I); only a given start is decomposed, once, by
+``PowerConfig``. J_q of the image comes from
+``schatten._norm_and_duality``: at q = 2 a Cholesky factorisation of a
+positive definite image and the closed form B / ||B||_F, otherwise an
+eigensolve. So at full rank an iteration makes three eigensolves at q != 2,
+the image inside ``power_step``, the pull-back for the successor and the
+Hilbert step into the iterate, and two eigensolves and one factorisation at
+q = 2. A run of K iterations makes K + 1 map applications and 3K + 1
+eigensolves at q != 2, or 2K eigensolves and K + 1 factorisations at q = 2;
+an iterate of rank below n adds two eigensolves to its Hilbert step.
+Pull-back eigenvalues at the rank cutoff are zeroed before J_{p*}
+(``_next_iterate``). The residual of an iterate X = J_{p*}(P) takes J_p(X)
+= P / ||P||_{p*} from the pull-back P it was built from, with no matrix
+function of X, which keeps it accurate at p >= 1e12; ``TraceRow`` says
+where that identity holds. The loop runs on the private kernels, whose
+eigenvectors keep ``eigh``'s phases: every matrix it builds from them
 (duality maps, reconstructions, ranges) is the same for any choice of
-phases. Its cutoffs and its objective stall are relative, so a run on
-c * phi takes the same iterations as one on phi and returns c times its
+phases. Its cutoffs and its objective stall are relative, so a run on c *
+phi takes the same iterations as one on phi and returns c times its
 estimate.
 """
 
@@ -198,29 +203,21 @@ class PowerStep:
     ``spectrum`` is the iterate's eigendecomposition: the duality weights,
     descending and nonnegative with unit l^p norm, and the pull-back's
     eigenvectors. Unlike ``psd_spectrum``, it keeps ``eigh``'s eigenvector
-    phases. ``iterate`` and ``spectrum`` come from one decomposition of the
-    pull-back, made on first access to either and kept.
+    phases. Each access to ``iterate`` or ``spectrum`` decomposes the
+    pull-back.
     """
 
     image_norm: float
     pullback: np.ndarray
     _exponent: SchattenExponent = field(repr=False)
-    _successor: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def iterate(self) -> np.ndarray:
-        return self._next()[0]
+        return _next_iterate(self.pullback, self._exponent)[0]
 
     @property
     def spectrum(self) -> EigDecomp:
-        return self._next()[2]
-
-    def _next(self) -> tuple[np.ndarray, np.ndarray, EigDecomp, float]:
-        """``_next_iterate`` of the pull-back, built once."""
-        if self._successor is None:
-            object.__setattr__(self, "_successor",
-                               _next_iterate(self.pullback, self._exponent))
-        return self._successor
+        return _next_iterate(self.pullback, self._exponent)[2]
 
 
 def power_step(phi: CPMap, a, p, q) -> PowerStep:
@@ -228,12 +225,11 @@ def power_step(phi: CPMap, a, p, q) -> PowerStep:
 
     Makes one application of the map and of its adjoint. The image is
     decomposed, except at q = 2, where one Cholesky factorisation of a
-    positive definite image replaces its eigensolve. The first access to
-    the step's iterate or spectrum decomposes the pull-back, which gives
-    both. The iterate is a PSD matrix of unit Schatten-p norm, scale
-    invariant in the input. Raises ``DegenerateMap`` when the map
-    annihilates the input, since no information about the norm can be
-    extracted from that start.
+    positive definite image replaces its eigensolve. Each access to the
+    step's iterate or spectrum decomposes the pull-back. The iterate is a
+    PSD matrix of unit Schatten-p norm, scale invariant in the input. Raises
+    ``DegenerateMap`` when the map annihilates the input, since no
+    information about the norm can be extracted from that start.
     """
     sp = as_exponent(p)
     sq = as_exponent(q)
@@ -257,7 +253,9 @@ def critical_point_residual(phi: CPMap, a, p, q) -> float:
     dec = _psd_spectrum(mat)
     if abs(_spectrum_norm(dec.eigenvalues, sp.p) - 1.0) > 1e-9:
         raise InvalidInput("residual is defined on unit Schatten-p norm matrices")
-    return _evaluate(phi, mat, dec, sp, sq)[2]
+    image_norm, pullback = _pull_back(phi, phi._apply(mat), sq)
+    value = image_norm / _spectrum_norm(dec.eigenvalues, sp.p)
+    return float(np.linalg.norm(pullback - value * _duality_map(dec, sp)))
 
 
 def _pull_back(phi: CPMap, image: np.ndarray, sq: SchattenExponent
@@ -301,18 +299,6 @@ def _next_iterate(pullback: np.ndarray, sp: SchattenExponent
     return hermitian_part(raw), raw, spectrum, _spectrum_norm(vals, sp.p_star)
 
 
-def _evaluate(phi: CPMap, a: np.ndarray, dec: EigDecomp, sp: SchattenExponent,
-              sq: SchattenExponent) -> tuple[PowerStep, float, float]:
-    """The power step, objective and critical-point residual at a trusted
-    PSD point ``a`` with ``psd_spectrum`` ``dec``: one application of the
-    map, one decomposition of the image and one pull-back serve all three,
-    and J_p(a) comes from ``dec``."""
-    step = PowerStep(*_pull_back(phi, phi._apply(a), sq), sp)
-    value = step.image_norm / _spectrum_norm(dec.eigenvalues, sp.p)
-    residual = float(np.linalg.norm(step.pullback - value * _duality_map(dec, sp)))
-    return step, value, residual
-
-
 def _hilbert_step(raw: np.ndarray, new: EigDecomp, old: EigDecomp) -> float:
     """Hilbert distance between two iterates from their spectra and the
     successor's unsymmetrised reconstruction ``raw``, which the step built:
@@ -341,11 +327,10 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
     n = phi.input_dim
 
     # Each iterate's spectrum gives its Schatten-p norm and both ends of the
-    # Hilbert steps into and out of it. Only the start is evaluated privately;
-    # the default start's spectrum is known, and a given start comes
-    # decomposed by PowerConfig. Every later iterate comes with its spectrum
-    # from the step that builds it, and is evaluated by the power step that
-    # also yields its successor.
+    # Hilbert steps into and out of it. The default start's spectrum is
+    # known, and a given start comes decomposed by PowerConfig; J_p of the
+    # start comes from that spectrum. Every later iterate comes with its
+    # spectrum from the pull-back it is built from.
     if config._start is None:
         a = default_start(n, sp)
         dec = EigDecomp(np.full(n, a[0, 0].real), np.eye(n, dtype=np.complex128))
@@ -357,7 +342,9 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
         norm = _spectrum_norm(dec.eigenvalues, sp.p)
         a = mat / norm
         dec = EigDecomp(dec.eigenvalues / norm, dec.eigenvectors)
-    step, f_prev, residual = _evaluate(phi, a, dec, sp, sq)
+    image_norm, pullback = _pull_back(phi, phi._apply(a), sq)
+    f_prev = image_norm / _spectrum_norm(dec.eigenvalues, sp.p)
+    residual = float(np.linalg.norm(pullback - f_prev * _duality_map(dec, sp)))
     rows = [(0, f_prev, math.nan, math.nan, residual)]
     status = IterationStatus.MAX_ITER_REACHED
     reason = None
@@ -365,18 +352,18 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
     prev_settled = prev_stalled = False
 
     for k in range(1, config.max_iter + 1):
-        nxt, raw, nxt_dec, pullback_norm = step._next()
+        nxt, raw, nxt_dec, pullback_norm = _next_iterate(pullback, sp)
         frobenius_step = float(np.linalg.norm(nxt - a))
         hilbert_step = _hilbert_step(raw, nxt_dec, dec)
-        prev, step = step, power_step(phi, nxt, sp, sq)
+        step = power_step(phi, nxt, sp, sq)
         f_cur = step.image_norm / _spectrum_norm(nxt_dec.eigenvalues, sp.p)
         if nxt_dec.eigenvalues.item(-1) >= _TINY:
-            j_p = prev.pullback / pullback_norm
+            j_p = pullback / pullback_norm
         else:
             j_p = _duality_map(nxt_dec, sp)
         residual = float(np.linalg.norm(step.pullback - f_cur * j_p))
         rows.append((k, f_cur, hilbert_step, frobenius_step, residual))
-        a, dec = nxt, nxt_dec
+        a, dec, pullback = nxt, nxt_dec, step.pullback
         iterations = k
         settled = frobenius_step <= config.tol_fixed_point
         stalled = abs(f_cur - f_prev) <= config.tol_objective * abs(f_cur)

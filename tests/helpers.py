@@ -368,3 +368,17 @@ UNDECODABLE_FILES = {
     "not-utf8": b"\xff\xfe[1]",
     "too-deep": b"[" * 100_000 + b"]" * 100_000,
 }
+
+# JSON numbers that give no finite float: json reads NaN, -Infinity and
+# 1e999 as floats, and null becomes nan in a float array.
+NON_FINITE_NUMBERS = ("null", "NaN", "-Infinity", "1e999")
+
+
+def non_finite_file(kind: str, number: str) -> str:
+    """A map ("map"), start-matrix ("start") or nonnegative-matrix
+    ("matrix") file whose second entry holds ``number``."""
+    return {
+        "map": '{"version": 1, "n": 1, "m": 1, "kraus": [[[[1, 0]]], [[[%s, 0]]]]}',
+        "start": "[[[1, 0], [%s, 0]], [[0, 0], [1, 0]]]",
+        "matrix": "[[1, %s], [0, 1]]",
+    }[kind] % number

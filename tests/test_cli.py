@@ -13,7 +13,7 @@ from cpnorm import CPMap, MapFile, cli, generate_map, identity_channel, random_c
 from cpnorm.cli import main
 from cpnorm.fileio import save_map
 
-from helpers import UNDECODABLE_FILES, loop_apply, records_close
+from helpers import UNDECODABLE_FILES, loop_apply, non_finite_file, records_close
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -299,6 +299,30 @@ class TestUndecodableFiles:
         assert code == 3
         assert out == ""
         assert err.startswith(f"error: {bad}: ")
+
+
+class TestNonFiniteFiles:
+    """A file holding a number that is not finite exits 3 with an error
+    naming the file, on every subcommand that reads one."""
+
+    @pytest.mark.parametrize("argv, kind, number", [
+        (["gen", "--kind", "diagonal_from_matrix", "--matrix", "{bad}"], "matrix", "null"),
+        (["compute", "--map", "{bad}", "--p", "3", "--q", "2"], "map", "NaN"),
+        (["compute", "--map", "{good}", "--p", "3", "--q", "2", "--start", "{bad}"],
+         "start", "-Infinity"),
+        (["diagnose", "--map", "{bad}", "--p", "3", "--q", "2"], "map", "1e999"),
+        (["verify", "--map", "{bad}", "--p", "3", "--q", "2"], "map", "null"),
+    ], ids=["gen-matrix", "compute-map", "compute-start", "diagnose-map", "verify-map"])
+    def test_exit_3_naming_the_file(self, capsys, tmp_path, generic_map_file,
+                                    argv, kind, number):
+        bad = tmp_path / "bad.json"
+        bad.write_text(non_finite_file(kind, number))
+        argv = [a.format(bad=bad, good=generic_map_file) for a in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {bad}: ")
+        assert "entries must be finite numbers" in err
 
 
 class TestSharedParser:

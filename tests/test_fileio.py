@@ -42,9 +42,11 @@ from cpnorm.fileio import (
 )
 
 from helpers import (
+    NON_FINITE_NUMBERS,
     UNDECODABLE_FILES,
     canonical_json_reference,
     kraus_reference,
+    non_finite_file,
     records_close,
 )
 
@@ -497,3 +499,21 @@ class TestUndecodableFiles:
         path.write_text(f"[[{10**400}, 0], [0, 1]]")
         with pytest.raises(InvalidInput, match=re.escape(str(path))):
             load_matrix(path)
+
+
+class TestNonFiniteNumbers:
+    """``null``, ``NaN``, ``Infinity`` and numbers beyond the float range
+    raise ``InvalidInput`` naming the file and, in a Kraus list, the entry."""
+
+    @pytest.mark.parametrize("number", NON_FINITE_NUMBERS)
+    @pytest.mark.parametrize("loader, kind, where", [
+        (load_map, "map", ": kraus[1]: "),
+        (load_hermitian, "start", ": "),
+        (load_matrix, "matrix", ": "),
+    ], ids=["map", "start", "matrix"])
+    def test_loader_names_the_file(self, tmp_path, loader, kind, where, number):
+        path = tmp_path / "f.json"
+        path.write_text(non_finite_file(kind, number))
+        with pytest.raises(InvalidInput) as info:
+            loader(path)
+        assert str(info.value).startswith(f"{path}{where}entries must be finite numbers")

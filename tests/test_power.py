@@ -252,12 +252,13 @@ class TestRunPowerMethod:
             return steps[-1]
 
         monkeypatch.setattr(power, "power_step", recording)
+        counts = count_calls(monkeypatch, power, "_next_iterate")
         res = run_power_method(random_cpmap(4, 4, 3, 21),
                                PowerConfig(p=p, q=q, with_contraction=False))
-        assert len(steps) == res.iterations >= 5
-        assert all(step._successor is not None for step in steps[:-1])
-        assert steps[-1]._successor is None
-        assert steps[-2].iterate is res.maximizer
+        # one successor, and one power step at it, per iteration: the start's
+        # pull-back builds the first, the last step's pull-back none
+        assert len(steps) == counts["_next_iterate"] == res.iterations >= 5
+        assert steps[-2].iterate.tobytes() == res.maximizer.tobytes()
 
     def test_exponents_are_validated_once(self, monkeypatch):
         config = PowerConfig(p=3, q=2.5, with_contraction=False)
