@@ -15,7 +15,7 @@ import argparse
 import functools
 import sys
 
-from .config import require_tolerance
+from .config import require_count, require_tolerance
 from .errors import CPNormError
 from .fileio import (
     GENERATOR_KINDS,
@@ -31,7 +31,7 @@ from .fileio import (
     write_trace,
 )
 from .hilbert import run_diagnostics
-from .oracle import cross_validate, oracle_max
+from .oracle import cross_validate, oracle_max, require_desk_scale
 from .power import IterationStatus, PowerConfig, run_power_method
 
 
@@ -105,9 +105,12 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the oracle's arguments are checked before the power run, which can take seconds
     require_tolerance(args.tol, "tol", zero_ok=True)
+    require_count(args.budget, "budget")
     mapfile = load_map(args.map)
     phi = mapfile.to_cpmap()
+    require_desk_scale(phi.input_dim)
     config = PowerConfig(p=args.p, q=args.q, max_iter=3000)
     power = run_power_method(phi, config)
     oracle = oracle_max(phi, args.p, args.q, budget=args.budget, seed=args.seed)

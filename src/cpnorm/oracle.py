@@ -8,16 +8,16 @@ combined through one map application and one adjoint application per
 evaluation. It computes them on its own eigendecompositions and never
 touches the duality-map machinery or the hermitian kernels, so its failures
 are independent of the power iteration it cross-checks. The seven starts of
-the ascent run in lock-step rounds: the candidates of one round are projected
-with one stacked ``eigvalsh`` and evaluated with one stacked ``eigh`` of the
-points and one of their images, while each start keeps its own
-inverse-Hessian approximation, step, budget share and stop rule. The
-projection builds each round's matrices once and hands them to the
-evaluation with the coordinates (``_project``), bitwise the matrices the
-coordinates stand for. Each evaluation makes one public ``phi.apply`` on its
-matrix, and the round's pull-backs are one ``CPMap._adjoint_apply`` on the
-stack of their symmetrized image gradients, the whole stack when every
-candidate applied the map. Stacking changes no bit of any start's path. A
+the ascent run in lock-step rounds (``_round``). A round builds each
+candidate's matrix once and makes three stacked calls: one ``eigh`` of the
+matrices, which gives both the projection to the unit Schatten-p sphere and
+the gradient of the p-norm, since F and the spectral gradients are scale
+invariant; one ``eigh`` of their images; and one ``CPMap._adjoint_apply``
+on their symmetrized image gradients, the whole stack when every candidate
+applied the map. Each evaluation makes one public ``phi.apply``, on the
+candidate's matrix itself. Each start keeps its own inverse-Hessian
+approximation, updated in the O(d^2) rank-two form, step, budget share and
+stop rule, and stacking changes no bit of any start's path. A
 spectral-grid reduction handles maps that preserve diagonality, on the
 vector map lam -> M lam that they restrict to, and the same ascent on the
 map kernel refines it.
@@ -105,111 +105,117 @@ def _lr_norm(vals: np.ndarray, r: float) -> np.ndarray:
                      for t, s in zip(top.tolist(), sums.tolist())])
 
 
-def _norm_and_grad(y: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """||Y||_r of each Y of a Hermitian (B, n, n) stack and its gradient
-    U sign(L) (|L|/||Y||_r)^(r-1) U^dag.
+def require_desk_scale(n: int) -> None:
+    """Raise ``DeskScaleExceeded`` for an input dimension n beyond the
+    oracles' reach."""
+    if n > DESK_SCALE_LIMIT:
+        raise DeskScaleExceeded(
+            f"oracle is limited to n <= {DESK_SCALE_LIMIT}, got n = {n}"
+        )
+
+
+def _spectral_grad(vals: np.ndarray, vecs: np.ndarray, scale: np.ndarray,
+                   r: float) -> np.ndarray:
+    """U sign(L) (|L|/s)^(r-1) U^dag for each Y = U L U^dag of a stack with
+    its ``scale`` s: with s = ||Y||_r, the gradient of ||.||_r at Y.
 
     The gradient of a unitarily invariant norm is the same function applied
     to the spectrum, with the eigenvectors kept (Lewis, "Derivatives of
-    spectral functions", Math. Oper. Res. 21, 1996); at Y = 0 both are 0.
+    spectral functions", Math. Oper. Res. 21, 1996). It is invariant under
+    scaling Y, and an infinite s gives the zero matrix.
     """
-    vals, vecs = np.linalg.eigh(y)
-    nrm = _lr_norm(vals, r)
-    zero = nrm == 0.0
-    scale = np.where(zero, 1.0, nrm)[:, None]
-    weights = np.sign(vals) * (np.abs(vals) / scale) ** (r - 1.0)
-    grad = (vecs * weights[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    if zero.any():
-        grad[zero] = 0.0
-    return nrm, grad
+    weights = np.sign(vals) * (np.abs(vals) / scale[:, None]) ** (r - 1.0)
+    return (vecs * weights[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _values_and_grads(phi: CPMap, apply, p: float, q: float, x: np.ndarray):
-    """F = ||phi(X)||_q / ||X||_p and dF/dtheta at each X of a Hermitian
-    (B, n, n) stack, with one ``apply`` (``phi.apply`` or its kernel) per
-    nonzero X and one ``phi._adjoint_apply`` on the stack of their image
-    gradients, each made exactly Hermitian as ``adjoint_apply`` would.
+def _round(phi: CPMap, apply, p: float, q: float, theta: np.ndarray):
+    """Project each candidate of a round, a row of the (B, n^2) stack
+    ``theta``, to the unit Schatten-p sphere, and evaluate F and dF/dtheta
+    at the projected point.
 
-    With M = (phi^*(G_q(phi(X))) - F G_p(X)) / ||X||_p the gradient of F
-    over Hermitian X, the theta-gradient is [diag M, 2 Re M_iu, 2 Im M_iu].
-    At X = 0, where F is undefined, the row gets F = 0 and a zero gradient
-    without a map application. Returns (values, gradients, applied), where
-    ``applied`` marks the rows that applied the map.
+    One stacked ``eigh`` of the candidates A gives ||A||_p, which scales the
+    row to x = theta / ||A||_p, and the spectral gradient G_p(A). F and G_r
+    are scale invariant, so F(x) = F(A) = ||phi(A)||_q / ||A||_p, and at x,
+    where ||x||_p = 1, the gradient of F over Hermitian matrices is
+    M = phi^*(G_q(phi(A))) - F(A) G_p(A); the theta-gradient is
+    [diag M, 2 Re M_iu, 2 Im M_iu]. Each candidate makes one ``apply``
+    (``phi.apply`` or its kernel) on A itself, which is exactly Hermitian,
+    the images one stacked ``eigh``, and the round one ``phi._adjoint_apply``
+    on the stack of their image gradients, each made exactly Hermitian as
+    ``adjoint_apply`` would: the whole stack when every candidate applied
+    the map.
+
+    A zero candidate keeps its row, and one whose norm overflows becomes the
+    zero row; both get F = 0 and a zero gradient without a map application.
+    Returns (rows, values, gradients, applied), where ``applied`` marks the
+    rows that applied the map.
     """
     n, m = phi.input_dim, phi.output_dim
-    nrm, g_in = _norm_and_grad(x, p)
-    applied = nrm != 0.0
-    # a zero X stands for a zero image and a zero pull-back, with F = 0
-    image_nrm, g_out = _norm_and_grad(np.stack([
-        apply(a) if ok else np.zeros((m, m), dtype=np.complex128)
-        for a, ok in zip(x, applied)
-    ]), q)
+    a = _vec_to_herm(theta, n)
+    vals, vecs = np.linalg.eigh(a)
+    nrm = _lr_norm(vals, p)
+    applied = (0.0 < nrm) & (nrm < math.inf)
+    rows = theta / np.where(nrm == 0.0, 1.0, nrm)[:, None]
+    images = np.stack([
+        apply(x) if ok else np.zeros((m, m), dtype=np.complex128)
+        for x, ok in zip(a, applied)
+    ])
+    image_vals, image_vecs = np.linalg.eigh(images)
+    image_nrm = _lr_norm(image_vals, q)
+    g_out = _spectral_grad(image_vals, image_vecs,
+                           np.where(image_nrm == 0.0, math.inf, image_nrm), q)
     if applied.all():
         pulled = phi._adjoint_apply(hermitian_part(g_out))
     else:
-        pulled = np.zeros_like(x)
+        pulled = np.zeros_like(a)
         pulled[applied] = phi._adjoint_apply(hermitian_part(g_out[applied]))
-    scale = np.where(applied, nrm, 1.0)
+    # an infinite scale gives the rows that applied no map F = 0 and G_p = 0
+    scale = np.where(applied, nrm, math.inf)
     values = image_nrm / scale
-    grads = _herm_to_vec((pulled - values[:, None, None] * g_in) / scale[:, None, None])
+    grads = _herm_to_vec(pulled - values[:, None, None] * _spectral_grad(vals, vecs, scale, p))
     grads[:, n:] *= 2.0
-    return values, grads, applied
+    return rows, values, grads, applied
 
 
-def _project(theta: np.ndarray, n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Scale each row of a (B, n^2) stack to the unit Schatten-p sphere; a
-    zero row stays as it is. Returns the scaled rows and their matrices,
-    bitwise ``_vec_to_herm`` of the rows.
+def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, sy: float) -> np.ndarray:
+    """The BFGS update of the inverse-Hessian approximation ``h`` for the
+    step ``s``, the gradient change ``y`` and their product ``sy`` > 0.
 
-    The matrices are the scaled matrices themselves when every norm is
-    positive and finite and no off-diagonal coordinate is zero, before or
-    after the scaling. A zero part can leave the scaled lower triangle a
-    signed zero away from the conjugate of the upper one, so the matrices
-    are otherwise rebuilt from the rows.
+    (I - rho s y') H (I - rho y s') + rho s s' (Nocedal and Wright, eq. 6.17)
+    with rho = 1/sy, in the rank-two form H + s u' + u s' with
+    u = rho (1 + rho y'Hy) s / 2 - rho H y: O(d^2) where the product form is
+    O(d^3). The result is exactly symmetric when ``h`` is.
     """
-    a = _vec_to_herm(theta, n)
-    nrm = _lr_norm(np.linalg.eigvalsh(a), p)
-    if all(0.0 < v < math.inf for v in nrm.tolist()):
-        scaled = a / nrm[:, None, None]
-        rows = _herm_to_vec(scaled)
-        if theta[:, n:].all() and rows[:, n:].all():
-            return rows, scaled
-    else:
-        zero = nrm == 0.0
-        scaled = a / np.where(zero, 1.0, nrm)[:, None, None]
-        rows = np.where(zero[:, None], theta, _herm_to_vec(scaled))
-    return rows, _vec_to_herm(rows, n)
+    rho = 1.0 / sy
+    hy = h @ y
+    u = (0.5 * rho * (1.0 + rho * float(y @ hy))) * s - rho * hy
+    w = np.outer(s, u)
+    return h + (w + w.T)
 
 
-def _row_norms(g: np.ndarray) -> list[float]:
-    """The 2-norm of each row of ``g`` as the 1-D ``np.linalg.norm`` gives
-    it; ``np.linalg.norm(g, axis=-1)`` rounds differently."""
-    return [float(np.linalg.norm(row)) for row in g]
-
-
-def _ascend(evaluate, project, thetas: np.ndarray, per_start: int):
+def _ascend(evaluate, thetas: np.ndarray, per_start: int):
     """Projected quasi-Newton ascent from each row of ``thetas``, all rows in
     lock-step, each capped at ``per_start`` evaluations.
 
     Every row keeps its own BFGS approximation H of the inverse Hessian of -F
-    (Nocedal and Wright, Numerical Optimization, eqs. 6.17 and 6.20) and
-    proposes project(x + alpha H g). H starts as (0.25/||g||) I, so the first
-    trial step has length 0.25 along the gradient, and is rescaled once to
-    (s'y/y'y) I at the first gain with s'y > 0, where y = g_old - g_new; an
+    (``_bfgs_update``) and proposes project(x + alpha H g). H starts as
+    (0.25/||g||) I, so the first trial step has length 0.25 along the
+    gradient, and is rescaled once to (s'y/y'y) I at the first gain with
+    s'y > 0 (Nocedal and Wright, eq. 6.20), where y = g_old - g_new; an
     update with s'y <= 0 is skipped. alpha resets to 1 on a gain and halves
     on a loss. A row stays active while more than one of its evaluations is
     left, its gradient is nonzero and its proposed step exceeds 1e-9. Each
-    round, the active rows propose one candidate each, evaluated as one
-    stack, so every row follows the path it would follow alone. ``project``
-    returns the projected rows and their matrices, and ``evaluate`` takes
-    the matrices. Returns the final points and their values.
+    round, the active rows propose one candidate each, which ``evaluate``
+    projects and evaluates as one stack (``_round``), so every row follows
+    the path it would follow alone. Returns the final points and their
+    values.
     """
-    x, mats = project(thetas)
-    fx, gx, applied = evaluate(mats)
+    x, fx, gx, applied = evaluate(thetas)
     fx = fx.tolist()
     evals = applied.astype(int).tolist()
     eye = np.eye(x.shape[1])
-    inv_hess = [eye * (0.25 / g if g else 1.0) for g in _row_norms(gx)]
+    # the 1-D norm of each row: np.linalg.norm(gx, axis=-1) rounds differently
+    inv_hess = [eye * (0.25 / g if g else 1.0) for g in map(np.linalg.norm, gx)]
     rescaled = [False] * len(x)
     alpha = [1.0] * len(x)
     active = list(range(len(x)))
@@ -223,8 +229,7 @@ def _ascend(evaluate, project, thetas: np.ndarray, per_start: int):
         active = list(steps)
         if not active:
             return x, fx
-        cand, mats = project(x[active] + np.stack(list(steps.values())))
-        fc, gc, applied = evaluate(mats)
+        cand, fc, gc, applied = evaluate(x[active] + np.stack(list(steps.values())))
         for j, i in enumerate(active):
             evals[i] += int(applied[j])
             if fc[j] <= fx[i]:
@@ -236,9 +241,7 @@ def _ascend(evaluate, project, thetas: np.ndarray, per_start: int):
                 if not rescaled[i]:
                     inv_hess[i] = eye * (sy / float(y @ y))
                     rescaled[i] = True
-                rho = 1.0 / sy
-                inv_hess[i] = ((eye - rho * np.outer(s, y)) @ inv_hess[i]
-                               @ (eye - rho * np.outer(y, s)) + rho * np.outer(s, s))
+                inv_hess[i] = _bfgs_update(inv_hess[i], s, y, sy)
             x[i], fx[i], gx[i] = cand[j], float(fc[j]), gc[j]
             alpha[i] = 1.0
 
@@ -256,10 +259,11 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
 
     The seven ascents run in lock-step rounds: each round, every start that
     is still active proposes one candidate, and the candidates share one
-    stacked projection and stacked eigendecompositions. Each start keeps its
-    own inverse-Hessian approximation, step, budget share and stop rule, so
-    it follows the path it would follow alone. Each evaluation makes one
-    public ``phi.apply``, and each round one stacked adjoint application.
+    stacked ``eigh``, which projects them and gives the gradient of the
+    p-norm, one stacked ``eigh`` of their images and one stacked adjoint
+    application (``_round``). Each start keeps its own inverse-Hessian
+    approximation, step, budget share and stop rule, so it follows the path
+    it would follow alone. Each evaluation makes one public ``phi.apply``.
 
     ``budget`` caps the number of map applications: each start gets an equal
     share of ``budget // 7`` evaluations, and at least one, so that
@@ -268,21 +272,18 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
     counted.
     """
     n = phi.input_dim
-    if n > DESK_SCALE_LIMIT:
-        raise DeskScaleExceeded(
-            f"oracle is limited to n <= {DESK_SCALE_LIMIT}, got n = {n}"
-        )
+    require_desk_scale(n)
     require_count(budget, "budget")
 
     sp = as_exponent(p)
     sq = as_exponent(q)
     used = 0
 
-    def evaluate(x: np.ndarray):
+    def evaluate(theta: np.ndarray):
         nonlocal used
-        values, grads, applied = _values_and_grads(phi, phi.apply, sp.p, sq.p, x)
+        rows, values, grads, applied = _round(phi, phi.apply, sp.p, sq.p, theta)
         used += int(np.count_nonzero(applied))
-        return values, grads, applied
+        return rows, values, grads, applied
 
     starts = [("psd", default_start(n, sp))]
     for i in range(3):
@@ -290,8 +291,7 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
     for i in range(3):
         starts.append(("herm", random_hermitian(n, subseed(seed, "oracle-herm", i))))
 
-    points, values = _ascend(evaluate, lambda t: _project(t, n, sp.p),
-                             _herm_to_vec(np.stack([a for _, a in starts])),
+    points, values = _ascend(evaluate, _herm_to_vec(np.stack([a for _, a in starts])),
                              max(1, budget // len(starts)))
     best = {"psd": (-math.inf, None), "herm": (-math.inf, None)}
     for (family, _), x, fx in zip(starts, points, values):
@@ -325,10 +325,7 @@ def spectral_grid_max(phi: CPMap, p, q, grid: int = 64) -> OracleResult:
     """
     require_count(grid, "grid")
     n = phi.input_dim
-    if n > DESK_SCALE_LIMIT:
-        raise DeskScaleExceeded(
-            f"oracle is limited to n <= {DESK_SCALE_LIMIT}, got n = {n}"
-        )
+    require_desk_scale(n)
     sp = as_exponent(p)
     sq = as_exponent(q)
     projectors = np.zeros((n, n, n), dtype=np.complex128)
@@ -363,16 +360,15 @@ def spectral_grid_max(phi: CPMap, p, q, grid: int = 64) -> OracleResult:
                 best_value = float(values[i])
                 best_lam = points[i] / np.linalg.norm(points[i], ord=sp.p)
 
-        def evaluate(x: np.ndarray):
+        def evaluate(theta: np.ndarray):
             # a zero off-diagonal gradient keeps the ascent on diagonal X
             nonlocal used
-            values, grads, applied = _values_and_grads(phi, phi._apply, sp.p, sq.p, x)
+            rows, values, grads, applied = _round(phi, phi._apply, sp.p, sq.p, theta)
             grads[:, n:] = 0.0
             used += int(np.count_nonzero(applied))
-            return values, grads, applied
+            return rows, values, grads, applied
 
-        points, values = _ascend(evaluate, lambda t: _project(t, n, sp.p),
-                                 _herm_to_vec(np.diag(best_lam)[None]), 400 * n)
+        points, values = _ascend(evaluate, _herm_to_vec(np.diag(best_lam)[None]), 400 * n)
         if values[0] > best_value:
             best_value, best_lam = values[0], points[0, :n]
     return OracleResult(

@@ -232,12 +232,61 @@ def contraction_ratio_reference(phi, pairs, seed):
     return worst
 
 
+def sequential_ascent(phi, apply, p, q, theta, cap, diagonal=False):
+    """Reference for one row of ``oracle._ascend``: the projected quasi-Newton
+    ascent from the coordinates ``theta`` alone, through ``oracle._round``
+    with B = 1, with its BFGS update written out in the rank-two form and
+    capped at ``cap`` map applications; ``diagonal`` zeroes the off-diagonal
+    gradient, as ``spectral_grid_max`` does. Returns (point, value,
+    applications)."""
+    n = phi.input_dim
+    used = 0
+
+    def fg(t):
+        nonlocal used
+        rows, values, grads, applied = oracle._round(phi, apply, p, q, t[None])
+        if diagonal:
+            grads[:, n:] = 0.0
+        used += int(applied[0])
+        return rows[0], float(values[0]), grads[0]
+
+    x, fx, gx = fg(theta)
+    eye = np.eye(x.size)
+    h = eye * (0.25 / np.linalg.norm(gx) if gx.any() else 1.0)
+    rescaled = False
+    alpha = 1.0
+    while cap - used > 1 and gx.any():
+        step = alpha * (h @ gx)
+        if np.linalg.norm(step) <= 1e-9:
+            break
+        cand, fc, gc = fg(x + step)
+        if fc <= fx:
+            alpha *= 0.5
+            continue
+        s, y = cand - x, gx - gc
+        sy = float(s @ y)
+        if sy > 0.0:
+            if not rescaled:
+                h = eye * (sy / float(y @ y))
+                rescaled = True
+            # Nocedal and Wright, eq. 6.17, as H + s u' + u s'
+            rho = 1.0 / sy
+            hy = h @ y
+            u = (0.5 * rho * (1.0 + rho * float(y @ hy))) * s - rho * hy
+            w = np.outer(s, u)
+            h = h + (w + w.T)
+        x, fx, gx = cand, fc, gc
+        alpha = 1.0
+    return x, fx, used
+
+
 def spectral_grid_reference(phi, p, q, grid):
     """Reference: ``spectral_grid_max`` as it ran before its grid became an
     array expression, one public ``phi.apply`` and ``schatten_norm`` per
-    grid point, then the same ascent with one public ``phi.apply`` per
+    grid point, then ``sequential_ascent`` with one public ``phi.apply`` per
     evaluation. Returns the best grid point, scaled to unit l^p norm (the
-    start of the ascent), and the best value; the loop has no input checks."""
+    start of the ascent), the best value and point, and the number of map
+    applications; the loop has no input checks."""
     sp, sq = as_exponent(p), as_exponent(q)
     n = phi.input_dim
 
@@ -247,7 +296,7 @@ def spectral_grid_reference(phi, p, q, grid):
 
     best_value, best_lam = value_of(np.ones(n))
     if n == 1:
-        return best_lam, best_value
+        return best_lam, best_value, np.diag(best_lam).astype(np.complex128), n
     grid = max(2, min(grid, int(round((200000 / n) ** (1.0 / (n - 1))))))
     axis = np.linspace(0.0, 1.0, grid)
     for face in range(n):
@@ -256,14 +305,11 @@ def spectral_grid_reference(phi, p, q, grid):
             if val > best_value:
                 best_value, best_lam = val, lam
 
-    def evaluate(x):
-        values, grads, applied = oracle._values_and_grads(phi, phi.apply, sp.p, sq.p, x)
-        grads[:, n:] = 0.0
-        return values, grads, applied
-
-    _, values = oracle._ascend(evaluate, lambda t: oracle._project(t, n, sp.p),
-                               oracle._herm_to_vec(np.diag(best_lam)[None]), 400 * n)
-    return best_lam, max(best_value, values[0])
+    point, value, used = sequential_ascent(
+        phi, phi.apply, sp.p, sq.p, oracle._herm_to_vec(np.diag(best_lam)), 400 * n,
+        diagonal=True)
+    best = (value, point[:n]) if value > best_value else (best_value, best_lam)
+    return best_lam, best[0], np.diag(best[1]).astype(np.complex128), n + used
 
 
 def ascent_start(monkeypatch):
@@ -272,9 +318,9 @@ def ascent_start(monkeypatch):
     starts = []
     real = oracle._ascend
 
-    def spy(evaluate, project, thetas, per_start):
+    def spy(evaluate, thetas, per_start):
         starts.append(thetas.copy())
-        return real(evaluate, project, thetas, per_start)
+        return real(evaluate, thetas, per_start)
 
     monkeypatch.setattr(oracle, "_ascend", spy)
     return starts

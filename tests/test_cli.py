@@ -268,13 +268,33 @@ class TestVerify:
         assert out == ""
         assert "tol must be finite and nonnegative" in err
 
-    def test_desk_scale_exit_3(self, capsys, tmp_path):
-        path = tmp_path / "big.json"
-        save_map(MapFile.from_cpmap(identity_channel(7)), path)
-        code, _, err = run_cli(capsys, ["verify", "--map", str(path),
-                                        "--p", "3", "--q", "2"])
+    @staticmethod
+    def verify_without_power_run(capsys, monkeypatch, tmp_path, n, budget):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("verify ran the power iteration")
+
+        monkeypatch.setattr(cli, "run_power_method", unreachable)
+        path = tmp_path / "map.json"
+        save_map(MapFile.from_cpmap(identity_channel(n)), path)
+        return run_cli(capsys, ["verify", "--map", str(path), "--p", "3", "--q", "2",
+                                "--budget", budget])
+
+    def test_desk_scale_exit_3(self, capsys, monkeypatch, tmp_path):
+        # the oracle's size guard runs before the power iteration
+        code, out, err = self.verify_without_power_run(capsys, monkeypatch, tmp_path,
+                                                       7, "4000")
         assert code == 3
-        assert "error:" in err
+        assert out == ""
+        assert err == "error: oracle is limited to n <= 6, got n = 7\n"
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_bad_budget_exit_3_before_the_power_run(self, capsys, monkeypatch, tmp_path,
+                                                    budget):
+        code, out, err = self.verify_without_power_run(capsys, monkeypatch, tmp_path,
+                                                       2, budget)
+        assert code == 3
+        assert out == ""
+        assert err == "error: budget must be at least 1\n"
 
 
 class TestUndecodableFiles:
