@@ -178,7 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--q", type=float, required=True)
     verify.add_argument("--budget", type=int, default=4000)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tol", type=float, default=1e-4)
+    verify.add_argument("--tol", type=float, default=1e-4,
+                        help="relative agreement tolerance: PASS when "
+                             "|oracle - power| <= tol * power")
     verify.add_argument("--out")
     verify.set_defaults(func=_cmd_verify)
 

@@ -17,8 +17,11 @@ on their symmetrized image gradients, the whole stack when every candidate
 applied the map. Each evaluation makes one public ``phi.apply``, on the
 candidate's matrix itself. Each start keeps its own inverse-Hessian
 approximation, updated in the O(d^2) rank-two form, step, budget share and
-stop rule, and stacking changes no bit of any start's path. A
-spectral-grid reduction handles maps that preserve diagonality, on the
+stop rule, and stacking changes no bit of any start's path. A start stops
+when the first-order gain of its next step falls to the rounding floor of
+F, 4 eps F, and the ascent runs on values and gradients times one exact
+power of two, so its path and its stops do not depend on the scale of the
+map. A spectral-grid reduction handles maps that preserve diagonality, on the
 vector map lam -> M lam that they restrict to, and the same ascent on the
 map kernel refines it.
 The classical nonnegative-matrix power iteration is included for
@@ -43,6 +46,9 @@ from .power import NormResult, default_start
 from .schatten import as_exponent
 
 DESK_SCALE_LIMIT = 6
+# a step of the ascent whose first-order gain g'step is at most this times F
+# cannot raise F in floating point
+_ROUNDING_FLOOR = 4.0 * np.finfo(float).eps
 
 
 class OracleMethod(Enum):
@@ -156,10 +162,9 @@ def _round(phi: CPMap, apply, p: float, q: float, theta: np.ndarray):
     nrm = _lr_norm(vals, p)
     applied = (0.0 < nrm) & (nrm < math.inf)
     rows = theta / np.where(nrm == 0.0, 1.0, nrm)[:, None]
-    images = np.stack([
-        apply(x) if ok else np.zeros((m, m), dtype=np.complex128)
-        for x, ok in zip(a, applied)
-    ])
+    images = np.zeros((len(a), m, m), dtype=np.complex128)
+    for i in np.flatnonzero(applied).tolist():
+        images[i] = apply(a[i])
     image_vals, image_vecs = np.linalg.eigh(images)
     image_nrm = _lr_norm(image_vals, q)
     g_out = _spectral_grad(image_vals, image_vecs,
@@ -197,6 +202,10 @@ def _ascend(evaluate, thetas: np.ndarray, per_start: int):
     """Projected quasi-Newton ascent from each row of ``thetas``, all rows in
     lock-step, each capped at ``per_start`` evaluations.
 
+    The ascent runs on the values and gradients of ``evaluate`` times 2^e,
+    one power of two that brings the largest value of the first round into
+    [0.5, 1). That scaling is exact, so it changes no bit of the path, and
+    g'g, y'y and g'step neither overflow nor underflow at any map scale.
     Every row keeps its own BFGS approximation H of the inverse Hessian of -F
     (``_bfgs_update``) and proposes project(x + alpha H g). H starts as
     (0.25/||g||) I, so the first trial step has length 0.25 along the
@@ -204,34 +213,40 @@ def _ascend(evaluate, thetas: np.ndarray, per_start: int):
     s'y > 0 (Nocedal and Wright, eq. 6.20), where y = g_old - g_new; an
     update with s'y <= 0 is skipped. alpha resets to 1 on a gain and halves
     on a loss. A row stays active while more than one of its evaluations is
-    left, its gradient is nonzero and its proposed step exceeds 1e-9. Each
-    round, the active rows propose one candidate each, which ``evaluate``
-    projects and evaluates as one stack (``_round``), so every row follows
-    the path it would follow alone. Returns the final points and their
-    values.
+    left and the first-order gain g'step of its proposed step exceeds
+    4 eps F(x): below that rounding floor no step can raise F, and a zero
+    gradient never steps. Each round, the active rows propose one candidate
+    each, which ``evaluate`` projects and evaluates as one stack
+    (``_round``), so every row follows the path it would follow alone.
+    Returns the final points and their values.
     """
     x, fx, gx, applied = evaluate(thetas)
-    fx = fx.tolist()
+    shift = -math.frexp(float(fx.max()))[1]
+    fx = [math.ldexp(f, shift) for f in fx.tolist()]
+    # C order: a dot product of a strided row rounds differently
+    gx = np.ldexp(gx, shift, order="C")
     evals = applied.astype(int).tolist()
     eye = np.eye(x.shape[1])
-    # the 1-D norm of each row: np.linalg.norm(gx, axis=-1) rounds differently
-    inv_hess = [eye * (0.25 / g if g else 1.0) for g in map(np.linalg.norm, gx)]
+    # math.sqrt(g @ g) has the bits of np.linalg.norm(g) on a real vector
+    inv_hess = [eye * (0.25 / g if g else 1.0) for g in (math.sqrt(r @ r) for r in gx)]
     rescaled = [False] * len(x)
     alpha = [1.0] * len(x)
     active = list(range(len(x)))
     while True:
         steps = {}
         for i in active:
-            if per_start - evals[i] > 1 and gx[i].any():
+            if per_start - evals[i] > 1:
                 step = alpha[i] * (inv_hess[i] @ gx[i])
-                if np.linalg.norm(step) > 1e-9:
+                if float(gx[i] @ step) > _ROUNDING_FLOOR * fx[i]:
                     steps[i] = step
         active = list(steps)
         if not active:
-            return x, fx
-        cand, fc, gc, applied = evaluate(x[active] + np.stack(list(steps.values())))
-        for j, i in enumerate(active):
-            evals[i] += int(applied[j])
+            return x, [math.ldexp(f, -shift) for f in fx]
+        cand, fc, gc, applied = evaluate(x[active] + np.array(list(steps.values())))
+        fc = [math.ldexp(f, shift) for f in fc.tolist()]
+        gc = np.ldexp(gc, shift, order="C")
+        for j, (i, ok) in enumerate(zip(active, applied.tolist())):
+            evals[i] += ok
             if fc[j] <= fx[i]:
                 alpha[i] *= 0.5
                 continue
@@ -242,7 +257,7 @@ def _ascend(evaluate, thetas: np.ndarray, per_start: int):
                     inv_hess[i] = eye * (sy / float(y @ y))
                     rescaled[i] = True
                 inv_hess[i] = _bfgs_update(inv_hess[i], s, y, sy)
-            x[i], fx[i], gx[i] = cand[j], float(fc[j]), gc[j]
+            x[i], fx[i], gx[i] = cand[j], fc[j], gc[j]
             alpha[i] = 1.0
 
 
@@ -268,8 +283,11 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
     ``budget`` caps the number of map applications: each start gets an equal
     share of ``budget // 7`` evaluations, and at least one, so that
     ``budget_used``, the exact number of applications, is at most
-    ``max(budget, 7)``. Adjoint applications, one per gradient, are not
-    counted.
+    ``max(budget, 7)``. A start that reaches the rounding floor of F stops
+    early and leaves the rest of its share unused. Adjoint applications,
+    one per gradient, are not counted. The steps and the stop rule do not
+    depend on the scale of the map, so scaling the map by c scales
+    ``best_value`` by c, to rounding, across the float range.
     """
     n = phi.input_dim
     require_desk_scale(n)
@@ -430,7 +448,9 @@ def cross_validate(
 ) -> CrossValidation:
     """Compare a power-method result against an oracle result.
 
-    PASS when the values agree within ``tol``. A disagreement is a FAIL when
+    PASS when the values agree within ``tol`` relative to the power
+    estimate, |oracle - power| <= tol |power|, so the check means the same
+    at every map scale. A disagreement is a FAIL when
     the power run carried a contraction certificate (the oracle must then
     neither beat nor trail the converged estimate) and a WARN otherwise,
     since without the certificate the power method is only a lower bound.
@@ -441,7 +461,7 @@ def cross_validate(
     certified = bool(power.contraction is not None and power.contraction.step_certified)
     difference = float(oracle.best_value - power.norm_estimate)
     messages = []
-    if abs(difference) <= tol:
+    if abs(difference) <= tol * abs(power.norm_estimate):
         status = "PASS"
     elif certified:
         status = "FAIL"

@@ -235,29 +235,34 @@ def contraction_ratio_reference(phi, pairs, seed):
 def sequential_ascent(phi, apply, p, q, theta, cap, diagonal=False):
     """Reference for one row of ``oracle._ascend``: the projected quasi-Newton
     ascent from the coordinates ``theta`` alone, through ``oracle._round``
-    with B = 1, with its BFGS update written out in the rank-two form and
-    capped at ``cap`` map applications; ``diagonal`` zeroes the off-diagonal
-    gradient, as ``spectral_grid_max`` does. Returns (point, value,
-    applications)."""
+    with B = 1, on values and gradients times the power of two that brings
+    its own first value into [0.5, 1), with its BFGS update written out in
+    the rank-two form, stopping when the first-order gain g'step falls to
+    4 eps F and capped at ``cap`` map applications; ``diagonal`` zeroes the
+    off-diagonal gradient, as ``spectral_grid_max`` does. Returns (point,
+    value, applications)."""
     n = phi.input_dim
     used = 0
+    scale = None
 
     def fg(t):
-        nonlocal used
+        nonlocal used, scale
         rows, values, grads, applied = oracle._round(phi, apply, p, q, t[None])
         if diagonal:
             grads[:, n:] = 0.0
         used += int(applied[0])
-        return rows[0], float(values[0]), grads[0]
+        if scale is None:
+            scale = 2.0 ** -math.frexp(values[0])[1]
+        return rows[0], float(values[0]) * scale, grads[0] * scale
 
     x, fx, gx = fg(theta)
     eye = np.eye(x.size)
     h = eye * (0.25 / np.linalg.norm(gx) if gx.any() else 1.0)
     rescaled = False
     alpha = 1.0
-    while cap - used > 1 and gx.any():
+    while cap - used > 1:
         step = alpha * (h @ gx)
-        if np.linalg.norm(step) <= 1e-9:
+        if float(gx @ step) <= 4.0 * np.finfo(float).eps * abs(fx):
             break
         cand, fc, gc = fg(x + step)
         if fc <= fx:
@@ -277,7 +282,7 @@ def sequential_ascent(phi, apply, p, q, theta, cap, diagonal=False):
             h = h + (w + w.T)
         x, fx, gx = cand, fc, gc
         alpha = 1.0
-    return x, fx, used
+    return x, fx / scale, used
 
 
 def spectral_grid_reference(phi, p, q, grid):

@@ -1,6 +1,7 @@
 """CLI behaviour: subcommands, exit codes, reproducibility."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -295,6 +296,46 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert err == "error: budget must be at least 1\n"
+
+    @staticmethod
+    def scaled_map_file(tmp_path, k):
+        """``generate_map(3, 3, 3, 4)`` with its Kraus operators times 2^k."""
+        path = tmp_path / f"scaled{k}.json"
+        phi = generate_map(3, 3, 3, 4).to_cpmap()
+        save_map(MapFile.from_cpmap(CPMap(phi.kraus * 2.0**k)), path)
+        return str(path)
+
+    def test_tol_is_relative_on_a_large_map(self, capsys, tmp_path):
+        # norm 2.98e91: oracle and power agree to 1e-15, far more than an
+        # absolute 1e-4
+        code, out, err = run_cli(capsys, ["verify", "--map",
+                                          self.scaled_map_file(tmp_path, 150),
+                                          "--p", "3", "--q", "2"])
+        cv = json.loads(out)["cross_validation"]
+        assert (code, cv["status"], cv["tol"], err) == (0, "PASS", 1e-4, "")
+        assert cv["power_value"] == pytest.approx(2.977e91, rel=1e-3)
+        assert abs(cv["difference"]) <= 1e-12 * cv["power_value"]
+
+    def test_tol_is_relative_on_a_small_map(self, capsys, monkeypatch, tmp_path):
+        # norm 7.2e-90: any oracle value lies within an absolute 1e-4, but
+        # one 1 % above the certified estimate must fail
+        path = self.scaled_map_file(tmp_path, -150)
+        code, out, _ = run_cli(capsys, ["verify", "--map", path, "--p", "3", "--q", "2"])
+        cv = json.loads(out)["cross_validation"]
+        assert (code, cv["status"], cv["certified"]) == (0, "PASS", True)
+        assert cv["power_value"] == pytest.approx(7.175e-90, rel=1e-3)
+        assert abs(cv["difference"]) <= 1e-12 * cv["power_value"]
+
+        real = cli.oracle_max
+
+        def high(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return dataclasses.replace(res, best_value=1.01 * res.best_value)
+
+        monkeypatch.setattr(cli, "oracle_max", high)
+        code, out, err = run_cli(capsys, ["verify", "--map", path, "--p", "3", "--q", "2"])
+        assert (code, json.loads(out)["cross_validation"]["status"]) == (1, "FAIL")
+        assert err.startswith("fail: oracle beat the certified power estimate")
 
 
 class TestUndecodableFiles:

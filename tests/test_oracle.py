@@ -4,6 +4,7 @@ power iteration, cross-validation."""
 import dataclasses
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,26 @@ class TestOracleMax:
         assert res.budget_used <= max(budget, 7)
         if budget < 7:
             assert res.budget_used == 7
+
+    @pytest.mark.parametrize("seed", range(1050, 1054))
+    def test_constant_ratio_stops_at_once(self, seed):
+        # at n = 1, F is constant and its gradient is rounding noise, whose
+        # first-order gain lies below the rounding floor of F
+        res = oracle_max(random_cpmap(1, 5, 3, seed), 3, 2, budget=4000)
+        assert res.budget_used <= 14
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(-300, 300), n=st.integers(1, 4), seed=st.integers(0, 2**16))
+    @example(k=300, n=3, seed=3)
+    @example(k=-300, n=2, seed=2)
+    def test_value_scales_with_the_map(self, k, n, seed):
+        # Kraus operators times 2^k scale the map, and so its norm, by 4^k
+        phi = random_cpmap(n, n, n, seed)
+        base = oracle_max(phi, 3, 2, budget=700, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = oracle_max(CPMap(phi.kraus * 2.0**k), 3, 2, budget=700, seed=seed)
+        assert res.best_value == pytest.approx(4.0**k * base.best_value, rel=1e-12, abs=0)
 
     def test_numpy_integer_budget_accepted(self):
         res = oracle_max(random_cpmap(2, 2, 2, 0), 3, 2, budget=np.int64(60))
@@ -631,12 +652,14 @@ class TestPinnedResults:
     to 1e-12.
 
     The parameters pin the results of the ascent before its candidates
-    shared one ``eigh`` for projection and gradient and before its BFGS
-    update took the rank-two form, with OpenBLAS's SkylakeX kernels. Both
-    changes, and other kernels, round the ascents differently: the best
-    point may differ in its last bits or be the negated twin, and the budget
-    used may differ too. So the pinned value is compared to 1e-12, and the
-    point digest and ``budget_used`` only record the pinned run.
+    shared one ``eigh`` for projection and gradient, before its BFGS update
+    took the rank-two form and before a start stopped at the rounding floor
+    of F instead of at a step length of 1e-9, with OpenBLAS's SkylakeX
+    kernels. These changes, and other kernels, round or stop the ascents
+    differently: the best point may differ in its last bits or be the
+    negated twin, and the budget used may differ too. So the pinned value
+    is compared to 1e-12, and the point digest and ``budget_used`` only
+    record the pinned run.
     """
 
     @staticmethod
