@@ -42,10 +42,12 @@ class CPMap:
     """Completely positive map A -> sum_i V_i A V_i^dag.
 
     The k Kraus operators V_i are m x n complex matrices, held as one
-    read-only, C-contiguous (m, k, n) array, so the map sends n x n Hermitian
-    matrices to m x m Hermitian matrices, and the map and its adjoint are each
-    two matrix products on free reshapes of that array. Instances are
-    immutable and safe to share between threads.
+    read-only, C-contiguous (m, k, n) array S, so the map sends n x n
+    Hermitian matrices to m x m Hermitian matrices, and the map and its
+    adjoint are each two matrix products on free reshapes of that array. The
+    kernels conjugate their own first product in place rather than S, so no
+    call copies the stack. Instances are immutable and safe to share between
+    threads.
     """
 
     __slots__ = ("_stack",)
@@ -105,13 +107,21 @@ class CPMap:
         a (..., n, n) stack of them.
 
         Row (i, j) of the (m k, n) reshape is row i of V_j, so the first
-        product stacks the rows of every V_j A, and the second contracts
-        them with the matching rows of every V_j over (j, column).
+        product X stacks the rows of every V_j A, and the second contracts
+        them with the matching rows of every V_j over (j, column), the
+        (m, k n) reshape S. The kernel never copies the stack: it takes
+        X S^dag as conj(conj(X) S^T), conjugating its own product X in place
+        and reading S^T as a view. The two forms make the same real products
+        with the signs of the imaginary parts flipped, so they give the same
+        bits. X lives until the call returns: freed before the output is
+        made, it merged more often into the top of the heap, which the
+        allocator gave back to the system, and runs at n = 64 took three
+        times the page faults.
         """
         m, k, n = self._stack.shape
-        lead = mat.shape[:-2]
-        x = (self._stack.reshape(m * k, n) @ mat).reshape(lead + (m, k * n))
-        return hermitian_part(x @ self._stack.reshape(m, k * n).conj().T)
+        x = (self._stack.reshape(m * k, n) @ mat).reshape(mat.shape[:-2] + (m, k * n))
+        y = np.conjugate(x, x) @ self._stack.reshape(m, k * n).T
+        return hermitian_part(np.conjugate(y, y))
 
     def adjoint_apply(self, b) -> np.ndarray:
         """Evaluate the adjoint map B -> sum_i V_i^dag B V_i."""
@@ -119,11 +129,14 @@ class CPMap:
 
     def _adjoint_apply(self, mat: np.ndarray) -> np.ndarray:
         """``adjoint_apply`` on a trusted m x m Hermitian matrix, or on each
-        matrix of a (..., m, m) stack of them."""
+        matrix of a (..., m, m) stack of them. As in ``_apply``, the kernel
+        conjugates its own first product U in place and never copies the
+        stack: it takes S^dag U as conj(S^T conj(U)), with S the (m k, n)
+        reshape."""
         m, k, n = self._stack.shape
-        lead = mat.shape[:-2]
-        u = (mat @ self._stack.reshape(m, k * n)).reshape(lead + (m * k, n))
-        return hermitian_part(self._stack.reshape(m * k, n).conj().T @ u)
+        u = (mat @ self._stack.reshape(m, k * n)).reshape(mat.shape[:-2] + (m * k, n))
+        y = self._stack.reshape(m * k, n).T @ np.conjugate(u, u)
+        return hermitian_part(np.conjugate(y, y))
 
     def adjoint(self) -> "CPMap":
         """The adjoint as a CP map in its own right (Kraus operators V_i^dag).

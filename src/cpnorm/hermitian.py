@@ -34,12 +34,20 @@ from .errors import DimMismatch, InvalidInput, NotPsd
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M^dag) / 2 of a square matrix, or of each matrix of a stack."""
-    return (m + m.conj().swapaxes(-1, -2)) / 2
+    """(M + M^dag) / 2 of a square matrix, or of each matrix of a stack.
 
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
+    A float or complex M gets one new array, M^dag in C order, to which M is
+    added and which is then divided by 2 in place. Float addition commutes,
+    so the bits are those of the formula (halving by ``* 0.5`` would flip
+    the sign of some zeros). Any other dtype, such as an integer one, takes
+    the formula itself and gives float64.
+    """
+    if m.dtype.kind not in "fc":
+        return (m + m.conj().swapaxes(-1, -2)) / 2
+    h = np.conjugate(m.swapaxes(-1, -2), order="C")
+    h += m
+    h /= 2
+    return h
 
 
 def frobenius_inner(a, b) -> float:
@@ -86,7 +94,9 @@ def require_hermitian(m) -> np.ndarray:
     if _LEAN_MIN < size2 < _LEAN_MAX:  # false for NaN and inf too
         d = a - ah
         if np.vdot(d, d).real < _LEAN_RTOL2 * size2:
-            return (a + ah) / 2
+            sym = a + ah
+            sym /= 2
+            return sym
     return _require_hermitian_full(a, ah)
 
 

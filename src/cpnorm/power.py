@@ -299,6 +299,14 @@ def _next_iterate(pullback: np.ndarray, sp: SchattenExponent
     return hermitian_part(raw), raw, spectrum, _spectrum_norm(vals, sp.p_star)
 
 
+def _residual(pullback: np.ndarray, value: float, j_p: np.ndarray) -> float:
+    """||pullback - value * j_p||_F, the critical-point residual, computed in
+    the buffer of ``j_p``, which the loop builds for it and which it
+    overwrites."""
+    np.multiply(value, j_p, j_p)
+    return float(np.linalg.norm(np.subtract(pullback, j_p, j_p)))
+
+
 def _hilbert_step(raw: np.ndarray, new: EigDecomp, old: EigDecomp) -> float:
     """Hilbert distance between two iterates from their spectra and the
     successor's unsymmetrised reconstruction ``raw``, which the step built:
@@ -344,7 +352,7 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
         dec = EigDecomp(dec.eigenvalues / norm, dec.eigenvectors)
     image_norm, pullback = _pull_back(phi, phi._apply(a), sq)
     f_prev = image_norm / _spectrum_norm(dec.eigenvalues, sp.p)
-    residual = float(np.linalg.norm(pullback - f_prev * _duality_map(dec, sp)))
+    residual = _residual(pullback, f_prev, _duality_map(dec, sp))
     rows = [(0, f_prev, math.nan, math.nan, residual)]
     status = IterationStatus.MAX_ITER_REACHED
     reason = None
@@ -361,7 +369,7 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
             j_p = pullback / pullback_norm
         else:
             j_p = _duality_map(nxt_dec, sp)
-        residual = float(np.linalg.norm(step.pullback - f_cur * j_p))
+        residual = _residual(step.pullback, f_cur, j_p)
         rows.append((k, f_cur, hilbert_step, frobenius_step, residual))
         a, dec, pullback = nxt, nxt_dec, step.pullback
         iterations = k

@@ -126,7 +126,8 @@ def _norm_and_duality(b: np.ndarray, exp: SchattenExponent) -> tuple[float, np.n
             scale = math.ldexp(1.0, math.frexp(float(b.real.diagonal().max()))[1] - 1)
             unit = b / scale
             fro = float(np.linalg.norm(unit))
-            return fro * scale, unit / fro
+            unit /= fro
+            return fro * scale, unit
     dec = _psd_spectrum(b)
     return _spectrum_norm(dec.eigenvalues, exp.p), _duality_map(dec, exp)
 

@@ -68,6 +68,45 @@ def loop_apply(ops, a):
     return hermitian_part(out)
 
 
+ENTRY_KINDS = ("integer", "sparse", "real", "gaussian")
+
+
+def random_entries(rng, kind, shape):
+    """Entries of one kind: complex small integers, complex small integers
+    with about 70 % exact zeros, real Gaussians (float64), or complex
+    Gaussians."""
+    if kind == "integer":
+        return rng.integers(-3, 4, shape) + 1j * rng.integers(-3, 4, shape)
+    if kind == "sparse":
+        ints = rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)
+        return ints * (rng.random(shape) < 0.3)
+    if kind == "real":
+        return rng.standard_normal(shape)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def hermitian_part_formula(m):
+    """Reference: (M + M^dag) / 2 as written, with a temporary for M^dag,
+    one for the sum and one for the quotient."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+def stack_copy_apply(phi, mat):
+    """Reference: ``CPMap._apply`` as it was before it conjugated its own
+    product, taking X S^dag with a conjugated copy of the whole Kraus stack."""
+    m, k, n = phi._stack.shape
+    x = (phi._stack.reshape(m * k, n) @ mat).reshape(mat.shape[:-2] + (m, k * n))
+    return hermitian_part_formula(x @ phi._stack.reshape(m, k * n).conj().T)
+
+
+def stack_copy_adjoint_apply(phi, mat):
+    """Reference: ``CPMap._adjoint_apply`` as it was before it conjugated its
+    own product, taking S^dag U with a conjugated copy of the whole stack."""
+    m, k, n = phi._stack.shape
+    u = (mat @ phi._stack.reshape(m, k * n)).reshape(mat.shape[:-2] + (m * k, n))
+    return hermitian_part_formula(phi._stack.reshape(m * k, n).conj().T @ u)
+
+
 def count_calls(monkeypatch, owner, *names):
     """Wrap each named attribute of ``owner`` so that it counts its calls.
 

@@ -1,5 +1,7 @@
 """CP map construction, application, objective, and structural checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,15 @@ from cpnorm import (
 )
 from cpnorm.cpmap import _rank_one_extreme
 
-from helpers import count_validations, loop_apply
+from helpers import (
+    ENTRY_KINDS,
+    count_validations,
+    hermitian_part_formula,
+    loop_apply,
+    random_entries,
+    stack_copy_adjoint_apply,
+    stack_copy_apply,
+)
 
 
 class TestConstruction:
@@ -422,6 +432,90 @@ class TestKrausStack:
                 stack[0, 0, 0] = 2.0
         ops[0, 0, 0] = 2.0  # the caller's array is copied, not frozen
         assert phi.kraus[0, 0, 0] == 1.0
+
+
+def _peak_bytes(f, *args) -> int:
+    """Peak traced allocation of one call of ``f``, after a first call."""
+    f(*args)
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _check_kernels_against_stack_copy(phi, a, b):
+    """Both kernels give the bits of the formulas that copied the conjugated
+    stack, and leave their input and the stack as they were."""
+    stack = _bits(phi._stack)
+    for kernel, reference, x in ((phi._apply, stack_copy_apply, a),
+                                 (phi._adjoint_apply, stack_copy_adjoint_apply, b)):
+        before = _bits(x)
+        out, expected = kernel(x), reference(phi, x)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert _bits(out) == _bits(expected)
+        assert _bits(x) == before
+    assert _bits(phi._stack) == stack
+
+
+class TestConjugatedProduct:
+    """The kernels conjugate their own first product instead of copying the
+    stack: X S^dag = conj(conj(X) S^T) and S^dag U = conj(S^T conj(U)). Both
+    sides make the same products, negated in the imaginary part, so the
+    results are the same bits, signed zeros included."""
+
+    @pytest.mark.filterwarnings("ignore::cpnorm.errors.KrausRedundancyWarning")
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 6),
+        k=st.integers(1, 5),
+        lead=st.sampled_from([(), (1,), (2,), (4,), (2, 2)]),
+        kraus_kind=st.sampled_from(ENTRY_KINDS),
+        input_kind=st.sampled_from(ENTRY_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_match_the_stack_copy(self, n, m, k, lead, kraus_kind,
+                                       input_kind, seed):
+        rng = np.random.default_rng(seed)
+        ops = random_entries(rng, kraus_kind, (k, m, n))
+        ops[0, 0, 0] += 1.0  # a map needs one nonzero entry
+        phi = CPMap(ops)
+        a = hermitian_part_formula(random_entries(rng, input_kind, lead + (n, n)))
+        b = hermitian_part_formula(random_entries(rng, input_kind, lead + (m, m)))
+        _check_kernels_against_stack_copy(phi, a, b)
+
+    @pytest.mark.parametrize("n, k", [(32, 4), (64, 8)])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_bits_match_the_stack_copy_at_scale(self, n, k, lead):
+        phi = random_cpmap(n, n, k, 100 * n + k)
+        rng = np.random.default_rng(n + k)
+        a = hermitian_part_formula(random_entries(rng, "gaussian", lead + (n, n)))
+        b = hermitian_part_formula(random_entries(rng, "gaussian", lead + (n, n)))
+        _check_kernels_against_stack_copy(phi, a, b)
+
+    @pytest.mark.parametrize("lead, n, k", [((), 64, 8), ((8,), 8, 8)])
+    def test_kernels_peak_below_the_stack_copy(self, lead, n, k):
+        # A call holds its first product, which for a square map is as large
+        # as the stack once per input matrix, until it returns. Three arrays
+        # of the output's size come on top: the second product, the output
+        # and numpy's buffer for the transposed sum in ``hermitian_part``.
+        # The bound allows half a stack more. The stack-copy formulas, with a
+        # conjugated stack and three temporaries in the symmetrisation, peak
+        # above it: at (64, 8) at 2.1 stacks, against a bound of 1.9.
+        phi = random_cpmap(n, n, k, 3)
+        a = random_hermitian(n, 4) if not lead else np.stack(
+            [random_hermitian(n, s) for s in range(lead[0])])
+        stack = phi._stack.nbytes
+        product = stack * int(np.prod(lead, dtype=int))
+        for kernel, reference in ((phi._apply, stack_copy_apply),
+                                  (phi._adjoint_apply, stack_copy_adjoint_apply)):
+            bound = product + 3 * kernel(a).nbytes + stack // 2
+            assert _peak_bytes(kernel, a) < bound
+            assert _peak_bytes(reference, phi, a) >= bound
+            if not lead:
+                assert _peak_bytes(kernel, a) < 2 * stack
 
 
 class TestEmbedding:

@@ -36,7 +36,42 @@ from cpnorm.hermitian import (
 )
 from cpnorm.hilbert import _hilbert_distance, _inv_sqrt_conjugate
 from cpnorm.schatten import _duality_map
-from helpers import loewner_pair
+from helpers import (
+    ENTRY_KINDS,
+    hermitian_part_formula,
+    loewner_pair,
+    random_entries,
+)
+
+
+class TestHermitianPart:
+    """``hermitian_part`` halves in place, yet gives the bits and dtype of
+    (M + M^dag) / 2: a zero keeps its sign, which ``*= 0.5`` would not."""
+
+    @pytest.mark.parametrize("kind", ENTRY_KINDS)
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_bits_match_the_formula(self, kind, lead, sign):
+        rng = np.random.default_rng([len(lead), int(sign > 0), len(kind)])
+        for n in (1, 2, 3, 5, 8):
+            m = sign * random_entries(rng, kind, lead + (n, n))
+            h, expected = hermitian_part(m), hermitian_part_formula(m)
+            assert h.dtype == expected.dtype and h.flags.c_contiguous
+            assert h.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_real_inputs_give_float64(self, dtype):
+        m = np.array([[1, 2], [3, 4]], dtype=dtype)
+        h = hermitian_part(m)
+        assert h.dtype == np.float64
+        assert h.tobytes() == hermitian_part_formula(m).tobytes()
+        np.testing.assert_array_equal(h, [[1.0, 2.5], [2.5, 4.0]])
+
+    def test_input_is_unchanged(self):
+        m = random_entries(np.random.default_rng(0), "gaussian", (3, 4, 4))
+        before = m.tobytes()
+        hermitian_part(m)
+        assert m.tobytes() == before
 
 
 class TestHermitianMatrix:
