@@ -25,12 +25,11 @@ input, so both give the same bits, decisions and messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .config import HERMITIZE_RTOL, RANK_RTOL, as_rng, converted, require_count
-from .errors import DimMismatch, InvalidInput, NotPsd
+from .errors import InvalidInput, NotPsd
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -217,15 +216,6 @@ def _psd_spectrum(m: np.ndarray) -> EigDecomp:
     return EigDecomp(np.maximum(vals, 0.0), dec.eigenvectors)
 
 
-def matrix_power(a, t: float) -> np.ndarray:
-    """A**t for PSD A through the spectral calculus Q diag(lambda**t) Q^dag."""
-    t = converted(float, t, "exponent")
-    if not np.isfinite(t) or t <= 0:
-        raise InvalidInput(f"exponent must be a positive real, got {t}")
-    dec = _psd_spectrum(require_hermitian(a))
-    return hermitian_part(EigDecomp(dec.eigenvalues**t, dec.eigenvectors).reconstruct())
-
-
 def abs_matrix(a) -> np.ndarray:
     """|A|: flip negative eigenvalues, keep eigenvectors."""
     dec = _eig_decompose(require_hermitian(a))
@@ -233,51 +223,9 @@ def abs_matrix(a) -> np.ndarray:
     return hermitian_part(flipped.reconstruct())
 
 
-def loewner_geq(a, b) -> bool:
-    """True when A - B is PSD: lambda_min(A - B) >= -cutoff, with the larger
-    ``_spectral_cutoff`` of A and of B.
-
-    The cutoff comes from the operands, not from A - B, whose spectrum
-    shrinks with the gap: A >= A (1 + eps) holds for eps up to about RANK_RTOL.
-    """
-    am = require_hermitian(a)
-    bm = require_hermitian(b)
-    if am.shape != bm.shape:
-        raise DimMismatch(f"shapes {am.shape} and {bm.shape} differ")
-    cutoff = max(_spectral_cutoff(np.linalg.eigvalsh(am)),
-                 _spectral_cutoff(np.linalg.eigvalsh(bm)))
-    return bool(np.linalg.eigvalsh(am - bm)[0] >= -cutoff)
-
-
 def numerical_rank(a) -> int:
     """Count of eigenvalues above ``_spectral_cutoff`` in magnitude."""
     return _rank(np.linalg.eigvalsh(require_hermitian(a)))
-
-
-class PsdKind(Enum):
-    POSITIVE_DEFINITE = "positive_definite"
-    POSITIVE_SEMIDEFINITE_SINGULAR = "positive_semidefinite_singular"
-    INDEFINITE = "indefinite"
-
-
-@dataclass(frozen=True)
-class PsdClass:
-    kind: PsdKind
-    rank: int
-
-
-def classify_psd(a) -> PsdClass:
-    """Classify a Hermitian matrix against the PSD cone at ``_spectral_cutoff``."""
-    vals = np.linalg.eigvalsh(require_hermitian(a))
-    cutoff = _spectral_cutoff(vals)
-    rank = _rank(vals)
-    if vals[0] < -cutoff:
-        kind = PsdKind.INDEFINITE
-    elif rank == vals.size and vals[0] > cutoff:
-        kind = PsdKind.POSITIVE_DEFINITE
-    else:
-        kind = PsdKind.POSITIVE_SEMIDEFINITE_SINGULAR
-    return PsdClass(kind, rank)
 
 
 def random_hermitian(n: int, seed) -> np.ndarray:

@@ -66,16 +66,6 @@ def _psd_pair(a, b, what: str):
     return da, db
 
 
-def same_part(a, b) -> bool:
-    """True when the PSD inputs have equal ranges at the rank cutoff.
-
-    For PSD matrices the two-sided sandwich cB <= A <= CB is equivalent to
-    range equality. This is the part flag of ``hilbert_distance``, which
-    decides it from the numerical ranks of A, B and A + B.
-    """
-    return _hilbert_distance(*_psd_pair(a, b, "same_part")).same_part
-
-
 def _inv_sqrt_conjugate(a_mat: np.ndarray, dec_b) -> np.ndarray:
     """B^{-1/2} A B^{-1/2} from the (positive definite) eigendata of B, for
     one pair or for each pair of two stacks."""

@@ -72,11 +72,6 @@ from .schatten import (
     as_exponent,
 )
 
-# The smallest positive normal float: an iterate whose duality weights all
-# reach it takes J_p from its pull-back (see ``TraceRow``).
-_TINY = float(np.finfo(float).tiny)
-
-
 class IterationStatus(Enum):
     """How a run ended. ``NOT_CRITICAL``: both convergence criteria held,
     but the critical-point residual exceeds ``CRITICAL_RTOL`` times the
@@ -141,11 +136,11 @@ class TraceRow:
     For k >= 1, X_k = J_{p*}(P_{k-1}), so J_p(X_k) = P_{k-1} / ||P_{k-1}||_{p*}
     and the residual is ||P_k - f_k P_{k-1} / ||P_{k-1}||_{p*}||_F. No power
     of X_k's spectrum enters, which keeps the residual accurate where J_p
-    of the spectrum is ill-conditioned, as at p >= 1e12. The identity holds
-    only while every duality weight of X_k is a positive normal float: a
-    pull-back eigenvalue zeroed at the rank cutoff, or a weight that
-    underflows near p = 1, breaks it. Such a row, and the start, take J_p
-    from the spectrum of X_k instead.
+    of the spectrum is ill-conditioned, as at p >= 1e12, and near p = 1,
+    where the weights of a numerically rank-one X_k underflow to 0 and J_p
+    of the spectrum would be its projector. The identity fails only where
+    ``_next_iterate`` zeroed a pull-back eigenvalue at the rank cutoff:
+    such a row, and the start, take J_p from the spectrum of X_k instead.
     """
 
     k: int
@@ -281,22 +276,27 @@ def _next_iterate(pullback: np.ndarray, sp: SchattenExponent
     pulled back from, with what the loop reads off the same decomposition:
     the iterate; its reconstruction V w V^dag before symmetrisation, the
     input of the Hilbert step; its spectrum, the duality weights w with P's
-    eigenvectors; and ||P||_{p*}, which gives J_p(iterate) = P / ||P||_{p*}.
+    eigenvectors; and ||P||_{p*}, which gives J_p(iterate) = P / ||P||_{p*},
+    or None when an eigenvalue was zeroed.
 
     Eigenvalues at or below ``_spectral_cutoff`` are zeroed first. Below
     full rank they are rounding noise, which J_{p*} raises to 1/(p-1) < 1
     for p > 2 and so magnifies: the iterate's null space would flicker
     from step to step above the fixed-point tolerance. A zeroed eigenvalue
-    gives a zero weight, where the identity for J_p no longer holds.
+    gives a zero weight where P keeps its noise, so the identity for J_p
+    no longer holds.
     """
     dec = _psd_spectrum(pullback)
     vals = dec.eigenvalues
     cutoff = _spectral_cutoff(vals)
+    pullback_norm = None
     if vals[-1] <= cutoff:
         vals = np.where(vals > cutoff, vals, 0.0)
+    else:
+        pullback_norm = _spectrum_norm(vals, sp.p_star)
     spectrum = EigDecomp(_duality_weights(vals, sp.dual), dec.eigenvectors)
     raw = spectrum.reconstruct()
-    return hermitian_part(raw), raw, spectrum, _spectrum_norm(vals, sp.p_star)
+    return hermitian_part(raw), raw, spectrum, pullback_norm
 
 
 def _residual(pullback: np.ndarray, value: float, j_p: np.ndarray) -> float:
@@ -365,10 +365,10 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
         hilbert_step = _hilbert_step(raw, nxt_dec, dec)
         step = power_step(phi, nxt, sp, sq)
         f_cur = step.image_norm / _spectrum_norm(nxt_dec.eigenvalues, sp.p)
-        if nxt_dec.eigenvalues.item(-1) >= _TINY:
-            j_p = pullback / pullback_norm
-        else:
+        if pullback_norm is None:
             j_p = _duality_map(nxt_dec, sp)
+        else:
+            j_p = pullback / pullback_norm
         residual = _residual(step.pullback, f_cur, j_p)
         rows.append((k, f_cur, hilbert_step, frobenius_step, residual))
         a, dec, pullback = nxt, nxt_dec, step.pullback

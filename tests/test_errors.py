@@ -12,7 +12,6 @@ from cpnorm import (
     PowerConfig,
     classical_pq_norm,
     embed_nonnegative_matrix,
-    matrix_power,
     oracle_max,
     random_cpmap,
     require_hermitian,
@@ -36,8 +35,6 @@ BAD_INPUTS = {
     "p-none": (InvalidExponent, lambda: PowerConfig(p=None, q=2)),
     "norm-string": (InvalidExponent, lambda: schatten_norm(EYE, "x")),
     "norm-none": (InvalidExponent, lambda: schatten_norm(EYE, None)),
-    # matrix_power rejects an out-of-range exponent with InvalidInput too
-    "power-string": (InvalidInput, lambda: matrix_power(EYE, "x")),
     "embed-string": (InvalidInput, lambda: embed_nonnegative_matrix("x")),
     "classical-string": (InvalidInput, lambda: classical_pq_norm("x", 3, 2)),
     "oracle-seed": (InvalidInput, lambda: oracle_max(PHI, 3, 2, budget=7, seed="x")),

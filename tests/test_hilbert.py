@@ -35,7 +35,6 @@ from cpnorm import (
     random_unit_vector,
     run_diagnostics,
     run_power_method,
-    same_part,
     sampled_contraction_ratio,
     step_contraction_bound,
 )
@@ -160,18 +159,19 @@ class TestHilbertDistance:
 
 class TestSamePart:
     def test_examples(self):
-        assert same_part(np.eye(2), 2 * np.eye(2))
-        assert same_part(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]))
-        assert not same_part(np.diag([1.0, 0.0]), np.eye(2))
+        assert hilbert_distance(np.eye(2), 2 * np.eye(2)).same_part
+        assert hilbert_distance(np.diag([1.0, 0.0]), np.diag([2.0, 0.0])).same_part
+        assert not hilbert_distance(np.diag([1.0, 0.0]), np.eye(2)).same_part
 
     def test_validates_each_input_once(self, monkeypatch):
         validations = count_validations(monkeypatch)
-        assert same_part(np.eye(2), 2 * np.eye(2))
+        assert hilbert_distance(np.eye(2), 2 * np.eye(2)).same_part
         assert validations() == 2
 
-    def test_dimension_mismatch_names_same_part(self):
-        with pytest.raises(DimMismatch, match="same_part"):
-            same_part(np.eye(2), np.eye(3))
+    @pytest.mark.parametrize("fn", [hilbert_distance, m_ratio], ids=lambda fn: fn.__name__)
+    def test_dimension_mismatch_names_the_function(self, fn):
+        with pytest.raises(DimMismatch, match=fn.__name__):
+            fn(np.eye(2), np.eye(3))
 
     def test_ill_conditioned_positive_definite_pair_shares_the_interior(self):
         # condition numbers near 1e9: B^{-1/2} A B^{-1/2} can read a
@@ -187,7 +187,6 @@ class TestSamePart:
         a = draw([1.0, 0.4, 3e-3, 1e-9])
         b = draw([1.0, 0.3, 0.16, 4e-9])
         assert numerical_rank(a) == numerical_rank(b) == 4
-        assert same_part(a, b)
         d = hilbert_distance(a, b)
         assert d.same_part
         stacked = hilbert._hilbert_distance(hilbert._psd_spectrum(np.stack([a, a])),

@@ -433,18 +433,31 @@ class TestNearExponentOne:
     critical-point residual is at most ``CRITICAL_RTOL`` of the estimate."""
 
     @pytest.mark.parametrize("p,q", [(1.001, 1.0005), (1.0001, 1.5)])
-    def test_underflowing_weights_are_not_critical(self, p, q):
-        # the weights underflow to 0, so J_p of the iterate cannot return
-        # the pull-back and the run settles off a critical point
+    def test_underflowing_weights_are_critical(self, p, q):
+        # the weights underflow to 0 and the iterate is numerically rank 1,
+        # whose spectral J_p is a projector; the pull-back still gives J_p
         phi = random_cpmap(4, 4, 4, 3)
         res = run_power_method(phi, PowerConfig(p=p, q=q, with_contraction=False))
         _, f, _, _, residual = res.trace.table[-1]
-        assert res.status is IterationStatus.NOT_CRITICAL
-        assert res.trace.termination_reason is not None
-        assert residual > CRITICAL_RTOL * f
-        assert any("not critical" in w for w in res.warnings)
+        assert res.status is IterationStatus.CONVERGED
+        assert numerical_rank(res.maximizer) == 1
+        assert residual <= CRITICAL_RTOL * f
+        assert not any("not critical" in w for w in res.warnings)
         assert res.norm_estimate == pytest.approx(objective(phi, res.maximizer, p, q),
                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.01, 1.005, 1.002, 1.001, 1 + 1e-6])
+    @pytest.mark.parametrize("n,k", [(3, 2), (4, 4)])
+    def test_maps_converge_as_p_nears_one(self, n, k, p):
+        # most of these runs end at an iterate whose smallest weights
+        # underflow to 0; J_p of its spectrum reads relative residuals up
+        # to 0.58 there, so only the pull-back form converges on all 100
+        for seed in range(10):
+            res = run_power_method(random_cpmap(n, n, k, seed),
+                                   PowerConfig(p=p, q=2, with_contraction=False))
+            _, f, _, _, residual = res.trace.table[-1]
+            assert res.status is IterationStatus.CONVERGED, seed
+            assert residual <= CRITICAL_RTOL * f, seed
 
     def test_carried_weights_resolve_a_collapsed_iterate(self):
         # Numerically rank 1, but the carried weights reach down to 1e-213,
