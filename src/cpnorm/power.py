@@ -72,6 +72,7 @@ from .schatten import (
     as_exponent,
 )
 
+
 class IterationStatus(Enum):
     """How a run ended. ``NOT_CRITICAL``: both convergence criteria held,
     but the critical-point residual exceeds ``CRITICAL_RTOL`` times the
@@ -271,7 +272,7 @@ def _pull_back(phi: CPMap, image: np.ndarray, sq: SchattenExponent
 
 
 def _next_iterate(pullback: np.ndarray, sp: SchattenExponent
-                  ) -> tuple[np.ndarray, np.ndarray, EigDecomp, float]:
+                  ) -> tuple[np.ndarray, np.ndarray, EigDecomp, float | None]:
     """J_{p*} of a pull-back P, the iterate that follows the point P was
     pulled back from, with what the loop reads off the same decomposition:
     the iterate; its reconstruction V w V^dag before symmetrisation, the
