@@ -84,15 +84,8 @@ def _cmd_compute(args) -> int:
 def _cmd_diagnose(args) -> int:
     mapfile = load_map(args.map)
     phi = mapfile.to_cpmap()
-    report = run_diagnostics(
-        phi,
-        args.p,
-        args.q,
-        fi_trials=args.trials,
-        pi_trials=4 * args.trials,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    report = run_diagnostics(phi, args.p, args.q, trials=args.trials,
+                             samples=args.samples, seed=args.seed)
     record = build_run_record(
         mapfile,
         "diagnose",

@@ -108,8 +108,8 @@ def _read_json(source, text: str | None = None):
     """Decode ``text``, or the file ``source`` when no text is given.
 
     Syntax errors become ``InvalidInput`` naming the source, line and column;
-    nesting deeper than the interpreter's recursion limit, ``InvalidInput``
-    naming the source.
+    nesting deeper than the recursion limit and text that is no str or bytes,
+    one naming the source.
     """
     if text is None:
         text = _read_text(source)
@@ -121,6 +121,8 @@ def _read_json(source, text: str | None = None):
         )
     except RecursionError:
         raise InvalidInput(f"{source}: JSON nested too deeply") from None
+    except TypeError:
+        raise InvalidInput(f"{source}: expected JSON text, got {type(text).__name__}") from None
 
 
 def _decode_kraus(entries: list, m: int, n: int, source: str) -> np.ndarray:

@@ -32,26 +32,34 @@ from .config import HERMITIZE_RTOL, RANK_RTOL, as_rng, converted, require_count
 from .errors import InvalidInput, NotPsd
 
 
-def hermitian_part(m: np.ndarray) -> np.ndarray:
+def hermitian_part(m) -> np.ndarray:
     """(M + M^dag) / 2 of a square matrix, or of each matrix of a stack.
 
-    A float or complex M gets one new array, M^dag in C order, to which M is
-    added and which is then divided by 2 in place. Float addition commutes,
-    so the bits are those of the formula (halving by ``* 0.5`` would flip
-    the sign of some zeros). Any other dtype, such as an integer one, takes
-    the formula itself and gives float64.
+    A float or complex ndarray M gets one new array, M^dag in C order, to
+    which M is added and which is then divided by 2 in place. Float addition
+    commutes, so the bits are those of the formula (halving by ``* 0.5``
+    would flip the sign of some zeros). Any other input, such as an integer
+    array or a nested list of numbers, takes the formula itself, and an
+    integer one gives float64; one that is no square matrix or stack of
+    numbers raises ``InvalidInput``.
     """
-    if m.dtype.kind not in "fc":
-        return (m + m.conj().swapaxes(-1, -2)) / 2
-    h = np.conjugate(m.swapaxes(-1, -2), order="C")
-    h += m
-    h /= 2
-    return h
+    try:
+        if m.dtype.kind in "fc":
+            h = np.conjugate(m.swapaxes(-1, -2), order="C")
+            h += m
+            h /= 2
+            return h
+    except AttributeError:  # not an array, such as a nested list
+        m = converted(np.asarray, m, "matrix")
+    return converted(lambda a: (a + a.conj().swapaxes(-1, -2)) / 2, m, "matrix")
 
 
 def frobenius_inner(a, b) -> float:
     """Real inner product tr(a^dag b) of two Hermitian matrices."""
-    return float(np.real(np.sum(np.conj(np.asarray(a)) * np.asarray(b))))
+    try:
+        return float(np.real(np.sum(np.conj(np.asarray(a)) * np.asarray(b))))
+    except (TypeError, ValueError) as exc:  # a string, or shapes that differ
+        raise InvalidInput(f"invalid matrices: {exc}") from None
 
 
 def _require_finite(a: np.ndarray) -> np.ndarray:

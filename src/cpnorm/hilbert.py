@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -214,7 +215,7 @@ def step_contraction_bound(kappa: float, kappa_adjoint: float, p, q) -> float:
     sp = as_exponent(p)
     sq = as_exponent(q)
     for name, k in (("kappa", kappa), ("kappa_adjoint", kappa_adjoint)):
-        if not 0.0 <= k <= 1.0:
+        if not (isinstance(k, Real) and 0.0 <= k <= 1.0):
             raise InvalidInput(f"{name} must lie in [0, 1], got {k}")
     return kappa * kappa_adjoint * (sq.p - 1.0) / (sp.p - 1.0)
 
@@ -401,26 +402,19 @@ class DiagnosticsReport:
     q: float
 
 
-def run_diagnostics(
-    phi: CPMap,
-    p,
-    q,
-    fi_trials: int = 64,
-    pi_trials: int = 256,
-    samples: int = 64,
-    seed=0,
-) -> DiagnosticsReport:
+def run_diagnostics(phi: CPMap, p, q, trials: int = 64, samples: int = 64,
+                    seed=0) -> DiagnosticsReport:
     """Run the contraction analysis plus the structural checks.
 
     When the Choi tier holds, every output of the map and of its adjoint is
     positive definite, so both are positively improving and adjoint(phi) o
     phi raises every rank: all three verdicts are ``CERTIFIED`` and no trial
-    runs. Otherwise the sampled checks search for counterexamples. The trial
-    counts must be at least 1 either way; ``samples`` = 0 samples no
-    diameters.
+    runs. Otherwise the sampled checks search for counterexamples: the full
+    indecomposability search runs ``trials`` trials, and each positivity
+    search, of the map and of its adjoint, 4 x ``trials``. ``trials`` must
+    be at least 1 either way; ``samples`` = 0 samples no diameters.
     """
-    require_count(fi_trials, "fi_trials")
-    require_count(pi_trials, "pi_trials")
+    require_count(trials, "trials")
     sp = as_exponent(p)
     sq = as_exponent(q)
     contraction = contraction_report(phi, sp, sq, samples=samples, seed=seed)
@@ -430,9 +424,9 @@ def run_diagnostics(
         pi = pi_adj = StructuralVerdict(StructuralProperty.POSITIVELY_IMPROVING,
                                         Verdict.CERTIFIED, trials=0)
     else:
-        fi = check_fully_indecomposable(phi, trials=fi_trials, seed=seed)
-        pi = check_positively_improving(phi, trials=pi_trials, seed=seed)
-        pi_adj = check_positively_improving(phi.adjoint(), trials=pi_trials, seed=seed)
+        fi = check_fully_indecomposable(phi, trials=trials, seed=seed)
+        pi = check_positively_improving(phi, trials=4 * trials, seed=seed)
+        pi_adj = check_positively_improving(phi.adjoint(), trials=4 * trials, seed=seed)
     return DiagnosticsReport(
         fully_indecomposable=fi,
         positively_improving=pi,

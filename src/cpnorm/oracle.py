@@ -49,6 +49,8 @@ DESK_SCALE_LIMIT = 6
 # a step of the ascent whose first-order gain g'step is at most this times F
 # cannot raise F in floating point
 _ROUNDING_FLOOR = 4.0 * np.finfo(float).eps
+_CLASSICAL_TOL = 1e-12
+_CLASSICAL_MAX_ITER = 10000
 
 
 class OracleMethod(Enum):
@@ -218,7 +220,9 @@ def _ascend(evaluate, thetas: np.ndarray, per_start: int):
     gradient never steps. Each round, the active rows propose one candidate
     each, which ``evaluate`` projects and evaluates as one stack
     (``_round``), so every row follows the path it would follow alone.
-    Returns the final points and their values.
+    Returns the final points, their values and the number of map
+    applications made, counted from the ``applied`` flags of ``evaluate``:
+    the only count of evaluations behind either oracle's ``budget_used``.
     """
     x, fx, gx, applied = evaluate(thetas)
     shift = -math.frexp(float(fx.max()))[1]
@@ -241,7 +245,7 @@ def _ascend(evaluate, thetas: np.ndarray, per_start: int):
                     steps[i] = step
         active = list(steps)
         if not active:
-            return x, [math.ldexp(f, -shift) for f in fx]
+            return x, [math.ldexp(f, -shift) for f in fx], sum(evals)
         cand, fc, gc, applied = evaluate(x[active] + np.array(list(steps.values())))
         fc = [math.ldexp(f, shift) for f in fc.tolist()]
         gc = np.ldexp(gc, shift, order="C")
@@ -267,7 +271,8 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
     Multi-start projected quasi-Newton ascent (``_ascend``) on the n^2 real
     coordinates of a Hermitian matrix, each step re-projected to the unit
     Schatten-p sphere. Starts are drawn from the PSD cone and from the full
-    Hermitian space (the default start I/n^(1/p) is always evaluated).
+    Hermitian space (the default start I/n^(1/p) is always evaluated); the
+    best start wins, a PSD one on a tie.
     Gradients are exact: the spectral gradients of both norms, pulled back
     through the adjoint map, on the oracle's own eigendecompositions.
     Deterministic for a fixed seed and budget.
@@ -282,12 +287,12 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
 
     ``budget`` caps the number of map applications: each start gets an equal
     share of ``budget // 7`` evaluations, and at least one, so that
-    ``budget_used``, the exact number of applications, is at most
-    ``max(budget, 7)``. A start that reaches the rounding floor of F stops
-    early and leaves the rest of its share unused. Adjoint applications,
-    one per gradient, are not counted. The steps and the stop rule do not
-    depend on the scale of the map, so scaling the map by c scales
-    ``best_value`` by c, to rounding, across the float range.
+    ``budget_used``, the exact number of applications, which ``_ascend``
+    counts, is at most ``max(budget, 7)``. A start that reaches the rounding
+    floor of F stops early and leaves the rest of its share unused. Adjoint
+    applications, one per gradient, are not counted. The steps and the stop
+    rule do not depend on the scale of the map, so scaling the map by c
+    scales ``best_value`` by c, to rounding, across the float range.
     """
     n = phi.input_dim
     require_desk_scale(n)
@@ -295,36 +300,22 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
 
     sp = as_exponent(p)
     sq = as_exponent(q)
-    used = 0
-
-    def evaluate(theta: np.ndarray):
-        nonlocal used
-        rows, values, grads, applied = _round(phi, phi.apply, sp.p, sq.p, theta)
-        used += int(np.count_nonzero(applied))
-        return rows, values, grads, applied
-
-    starts = [("psd", default_start(n, sp))]
-    for i in range(3):
-        starts.append(("psd", random_psd(n, n, subseed(seed, "oracle-psd", i))))
-    for i in range(3):
-        starts.append(("herm", random_hermitian(n, subseed(seed, "oracle-herm", i))))
-
-    points, values = _ascend(evaluate, _herm_to_vec(np.stack([a for _, a in starts])),
-                             max(1, budget // len(starts)))
-    best = {"psd": (-math.inf, None), "herm": (-math.inf, None)}
-    for (family, _), x, fx in zip(starts, points, values):
-        if fx > best[family][0]:
-            best[family] = (fx, x)
-
-    winner = max(("psd", "herm"), key=lambda f: best[f][0])
+    # the four PSD starts come first, so a tie goes to a PSD point
+    starts = [default_start(n, sp)]
+    starts += [random_psd(n, n, subseed(seed, "oracle-psd", i)) for i in range(3)]
+    starts += [random_hermitian(n, subseed(seed, "oracle-herm", i)) for i in range(3)]
+    points, values, used = _ascend(functools.partial(_round, phi, phi.apply, sp.p, sq.p),
+                                   _herm_to_vec(np.stack(starts)),
+                                   max(1, budget // len(starts)))
+    best = int(np.argmax(values))
     return OracleResult(
-        best_value=best[winner][0],
-        best_point=_vec_to_herm(best[winner][1], n),
+        best_value=values[best],
+        best_point=_vec_to_herm(points[best], n),
         restarts=len(starts),
         budget_used=used,
         method=OracleMethod.PROJECTED_ASCENT,
-        best_from_psd_starts=best["psd"][0],
-        best_from_hermitian_starts=best["herm"][0],
+        best_from_psd_starts=max(values[:4]),
+        best_from_hermitian_starts=max(values[4:]),
     )
 
 
@@ -380,13 +371,13 @@ def spectral_grid_max(phi: CPMap, p, q, grid: int = 64) -> OracleResult:
 
         def evaluate(theta: np.ndarray):
             # a zero off-diagonal gradient keeps the ascent on diagonal X
-            nonlocal used
             rows, values, grads, applied = _round(phi, phi._apply, sp.p, sq.p, theta)
             grads[:, n:] = 0.0
-            used += int(np.count_nonzero(applied))
             return rows, values, grads, applied
 
-        points, values = _ascend(evaluate, _herm_to_vec(np.diag(best_lam)[None]), 400 * n)
+        points, values, evals = _ascend(evaluate, _herm_to_vec(np.diag(best_lam)[None]),
+                                        400 * n)
+        used += evals
         if values[0] > best_value:
             best_value, best_lam = values[0], points[0, :n]
     return OracleResult(
@@ -399,14 +390,14 @@ def spectral_grid_max(phi: CPMap, p, q, grid: int = 64) -> OracleResult:
     )
 
 
-def classical_pq_norm(a, p, q, tol: float = 1e-12, max_iter: int = 10000):
+def classical_pq_norm(a, p, q):
     """Vector p->q norm of an entrywise nonnegative matrix by power iteration.
 
     Iterates x -> normalize( (A^T (A x)^(q-1))^(1/(p-1)) ) on nonnegative
-    unit-l^p vectors and returns (norm value, maximizing vector).
+    unit-l^p vectors, from the flat vector, until no entry moves by more
+    than 1e-12 or for at most 10000 steps, and returns (norm value,
+    maximizing vector).
     """
-    require_tolerance(tol, "tol", zero_ok=True)
-    require_count(max_iter, "max_iter")
     mat = converted(lambda v: np.asarray(v, dtype=np.float64), a, "matrix")
     if mat.ndim != 2:
         raise InvalidInput(f"expected a 2-d matrix, got shape {mat.shape}")
@@ -416,13 +407,13 @@ def classical_pq_norm(a, p, q, tol: float = 1e-12, max_iter: int = 10000):
     sq = as_exponent(q)
     n = mat.shape[1]
     x = np.ones(n) / n ** (1.0 / sp.p)
-    for _ in range(max_iter):
+    for _ in range(_CLASSICAL_MAX_ITER):
         y = mat @ x
         if not np.any(y > 0):
             raise DegenerateMap("matrix annihilates the positive cone")
         z = (mat.T @ y ** (sq.p - 1.0)) ** (1.0 / (sp.p - 1.0))
         z = z / np.linalg.norm(z, ord=sp.p)
-        if np.max(np.abs(z - x)) <= tol:
+        if np.max(np.abs(z - x)) <= _CLASSICAL_TOL:
             x = z
             break
         x = z

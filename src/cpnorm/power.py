@@ -183,6 +183,7 @@ class NormResult:
 
 def default_start(n: int, p) -> np.ndarray:
     """I/n^(1/p): positive definite with unit Schatten-p norm."""
+    require_count(n, "n")
     sp = as_exponent(p)
     return np.eye(n, dtype=np.complex128) / n ** (1.0 / sp.p)
 

@@ -11,11 +11,16 @@ from cpnorm import (
     InvalidInput,
     PowerConfig,
     classical_pq_norm,
+    default_start,
     embed_nonnegative_matrix,
+    frobenius_inner,
+    hermitian_part,
     oracle_max,
+    parse_map,
     random_cpmap,
     require_hermitian,
     schatten_norm,
+    step_contraction_bound,
 )
 
 PHI = random_cpmap(2, 2, 2, 0)
@@ -39,6 +44,12 @@ BAD_INPUTS = {
     "classical-string": (InvalidInput, lambda: classical_pq_norm("x", 3, 2)),
     "oracle-seed": (InvalidInput, lambda: oracle_max(PHI, 3, 2, budget=7, seed="x")),
     "random-map-seed": (InvalidInput, lambda: random_cpmap(2, 2, 2, "x")),
+    "hermitian-part-string": (InvalidInput, lambda: hermitian_part("x")),
+    "hermitian-part-ragged": (InvalidInput, lambda: hermitian_part([[1, 2], [3]])),
+    "inner-string": (InvalidInput, lambda: frobenius_inner("x", EYE)),
+    "start-dimension-string": (InvalidInput, lambda: default_start("x", 3)),
+    "kappa-string": (InvalidInput, lambda: step_contraction_bound("x", 0.5, 3, 2)),
+    "map-text-int": (InvalidInput, lambda: parse_map(5)),
 }
 
 

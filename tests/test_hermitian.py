@@ -62,6 +62,11 @@ class TestHermitianPart:
         assert h.tobytes() == hermitian_part_formula(m).tobytes()
         np.testing.assert_array_equal(h, [[1.0, 2.5], [2.5, 4.0]])
 
+    def test_nested_list_is_converted(self):
+        h = hermitian_part([[1, 2], [3, 4]])
+        assert h.dtype == np.float64
+        np.testing.assert_array_equal(h, [[1.0, 2.5], [2.5, 4.0]])
+
     def test_input_is_unchanged(self):
         m = random_entries(np.random.default_rng(0), "gaussian", (3, 4, 4))
         before = m.tobytes()

@@ -550,9 +550,7 @@ class TestSampledContractionRatio:
 
 class TestDiagnostics:
     def test_depolarizing_report(self):
-        report = run_diagnostics(
-            depolarizing_channel(3), 3, 2, fi_trials=8, pi_trials=32, samples=16
-        )
+        report = run_diagnostics(depolarizing_channel(3), 3, 2, trials=8, samples=16)
         assert report.positively_improving.verdict is Verdict.CERTIFIED
         assert report.adjoint_positively_improving.verdict is Verdict.CERTIFIED
         assert report.fully_indecomposable.verdict is Verdict.CERTIFIED
@@ -567,7 +565,7 @@ class TestDiagnostics:
             real = getattr(hilbert, name)
             monkeypatch.setattr(hilbert, name,
                                 lambda *a, real=real, **kw: ran.append(real(*a, **kw)))
-        report = run_diagnostics(phi, 3, 2, fi_trials=8, pi_trials=32, samples=16)
+        report = run_diagnostics(phi, 3, 2, trials=8, samples=16)
         assert ran == []
         for verdict in (report.fully_indecomposable, report.positively_improving,
                         report.adjoint_positively_improving):
@@ -576,9 +574,7 @@ class TestDiagnostics:
         assert report.contraction.sample_count == 16
 
     def test_identity_report(self):
-        report = run_diagnostics(
-            identity_channel(2), 3, 2, fi_trials=8, pi_trials=16, samples=16
-        )
+        report = run_diagnostics(identity_channel(2), 3, 2, trials=4, samples=16)
         assert report.fully_indecomposable.verdict is Verdict.COUNTEREXAMPLE_FOUND
         assert report.positively_improving.verdict is Verdict.COUNTEREXAMPLE_FOUND
 
@@ -589,12 +585,12 @@ class TestDiagnostics:
             phi = CPMap(ops)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_diagnostics(phi, 3, 2, fi_trials=4, pi_trials=8, samples=8)
+            run_diagnostics(phi, 3, 2, trials=2, samples=8)
             phi.adjoint().adjoint()
         assert caught == []
 
-    @pytest.mark.parametrize("counts", [{"fi_trials": 0}, {"pi_trials": -1},
-                                        {"fi_trials": 2.0}, {"pi_trials": True}])
+    @pytest.mark.parametrize("counts", [{"trials": 0}, {"trials": -1},
+                                        {"trials": 2.0}, {"trials": True}])
     def test_rejects_bad_trial_counts(self, counts):
         # checked even where the Choi tier would skip the trials
         with pytest.raises(InvalidInput, match="trials"):
@@ -602,8 +598,8 @@ class TestDiagnostics:
 
     def test_deterministic(self):
         phi = random_cpmap(2, 2, 4, 5)
-        r1 = run_diagnostics(phi, 3, 2, fi_trials=8, pi_trials=16, samples=16, seed=3)
-        r2 = run_diagnostics(phi, 3, 2, fi_trials=8, pi_trials=16, samples=16, seed=3)
+        r1 = run_diagnostics(phi, 3, 2, trials=4, samples=16, seed=3)
+        r2 = run_diagnostics(phi, 3, 2, trials=4, samples=16, seed=3)
         assert r1.contraction.kappa_step_upper == r2.contraction.kappa_step_upper
         assert r1.contraction.diameter_lower_bound == r2.contraction.diameter_lower_bound
         assert r1.fully_indecomposable.verdict is r2.fully_indecomposable.verdict
