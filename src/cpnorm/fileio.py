@@ -8,11 +8,10 @@ Records are derived from the package's dataclasses, one key per field;
 only the power-method result is reshaped (``encode_norm_result``).
 Parsing followed by serialization is byte-identical on canonical input.
 
-The encoder writes each matrix with one inline ``JSONEncoder.encode`` call
-and then breaks that text into lines at its bracket boundaries
-(``_encode_matrix``), which gives the layout of encoding it row by row. The
-parser converts a map file's whole Kraus list with one ``np.asarray`` and
-decodes entry by entry only to name a bad entry. Files that are not UTF-8,
+The encoder walks each matrix by its shape (``_encode_matrix``), writing
+each row with one inline ``JSONEncoder.encode`` call, so no list of a
+matrix is scanned for its depth. The parser decodes a map file's Kraus list
+entry by entry, which names the first bad entry. Files that are not UTF-8,
 nest JSON past the recursion limit or hold a number that is not finite
 (``null``, ``NaN``, ``Infinity`` or one beyond the float range) raise
 ``InvalidInput`` naming the file.
@@ -108,8 +107,8 @@ def _read_json(source, text: str | None = None):
     """Decode ``text``, or the file ``source`` when no text is given.
 
     Syntax errors become ``InvalidInput`` naming the source, line and column;
-    nesting deeper than the recursion limit and text that is no str or bytes,
-    one naming the source.
+    bytes that do not decode, nesting deeper than the recursion limit and
+    text that is no str or bytes, one naming the source.
     """
     if text is None:
         text = _read_text(source)
@@ -119,6 +118,8 @@ def _read_json(source, text: str | None = None):
         raise InvalidInput(
             f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{source}: not UTF-8 text: {exc.reason} at byte {exc.start}")
     except RecursionError:
         raise InvalidInput(f"{source}: JSON nested too deeply") from None
     except TypeError:
@@ -126,20 +127,10 @@ def _read_json(source, text: str | None = None):
 
 
 def _decode_kraus(entries: list, m: int, n: int, source: str) -> np.ndarray:
-    """The (k, m, n) Kraus stack of a map file's entries, from one conversion
-    of the whole list. A list that does not convert to k m x n matrices of
-    finite [re, im] pairs is decoded entry by entry, which names the first
-    bad entry."""
-    try:
-        arr = np.asarray(entries, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        arr = None
-    if arr is None or arr.shape != (len(entries), m, n, 2) or not np.isfinite(arr).all():
-        return np.stack([
-            decode_complex_matrix(entry, m, n, f"{source}: kraus[{i}]")
-            for i, entry in enumerate(entries)
-        ])
-    return arr[..., 0] + 1j * arr[..., 1]
+    """The (k, m, n) Kraus stack of a map file's entries, decoded entry by
+    entry, so that an error names the first bad entry."""
+    return np.stack([decode_complex_matrix(entry, m, n, f"{source}: kraus[{i}]")
+                     for i, entry in enumerate(entries)])
 
 
 def parse_map(text: str, source: str = "<string>") -> MapFile:
@@ -192,10 +183,8 @@ def load_matrix(path) -> np.ndarray:
 def load_hermitian(path) -> np.ndarray:
     """Read an n x n matrix of [re, im] pairs (start-matrix files)."""
     obj = _read_json(path)
-    arr = np.asarray(obj, dtype=object)
-    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
-        raise InvalidInput(f"{path}: expected an n x n matrix of [re, im] pairs")
-    return decode_complex_matrix(obj, arr.shape[0], arr.shape[1], str(path))
+    n = len(obj) if isinstance(obj, list) else 0
+    return decode_complex_matrix(obj, n, n, str(path))
 
 
 def generate_map(n: int, m: int, k: int, seed: int, kind: str = "generic",
@@ -292,36 +281,14 @@ def _is_row(x: list) -> bool:
     )
 
 
-def _encode_matrix(x: _Pairs, indent: str) -> str:
-    """``_encode`` of a matrix: one inline encoding, then line breaks at the
-    bracket boundaries of the levels that break.
-
-    A level breaks, one item per line, while it and the next axis are both
-    nonempty, as in the row-by-row layout; the items of the deepest broken
-    level stay inline. Those items are lists nested ``depth`` deep, so two
-    of them meet at ']' * depth + ', ' + '[' * depth, and where the meeting
-    also closes and reopens t broken levels there are t more brackets on
-    each side. Such boundaries are replaced longest first.
-    """
-    text = _INLINE(x)
-    shape = x.shape
-    broken = 0
-    while broken + 1 < len(shape) and shape[broken] and shape[broken + 1]:
-        broken += 1
-    if not broken:
-        return text
-    full = shape + (2,)  # the [re, im] axis
-    depth = (full.index(0) + 1 if 0 in full else len(full)) - broken
-    ind = [indent + "  " * j for j in range(broken + 1)]
-    for t in range(broken - 1, -1, -1):
-        closes = "".join("\n" + ind[j] + "]" for j in range(broken - 1, broken - 1 - t, -1))
-        opens = "".join("[\n" + ind[j + 1] for j in range(broken - t, broken))
-        text = text.replace("]" * (depth + t) + ", " + "[" * (depth + t),
-                            "]" * depth + closes + ",\n" + ind[broken - t] + opens
-                            + "[" * depth)
-    head = "".join("[\n" + ind[j + 1] for j in range(broken))
-    tail = "".join("\n" + ind[j] + "]" for j in range(broken - 1, -1, -1))
-    return head + text[broken:len(text) - broken] + tail
+def _encode_matrix(x: list, shape: tuple, indent: str) -> str:
+    """``_encode`` of a matrix, or of a slice of one, of the given shape: one
+    item per line while the first two axes are nonempty, else one line."""
+    if len(shape) < 2 or not (shape[0] and shape[1]):
+        return _INLINE(x)
+    inner = indent + "  "
+    items = (inner + _encode_matrix(v, shape[1:], inner) for v in x)
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
 def _encode(x, indent: str) -> str:
@@ -330,7 +297,7 @@ def _encode(x, indent: str) -> str:
         items = (f"{inner}{_INLINE(k)}: {_encode(x[k], inner)}" for k in sorted(x))
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
     if isinstance(x, _Pairs):
-        return _encode_matrix(x, indent)
+        return _encode_matrix(x, x.shape, indent)
     if isinstance(x, list) and not _is_row(x):
         items = (inner + _encode(v, inner) for v in x)
         return "[\n" + ",\n".join(items) + "\n" + indent + "]"

@@ -51,14 +51,21 @@ def hermitian_part(m) -> np.ndarray:
             return h
     except AttributeError:  # not an array, such as a nested list
         m = converted(np.asarray, m, "matrix")
+    except ValueError:  # numpy's broadcast or axis error: m is not square
+        pass
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise InvalidInput(f"expected a square matrix or a stack of them, got shape {m.shape}")
     return converted(lambda a: (a + a.conj().swapaxes(-1, -2)) / 2, m, "matrix")
 
 
 def frobenius_inner(a, b) -> float:
-    """Real inner product tr(a^dag b) of two Hermitian matrices."""
+    """Real inner product tr(a^dag b) of two Hermitian matrices of one shape."""
     try:
-        return float(np.real(np.sum(np.conj(np.asarray(a)) * np.asarray(b))))
-    except (TypeError, ValueError) as exc:  # a string, or shapes that differ
+        a, b = np.asarray(a), np.asarray(b)
+        if a.shape != b.shape:
+            raise InvalidInput(f"invalid matrices: shapes {a.shape} and {b.shape} differ")
+        return float(np.real(np.sum(np.conj(a) * b)))
+    except (TypeError, ValueError) as exc:  # a ragged list, or entries that are no numbers
         raise InvalidInput(f"invalid matrices: {exc}") from None
 
 

@@ -7,6 +7,7 @@ import pytest
 from cpnorm import (
     CPMap,
     CPNormError,
+    DegenerateMap,
     InvalidExponent,
     InvalidInput,
     PowerConfig,
@@ -50,6 +51,21 @@ BAD_INPUTS = {
     "start-dimension-string": (InvalidInput, lambda: default_start("x", 3)),
     "kappa-string": (InvalidInput, lambda: step_contraction_bound("x", 0.5, 3, 2)),
     "map-text-int": (InvalidInput, lambda: parse_map(5)),
+    "map-bytes-not-utf8": (InvalidInput, lambda: parse_map(b"\x80abc")),
+    "map-bytes-utf16-truncated": (InvalidInput, lambda: parse_map(b"\xff\xfe\x00")),
+    "hermitian-part-not-square": (InvalidInput, lambda: hermitian_part(np.ones((2, 3)))),
+    "hermitian-part-vector": (InvalidInput, lambda: hermitian_part(np.ones(3))),
+    "inner-scalar": (InvalidInput, lambda: frobenius_inner(EYE, 1.0)),
+    "inner-stack": (InvalidInput, lambda: frobenius_inner(EYE, np.ones((3, 2, 2)))),
+    "matrix-empty": (InvalidInput, lambda: require_hermitian(np.zeros((0, 0)))),
+    "kraus-3d": (InvalidInput, lambda: CPMap(np.ones((1, 2, 2, 2)))),
+    "kraus-nan": (InvalidInput, lambda: CPMap([[[1.0, np.nan], [0.0, 1.0]]])),
+    "embed-3d": (InvalidInput, lambda: embed_nonnegative_matrix(np.ones((2, 2, 2)))),
+    "embed-inf": (InvalidInput, lambda: embed_nonnegative_matrix([[1.0, np.inf], [0.0, 1.0]])),
+    "classical-3d": (InvalidInput, lambda: classical_pq_norm(np.ones((2, 2, 2)), 3, 2)),
+    "classical-negative": (InvalidInput, lambda: classical_pq_norm([[1.0, -1.0]], 3, 2)),
+    "classical-nan": (InvalidInput, lambda: classical_pq_norm([[1.0, np.nan]], 3, 2)),
+    "classical-zero": (DegenerateMap, lambda: classical_pq_norm(np.zeros((2, 3)), 3, 2)),
 }
 
 

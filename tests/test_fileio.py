@@ -110,6 +110,39 @@ class TestParseErrors:
         with pytest.raises(InvalidInput, match=r"kraus\[1\]"):
             parse_map(json.dumps(obj))
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "top level must be an object"),
+        ('{"version": 1, "n": 1, "m": 1, "kraus": []}', "field 'kraus' must be a nonempty list"),
+        ('{"version": 1, "n": 1, "m": 1, "kraus": {"0": 1}}',
+         "field 'kraus' must be a nonempty list"),
+        ('{"version": 1, "n": 1, "m": 1, "kraus": [[[[1, 0]]]], "metadata": [1]}',
+         "field 'metadata' must be an object"),
+    ], ids=["top-level-list", "kraus-empty", "kraus-object", "metadata-list"])
+    def test_misshapen_fields(self, text, message):
+        with pytest.raises(InvalidInput) as info:
+            parse_map(text, source="m.json")
+        assert str(info.value) == f"m.json: {message}"
+
+
+class TestMatrixFiles:
+    """The nonnegative-matrix and start-matrix files reject a shape they
+    cannot hold, naming the file and the shape they got."""
+
+    def test_matrix_that_is_not_2d(self, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_text("[[[1, 2]], [[3, 4]]]")
+        with pytest.raises(InvalidInput) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}: expected a 2-d array, got shape (2, 1, 2)"
+
+    def test_start_that_is_not_square(self, tmp_path):
+        path = tmp_path / "start.json"
+        path.write_text("[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]")
+        with pytest.raises(InvalidInput) as info:
+            load_hermitian(path)
+        assert str(info.value) == (f"{path}: expected shape 2x2 of [re, im] pairs, "
+                                   "got (2, 3, 2)")
+
 
 class TestGeneration:
     def test_deterministic(self):
@@ -409,8 +442,8 @@ def _captured_record(command, tmp_path, monkeypatch, capsys):
 
 
 class TestMatrixEncoder:
-    """``canonical_json`` encodes each matrix in one call and breaks the text
-    at bracket boundaries; the text is that of the row-by-row encoder."""
+    """``canonical_json`` walks each matrix by its shape; the text is that
+    of the row-by-row encoder, which scans each list for its depth."""
 
     @settings(max_examples=300)
     @given(nested_matrices())
@@ -443,8 +476,8 @@ def map_texts(draw):
 
 
 class TestOnePassParse:
-    """``parse_map`` converts the Kraus list with one ``np.asarray`` and
-    decodes entry by entry only to name a bad entry."""
+    """``parse_map`` decodes the Kraus list entry by entry and names the
+    first bad entry."""
 
     @settings(max_examples=200)
     @given(map_texts())

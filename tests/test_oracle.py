@@ -606,6 +606,20 @@ class TestCrossValidate:
         assert report.status == "FAIL"
         assert report.messages
 
+    def test_fail_when_oracle_trails_certified_run(self, matched_pair):
+        power, oracle = matched_pair
+        fake = dataclasses.replace(oracle, best_value=oracle.best_value - 0.5)
+        report = cross_validate(power, fake, tol=1e-4)
+        assert report.status == "FAIL"
+        assert report.messages[0].startswith("oracle trails the power estimate by 5.")
+
+    def test_indefinite_best_point_has_no_maximizer_distance(self, matched_pair):
+        power, oracle = matched_pair
+        fake = dataclasses.replace(oracle, best_point=np.diag([1.0, -1.0]))
+        report = cross_validate(power, fake, tol=1e-4)
+        assert report.status == "PASS"
+        assert report.maximizer_distance is None
+
     def test_warn_in_uncertified_regime(self):
         phi = identity_channel(2)
         power = run_power_method(phi, PowerConfig(p=2, q=2))
