@@ -80,7 +80,10 @@ def decode_complex_matrix(entries, rows: int, cols: int, where: str) -> np.ndarr
             f"got {arr.shape}"
         )
     _require_finite_entries(arr, where)
-    return arr[..., 0] + 1j * arr[..., 1]
+    # setting the parts keeps signed zeros, which complex arithmetic would lose
+    out = np.empty((rows, cols), dtype=np.complex128)
+    out.real, out.imag = arr[..., 0], arr[..., 1]
+    return out
 
 
 def _require_field(obj: dict, name: str, where: str):

@@ -211,15 +211,19 @@ def _ascend(evaluate, thetas: np.ndarray, per_start: int):
     Every row keeps its own BFGS approximation H of the inverse Hessian of -F
     (``_bfgs_update``) and proposes project(x + alpha H g). H starts as
     (0.25/||g||) I, so the first trial step has length 0.25 along the
-    gradient, and is rescaled once to (s'y/y'y) I at the first gain with
-    s'y > 0 (Nocedal and Wright, eq. 6.20), where y = g_old - g_new; an
-    update with s'y <= 0 is skipped. alpha resets to 1 on a gain and halves
-    on a loss. A row stays active while more than one of its evaluations is
-    left and the first-order gain g'step of its proposed step exceeds
-    4 eps F(x): below that rounding floor no step can raise F, and a zero
-    gradient never steps. Each round, the active rows propose one candidate
-    each, which ``evaluate`` projects and evaluates as one stack
-    (``_round``), so every row follows the path it would follow alone.
+    gradient, and is rescaled to (s'y/y'y) I at the first gain with s'y > 0
+    (Nocedal and Wright, eq. 6.20), where y = g_old - g_new; an update with
+    s'y <= 0 is skipped. alpha halves on a loss and doubles, up to 1, on a
+    gain. The first loss of a row also restarts H: its next gain with
+    s'y > 0 rescales H to (s'y/y'y) I again, which discards the model of the
+    early steps. Later losses only halve alpha; restarting at each of them
+    would throw away the model that a slowly converging row needs. A row
+    stays active while more than one of its evaluations is left and the
+    first-order gain g'step of its proposed step exceeds 4 eps F(x): below
+    that rounding floor no step can raise F, and a zero gradient never
+    steps. Each round, the active rows propose one candidate each, which
+    ``evaluate`` projects and evaluates as one stack (``_round``), so every
+    row follows the path it would follow alone.
     Returns the final points, their values and the number of map
     applications made, counted from the ``applied`` flags of ``evaluate``:
     the only count of evaluations behind either oracle's ``budget_used``.
@@ -234,6 +238,7 @@ def _ascend(evaluate, thetas: np.ndarray, per_start: int):
     # math.sqrt(g @ g) has the bits of np.linalg.norm(g) on a real vector
     inv_hess = [eye * (0.25 / g if g else 1.0) for g in (math.sqrt(r @ r) for r in gx)]
     rescaled = [False] * len(x)
+    rejected = [False] * len(x)
     alpha = [1.0] * len(x)
     active = list(range(len(x)))
     while True:
@@ -253,6 +258,9 @@ def _ascend(evaluate, thetas: np.ndarray, per_start: int):
             evals[i] += ok
             if fc[j] <= fx[i]:
                 alpha[i] *= 0.5
+                if not rejected[i]:
+                    rejected[i] = True
+                    rescaled[i] = False
                 continue
             s, y = cand[j] - x[i], gx[i] - gc[j]
             sy = float(s @ y)
@@ -262,7 +270,7 @@ def _ascend(evaluate, thetas: np.ndarray, per_start: int):
                     rescaled[i] = True
                 inv_hess[i] = _bfgs_update(inv_hess[i], s, y, sy)
             x[i], fx[i], gx[i] = cand[j], fc[j], gc[j]
-            alpha[i] = 1.0
+            alpha[i] = min(1.0, 2.0 * alpha[i])
 
 
 def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
@@ -283,7 +291,10 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
     p-norm, one stacked ``eigh`` of their images and one stacked adjoint
     application (``_round``). Each start keeps its own inverse-Hessian
     approximation, step, budget share and stop rule, so it follows the path
-    it would follow alone. Each evaluation makes one public ``phi.apply``.
+    it would follow alone. A start restarts its approximation once, at the
+    next gain after its first rejected step, and keeps its step length
+    across gains, doubling it up to 1 instead of resetting it. Each
+    evaluation makes one public ``phi.apply``.
 
     ``budget`` caps the number of map applications: each start gets an equal
     share of ``budget // 7`` evaluations, and at least one, so that

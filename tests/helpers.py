@@ -276,10 +276,12 @@ def sequential_ascent(phi, apply, p, q, theta, cap, diagonal=False):
     ascent from the coordinates ``theta`` alone, through ``oracle._round``
     with B = 1, on values and gradients times the power of two that brings
     its own first value into [0.5, 1), with its BFGS update written out in
-    the rank-two form, stopping when the first-order gain g'step falls to
-    4 eps F and capped at ``cap`` map applications; ``diagonal`` zeroes the
-    off-diagonal gradient, as ``spectral_grid_max`` does. Returns (point,
-    value, applications)."""
+    the rank-two form, its approximation restarted at the next gain after
+    its first rejected step and its step length halved on a loss and
+    doubled up to 1 on a gain, stopping when the first-order gain g'step
+    falls to 4 eps F and capped at ``cap`` map applications; ``diagonal``
+    zeroes the off-diagonal gradient, as ``spectral_grid_max`` does. Returns
+    (point, value, applications)."""
     n = phi.input_dim
     used = 0
     scale = None
@@ -298,6 +300,7 @@ def sequential_ascent(phi, apply, p, q, theta, cap, diagonal=False):
     eye = np.eye(x.size)
     h = eye * (0.25 / np.linalg.norm(gx) if gx.any() else 1.0)
     rescaled = False
+    rejected = False
     alpha = 1.0
     while cap - used > 1:
         step = alpha * (h @ gx)
@@ -306,6 +309,9 @@ def sequential_ascent(phi, apply, p, q, theta, cap, diagonal=False):
         cand, fc, gc = fg(x + step)
         if fc <= fx:
             alpha *= 0.5
+            if not rejected:
+                rejected = True
+                rescaled = False
             continue
         s, y = cand - x, gx - gc
         sy = float(s @ y)
@@ -320,7 +326,7 @@ def sequential_ascent(phi, apply, p, q, theta, cap, diagonal=False):
             w = np.outer(s, u)
             h = h + (w + w.T)
         x, fx, gx = cand, fc, gc
-        alpha = 1.0
+        alpha = min(1.0, 2.0 * alpha)
     return x, fx / scale, used
 
 

@@ -74,6 +74,17 @@ class TestRoundTrip:
         for v, w in zip(back.kraus, mf.kraus):
             assert np.array_equal(v, w)
 
+    def test_signed_zeros_roundtrip(self, tmp_path):
+        # -0.0 in either part survives the parse, and the file its write
+        kraus = [[[[1.0, -0.0], [-0.0, 1.0]], [[-0.0, -0.0], [0.5, 0.0]]]]
+        text = json.dumps({"version": 1, "n": 2, "m": 2, "kraus": kraus})
+        path = tmp_path / "map.json"
+        save_map(parse_map(text), path)
+        back = load_map(path)
+        pairs = np.stack([back.kraus.real, back.kraus.imag], axis=-1)
+        assert np.signbit(pairs).tolist() == np.signbit(kraus).tolist()
+        assert serialize_map(back) == path.read_text()
+
 
 class TestParseErrors:
     def test_malformed_json_reports_line(self):

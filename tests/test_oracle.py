@@ -227,7 +227,20 @@ class TestOracleMax:
         phi = random_cpmap(6, 6, 1, subseed(0, "wide", 6, 1))
         power = run_power_method(phi, PowerConfig(p=1.1, q=1.05))
         res = oracle_max(phi, 1.1, 1.05, budget=4000, seed=0)
-        assert res.best_value == pytest.approx(power.norm_estimate, rel=1e-7)
+        # 3990 = 7 x 570 would mean that every start spent its whole share
+        assert res.budget_used < 3990
+        assert res.best_value == pytest.approx(power.norm_estimate, rel=1e-12)
+
+    @pytest.mark.parametrize("k, seed", [(4, 4), (2, 1)])
+    def test_budget_limited_near_one_exponents(self, k, seed):
+        # 100 evaluations a start. Each part of the rule is needed here:
+        # restarting the BFGS model at every rejection ends 3e-2 to 6e-2
+        # short, resetting the step length to 1 on a gain 4e-4 to 7e-4, and
+        # never restarting 1.3e-4 on the second map
+        phi = random_cpmap(4, 4, k, seed)
+        short = oracle_max(phi, 1.05, 1.1, budget=700, seed=0)
+        full = oracle_max(phi, 1.05, 1.1, budget=4000, seed=0)
+        assert short.best_value == pytest.approx(full.best_value, rel=1e-4)
 
     @settings(max_examples=30, deadline=None)
     @given(budget=st.integers(1, 300), n=st.integers(1, 4), seed=st.integers(0, 2**16))
@@ -677,13 +690,14 @@ class TestPinnedResults:
 
     The parameters pin the results of the ascent before its candidates
     shared one ``eigh`` for projection and gradient, before its BFGS update
-    took the rank-two form and before a start stopped at the rounding floor
-    of F instead of at a step length of 1e-9, with OpenBLAS's SkylakeX
-    kernels. These changes, and other kernels, round or stop the ascents
-    differently: the best point may differ in its last bits or be the
-    negated twin, and the budget used may differ too. So the pinned value
-    is compared to 1e-12, and the point digest and ``budget_used`` only
-    record the pinned run.
+    took the rank-two form, before a start stopped at the rounding floor of
+    F instead of at a step length of 1e-9 and before a start restarted its
+    approximation after its first rejected step and kept its step length
+    across gains, with OpenBLAS's SkylakeX kernels. These changes, and other
+    kernels, round or stop the ascents differently: the best point may
+    differ in its last bits or be the negated twin, and the budget used may
+    differ too. So the pinned value is compared to 1e-12, and the point
+    digest and ``budget_used`` only record the pinned run.
     """
 
     @staticmethod
