@@ -407,7 +407,11 @@ def classical_pq_norm(a, p, q):
     Iterates x -> normalize( (A^T (A x)^(q-1))^(1/(p-1)) ) on nonnegative
     unit-l^p vectors, from the flat vector, until no entry moves by more
     than 1e-12 or for at most 10000 steps, and returns (norm value,
-    maximizing vector).
+    maximizing vector). It iterates on A / 2^e, whose largest entry lies in
+    [1/2, 1), so no power of an iterate overflows or underflows, and scales
+    the value back by 2^e: both steps are exact, so the value of 2^t A is
+    2^t times that of A, with the same vector. A value beyond the float
+    range raises ``InvalidInput``.
     """
     mat = converted(lambda v: np.asarray(v, dtype=np.float64), a, "matrix")
     if mat.ndim != 2:
@@ -416,6 +420,8 @@ def classical_pq_norm(a, p, q):
         raise InvalidInput("matrix must be entrywise nonnegative and finite")
     sp = as_exponent(p)
     sq = as_exponent(q)
+    shift = math.frexp(float(mat.max(initial=0.0)))[1]
+    mat = np.ldexp(mat, -shift)
     n = mat.shape[1]
     x = np.ones(n) / n ** (1.0 / sp.p)
     for _ in range(_CLASSICAL_MAX_ITER):
@@ -428,7 +434,10 @@ def classical_pq_norm(a, p, q):
             x = z
             break
         x = z
-    return float(np.linalg.norm(mat @ x, ord=sq.p)), x
+    try:
+        return math.ldexp(float(np.linalg.norm(mat @ x, ord=sq.p)), shift), x
+    except OverflowError:
+        raise InvalidInput("the norm of this matrix overflows") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,8 +16,9 @@ duality weights and the pull-back's eigenvectors. The loop keeps the
 current pull-back and builds the successor from it, with ``_next_iterate``,
 only when it goes on to the next iteration, so the successor of a run's
 last step is never built. The default start I/n^(1/p) has the known
-spectrum (n^(-1/p), I); only a given start is decomposed, once, by
-``PowerConfig``. J_q of the image comes from
+spectrum (n^(-1/p), I), and its Schatten-p norm and J_p are built in closed
+form too, equal to what the spectral kernels give (``_default_start``);
+only a given start is decomposed, once, by ``PowerConfig``. J_q of the image comes from
 ``schatten._norm_and_duality``: at q = 2 a Cholesky factorisation of a
 positive definite image and the closed form B / ||B||_F, otherwise an
 eigensolve. So at full rank an iteration makes three eigensolves at q != 2,
@@ -184,8 +185,25 @@ class NormResult:
 def default_start(n: int, p) -> np.ndarray:
     """I/n^(1/p): positive definite with unit Schatten-p norm."""
     require_count(n, "n")
-    sp = as_exponent(p)
-    return np.eye(n, dtype=np.complex128) / n ** (1.0 / sp.p)
+    return _default_start(n, as_exponent(p))[0]
+
+
+def _default_start(n: int, sp: SchattenExponent
+                   ) -> tuple[np.ndarray, EigDecomp, float, np.ndarray]:
+    """The default start X = I/n^(1/p) with its spectrum (c, I), c =
+    n^(-1/p), its Schatten-p norm and J_p(X), all from one identity matrix.
+
+    On an all-equal spectrum ``_spectrum_norm`` gives c * n^(1/p) and
+    ``_duality_weights`` all 1 / n^(1/p*). The closed forms round the same
+    operations, so the norm is bitwise the spectral one and J_p equals
+    ``_duality_map`` value for value (off-diagonal zeros may differ in
+    sign). J_p is a new array, which the caller may overwrite.
+    """
+    eye = np.eye(n, dtype=np.complex128)
+    root = n ** (1.0 / sp.p)
+    a = eye / root
+    c = a.item(0).real
+    return a, EigDecomp(np.full(n, c), eye), c * root, eye * (1.0 / n ** (1.0 / sp.p_star))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -337,24 +355,26 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
     n = phi.input_dim
 
     # Each iterate's spectrum gives its Schatten-p norm and both ends of the
-    # Hilbert steps into and out of it. The default start's spectrum is
-    # known, and a given start comes decomposed by PowerConfig; J_p of the
-    # start comes from that spectrum. Every later iterate comes with its
-    # spectrum from the pull-back it is built from.
+    # Hilbert steps into and out of it. The default start comes with its
+    # spectrum, norm and J_p in closed form. A given start comes decomposed
+    # by PowerConfig, and its norm and J_p come from that spectrum. Every
+    # later iterate comes with its spectrum from the pull-back it is built
+    # from.
     if config._start is None:
-        a = default_start(n, sp)
-        dec = EigDecomp(np.full(n, a[0, 0].real), np.eye(n, dtype=np.complex128))
+        a, dec, norm, j_p = _default_start(n, sp)
     else:
         # only the size of a validated start depends on the map
         mat, dec = config._start
         if mat.shape[0] != n:
             raise DimMismatch(f"start must be {n}x{n}, got {mat.shape}")
+        scale = _spectrum_norm(dec.eigenvalues, sp.p)
+        a = mat / scale
+        dec = EigDecomp(dec.eigenvalues / scale, dec.eigenvectors)
         norm = _spectrum_norm(dec.eigenvalues, sp.p)
-        a = mat / norm
-        dec = EigDecomp(dec.eigenvalues / norm, dec.eigenvectors)
+        j_p = _duality_map(dec, sp)
     image_norm, pullback = _pull_back(phi, phi._apply(a), sq)
-    f_prev = image_norm / _spectrum_norm(dec.eigenvalues, sp.p)
-    residual = _residual(pullback, f_prev, _duality_map(dec, sp))
+    f_prev = image_norm / norm
+    residual = _residual(pullback, f_prev, j_p)
     rows = [(0, f_prev, math.nan, math.nan, residual)]
     status = IterationStatus.MAX_ITER_REACHED
     reason = None

@@ -66,6 +66,7 @@ BAD_INPUTS = {
     "classical-negative": (InvalidInput, lambda: classical_pq_norm([[1.0, -1.0]], 3, 2)),
     "classical-nan": (InvalidInput, lambda: classical_pq_norm([[1.0, np.nan]], 3, 2)),
     "classical-zero": (DegenerateMap, lambda: classical_pq_norm(np.zeros((2, 3)), 3, 2)),
+    "classical-overflow": (InvalidInput, lambda: classical_pq_norm(np.full((4, 4), 1.7e308), 3, 2)),
 }
 
 

@@ -588,6 +588,37 @@ class TestClassicalIteration:
         assert value == pytest.approx(np.linalg.norm(a @ x, ord=2), abs=1e-12)
 
 
+@settings(max_examples=60)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(-600, 600),
+    q=st.floats(1.2, 4.0),
+    gap=st.floats(0.1, 3.0),
+)
+@example(shape=(2, 2), seed=0, t=500, q=2.0, gap=1.0)
+@example(shape=(2, 2), seed=0, t=-600, q=2.0, gap=1.0)
+def test_classical_value_scales_by_powers_of_two(shape, seed, t, q, gap):
+    """The iteration runs on the matrix divided by the power of two at its
+    largest entry, so 2^t A gives 2^t times the value of A, bit for bit, and
+    the same vector. Unscaled, the l^3 norm of an iterate of 1e150 A at (3, 2)
+    overflowed and the next iterate was zero."""
+    a = np.random.default_rng(seed).uniform(0.0, 1.0, shape)
+    p = q + gap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, x = classical_pq_norm(a, p, q)
+        scaled, y = classical_pq_norm(np.ldexp(a, t), p, q)
+    assert scaled == math.ldexp(value, t)
+    assert y.tobytes() == x.tobytes()
+
+
+def test_classical_value_of_a_huge_matrix():
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    value, _ = classical_pq_norm(a, 3, 2)
+    assert classical_pq_norm(1e150 * a, 3, 2)[0] == pytest.approx(1e150 * value, rel=1e-15)
+
+
 class TestCrossValidate:
     @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf, -math.inf,
                                      True, "1e-4"])
