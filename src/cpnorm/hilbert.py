@@ -5,12 +5,13 @@ a part of the cone (equal ranges, for PSD matrices); it is a metric on rays
 within each part. CP maps never expand it, and a map whose projective
 diameter is finite contracts it strictly, with ratio tanh(diameter/4).
 From the spectra of two positive definite matrices the distance costs one
-eigensolve, and for a stack of such pairs one stacked eigensolve; a pair of
-rank below n adds one of A+B to decide the part, and takes that branch on
-its own. The sampled diameter search and the sampled contraction ratio
-stack their sample pairs: one draw of normals, stacked ``qr``, ``eigh``
-and ``eigvalsh`` calls per block of pairs and one map application per
-chunk of a block, with blocks and chunks sized to bound their memory.
+eigensolve, and for a stack of such pairs one stacked eigensolve. A pair of
+rank below n is taken on its own: two small eigensolves test that each range
+lies in the other, and the distance is taken on the shared range. The
+sampled diameter search and the sampled contraction ratio stack their
+sample pairs: one draw of normals, stacked ``qr``, ``eigh`` and
+``eigvalsh`` calls per block of pairs and one map application per chunk of
+a block, with blocks and chunks sized to bound their memory.
 """
 
 from __future__ import annotations
@@ -59,47 +60,63 @@ class HilbertDistance:
 
 
 def _psd_pair(a, b, what: str):
-    """``psd_spectrum`` of two validated inputs of equal dimension."""
-    da = _psd_spectrum(require_hermitian(a))
-    db = _psd_spectrum(require_hermitian(b))
+    """``psd_spectrum`` of two validated inputs of equal dimension, each
+    divided by the power of four 2^e that brings its largest entry into
+    [0.25, 1), and e_a - e_b. The division is exact (``ldexp`` of the real
+    view), so 4^t A gives the eigensolver A's input, and B^{-1/2} is exact."""
+    pair = []
+    for m in (a, b):
+        m = require_hermitian(m)
+        e = math.frexp(np.abs(m).max())[1]
+        e += e & 1
+        pair.append((_psd_spectrum(np.ldexp(m.view(np.float64), -e).view(np.complex128)), e))
+    (da, ea), (db, eb) = pair
     if da.eigenvalues.size != db.eigenvalues.size:
         raise DimMismatch(f"{what} needs matrices of equal dimension")
-    return da, db
+    return da, db, ea - eb
 
 
 def _inv_sqrt_conjugate(a_mat: np.ndarray, dec_b) -> np.ndarray:
-    """B^{-1/2} A B^{-1/2} from the (positive definite) eigendata of B, for
-    one pair or for each pair of two stacks."""
+    """B^{-1/2} A B^{-1/2} on the range of B, from B's positive eigenvalues
+    and their eigenvectors, for one pair or for each pair of two stacks."""
     q = dec_b.eigenvectors
     s = q * (1.0 / np.sqrt(dec_b.eigenvalues))[..., None, :]
     return s.conj().swapaxes(-1, -2) @ a_mat @ s
 
 
+def _on_range(a_mat: np.ndarray, da, db, rb: int):
+    """The top ``rb`` eigenpairs of B, of rank ``rb``, if range(A) lies in
+    range(B), which holds when A on B's null space has no eigenvalue above
+    A's own cutoff; else None. ``da`` and ``db`` are the spectra of A, B."""
+    if rb < db.eigenvalues.size:
+        null_basis = db.eigenvectors[:, rb:]
+        leak = np.linalg.eigvalsh(null_basis.conj().T @ a_mat @ null_basis)[-1]
+        if leak > _spectral_cutoff(da.eigenvalues):
+            return None
+    return db[..., :rb]
+
+
 def m_ratio(a, b) -> float:
     """inf { lam > 0 : A <= lam B } on the PSD cone; inf when unbounded.
 
-    Finite exactly when range(A) is contained in range(B); singular B is
-    handled by compressing both matrices to an orthonormal basis of its
-    range.
+    Finite exactly when range(A) is contained in range(B) (``_on_range``),
+    and then the top eigenvalue of B^{-1/2} A B^{-1/2} on range(B). Scaled
+    back from ``_psd_pair``'s inputs, it follows 4^s A and 4^t B exactly
+    where the value is a float, and is inf above the float range.
     """
-    da, db = _psd_pair(a, b, "m_ratio")
+    da, db, shift = _psd_pair(a, b, "m_ratio")
     rb = _rank(db.eigenvalues)
     if rb == 0:
         raise ZeroInput("m_ratio denominator must be a nonzero PSD matrix")
     if _rank(da.eigenvalues) == 0:
         return 0.0
-    n = da.eigenvalues.size
     a_mat = da.reconstruct()
-    if rb < n:
-        null_basis = db.eigenvectors[:, rb:]
-        leak = np.linalg.eigvalsh(null_basis.conj().T @ a_mat @ null_basis)[-1]
-        if leak > _spectral_cutoff(da.eigenvalues):
-            return math.inf
-        basis = db.eigenvectors[:, :rb]
-        a_mat = basis.conj().T @ a_mat @ basis
-        db = _psd_spectrum(hermitian_part(basis.conj().T @ db.reconstruct() @ basis))
-    w = np.linalg.eigvalsh(_inv_sqrt_conjugate(a_mat, db))
-    return float(w[-1])
+    on_b = _on_range(a_mat, da, db, rb)
+    if on_b is None:
+        return math.inf
+    w = np.linalg.eigvalsh(_inv_sqrt_conjugate(a_mat, on_b))
+    with np.errstate(over="ignore"):  # inf above the float range
+        return float(np.ldexp(w[-1], shift))
 
 
 def hilbert_distance(a, b) -> HilbertDistance:
@@ -107,24 +124,25 @@ def hilbert_distance(a, b) -> HilbertDistance:
 
     Scale invariant in both arguments, zero when both inputs are zero, and
     infinite across parts. On a shared range the value reduces to the log
-    of the spectral spread of B^{-1/2} A B^{-1/2}.
+    of the spectral spread of B^{-1/2} A B^{-1/2}. On ``_psd_pair``'s
+    inputs, 4^s A and 4^t B give the value of A and B bit for bit.
     """
-    return _hilbert_distance(*_psd_pair(a, b, "hilbert_distance"))
+    return _hilbert_distance(*_psd_pair(a, b, "hilbert_distance")[:2])
 
 
-def _hilbert_distance(da, db) -> HilbertDistance:
-    """``hilbert_distance`` from the ``psd_spectrum`` of two same-size matrices.
+def _hilbert_distance(da, db, a_mat=None) -> HilbertDistance:
+    """``hilbert_distance`` from the ``psd_spectrum`` of two same-size
+    matrices, and A if the caller built it from ``da``.
 
-    Two full-rank inputs share the interior part without a test, since
-    lambda_min(A+B) >= lambda_min(A) + lambda_min(B) exceeds the sum of their
-    cutoffs, which bounds the cutoff of A+B; otherwise the part is decided
-    from the rank of A+B and both matrices are compressed to its range. A
-    pair whose conjugated spectrum reads lambda_min <= 0, which rounding can
-    give near condition number 1e10, keeps its part at infinite distance.
+    Two full-rank inputs share the interior part, two others when their
+    ranks are equal and each range lies in the other (``_on_range`` both
+    ways, so the relation is symmetric). A pair whose conjugated spectrum
+    reads lambda_min <= 0, which rounding can give near condition number
+    1e10, keeps its part at infinite distance.
 
     On two stacks of spectra, (..., n) and (..., n, n), the value and the
     part flag are arrays. The full-rank pairs share one stacked eigensolve;
-    each pair of lower rank takes the compression branch on its own.
+    each pair of lower rank is taken on its own.
     """
     if da.eigenvalues.ndim > 1:
         n = da.eigenvalues.shape[-1]
@@ -142,29 +160,24 @@ def _hilbert_distance(da, db) -> HilbertDistance:
             value[inside] = np.log(w[:, -1] / w[:, 0])
             same[full] = True
         return HilbertDistance(value, same)
-    ra = _rank(da.eigenvalues)
-    rb = _rank(db.eigenvalues)
-    if ra == 0 and rb == 0:
+    if a_mat is None:
+        a_mat = da.reconstruct()
+    wa, wb = da.eigenvalues, db.eigenvalues  # sorted and nonnegative
+    if wa.item(-1) > _spectral_cutoff(wa) and wb.item(-1) > _spectral_cutoff(wb):
+        return HilbertDistance(_interior_distance(a_mat, db), True)
+    ra, rb = _rank(wa), _rank(wb)
+    if ra == rb == 0:
         return HilbertDistance(0.0, True)
-    if ra == 0 or rb == 0:
+    on_b = _on_range(a_mat, da, db, rb) if ra == rb else None
+    if on_b is None or _on_range(db.reconstruct(), db, da, ra) is None:
         return HilbertDistance(math.inf, False)
-    a_mat = da.reconstruct()
-    if min(ra, rb) < da.eigenvalues.size:
-        b_mat = db.reconstruct()
-        ds = _psd_spectrum(hermitian_part(a_mat + b_mat))
-        if not ra == rb == _rank(ds.eigenvalues):
-            return HilbertDistance(math.inf, False)
-        basis = ds.eigenvectors[:, :ra]
-        a_mat = basis.conj().T @ a_mat @ basis
-        b_mat = basis.conj().T @ b_mat @ basis
-        db = _psd_spectrum(hermitian_part(b_mat))
-    return HilbertDistance(_interior_distance(a_mat, db), True)
+    return HilbertDistance(_interior_distance(a_mat, on_b), True)
 
 
 def _interior_distance(a_mat: np.ndarray, db) -> float:
-    """d(A, B) of two positive definite matrices, from A and the eigendata of
-    B: the log of the spectral spread of B^{-1/2} A B^{-1/2}, or inf when
-    that spectrum reads lambda_min <= 0."""
+    """d(A, B) of two matrices on the range of B, from A and B's positive
+    eigenpairs: the log of the spectral spread of B^{-1/2} A B^{-1/2}, or
+    inf when that spectrum reads lambda_min <= 0."""
     w = np.linalg.eigvalsh(_inv_sqrt_conjugate(a_mat, db))
     if w[0] <= 0.0:
         return math.inf

@@ -25,12 +25,13 @@ eigensolve. So at full rank an iteration makes three eigensolves at q != 2,
 the image inside ``power_step``, the pull-back for the successor and the
 Hilbert step into the iterate, and two eigensolves and one factorisation at
 q = 2. A run of K iterations makes K + 1 map applications and 3K + 1
-eigensolves at q != 2, or 2K eigensolves and K + 1 factorisations at q = 2;
-an iterate of rank below n adds two eigensolves to its Hilbert step.
-Pull-back eigenvalues at the rank cutoff are zeroed before J_{p*}
-(``_next_iterate``). The residual of an iterate X = J_{p*}(P) takes J_p(X)
-= P / ||P||_{p*} from the pull-back P it was built from, with no matrix
-function of X, which keeps it accurate at p >= 1e12; ``TraceRow`` says
+eigensolves at q != 2, or 2K eigensolves and K + 1 factorisations at q = 2.
+A Hilbert step between iterates of rank below n adds at most two small
+eigensolves, which test that each range lies in the other. Pull-back
+eigenvalues at the rank cutoff are zeroed before J_{p*} (``_next_iterate``).
+The residual of an iterate X = J_{p*}(P) takes J_p(X) = P / ||P||_{p*} from
+the pull-back P it was built from, with no matrix function of X, which
+keeps it accurate at p >= 1e12; ``TraceRow`` says
 where that identity holds. The loop runs on the private kernels, whose
 eigenvectors keep ``eigh``'s phases: every matrix it builds from them
 (duality maps, reconstructions, ranges) is the same for any choice of
@@ -58,12 +59,7 @@ from .hermitian import (
     hermitian_part,
     require_hermitian,
 )
-from .hilbert import (
-    ContractionReport,
-    _hilbert_distance,
-    _interior_distance,
-    contraction_report,
-)
+from .hilbert import ContractionReport, _hilbert_distance, contraction_report
 from .schatten import (
     SchattenExponent,
     _duality_map,
@@ -327,18 +323,6 @@ def _residual(pullback: np.ndarray, value: float, j_p: np.ndarray) -> float:
     return float(np.linalg.norm(np.subtract(pullback, j_p, j_p)))
 
 
-def _hilbert_step(raw: np.ndarray, new: EigDecomp, old: EigDecomp) -> float:
-    """Hilbert distance between two iterates from their spectra and the
-    successor's unsymmetrised reconstruction ``raw``, which the step built:
-    bitwise ``_hilbert_distance(new, old).value``. Both spectra are sorted
-    and nonnegative, so each is full rank when its last eigenvalue exceeds
-    the cutoff; then the pair shares the interior part."""
-    w, v = new.eigenvalues, old.eigenvalues
-    if w.item(-1) > _spectral_cutoff(w) and v.item(-1) > _spectral_cutoff(v):
-        return _interior_distance(raw, old)
-    return _hilbert_distance(new, old).value
-
-
 def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
     """Iterate the power step until both convergence criteria hold.
 
@@ -384,7 +368,7 @@ def run_power_method(phi: CPMap, config: PowerConfig) -> NormResult:
     for k in range(1, config.max_iter + 1):
         nxt, raw, nxt_dec, pullback_norm = _next_iterate(pullback, sp)
         frobenius_step = float(np.linalg.norm(nxt - a))
-        hilbert_step = _hilbert_step(raw, nxt_dec, dec)
+        hilbert_step = _hilbert_distance(nxt_dec, dec, raw).value
         step = power_step(phi, nxt, sp, sq)
         f_cur = step.image_norm / _spectrum_norm(nxt_dec.eigenvalues, sp.p)
         if pullback_norm is None:

@@ -245,6 +245,15 @@ class TestDiagnose:
         assert contraction["diameter_lower_bound"] is None
 
 
+@pytest.mark.parametrize("command", ["compute", "diagnose", "verify"])
+def test_out_file_holds_the_record(capsys, generic_map_file, tmp_path, command):
+    out = tmp_path / f"{command}.json"
+    code, stdout, _ = run_cli(capsys, [command, "--map", generic_map_file, "--p", "3",
+                                       "--q", "2", "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == stdout.encode("utf-8")
+
+
 class TestVerify:
     def test_identity_pass(self, capsys, identity_map_file):
         code, out, _ = run_cli(capsys, ["verify", "--map", identity_map_file,

@@ -1,5 +1,7 @@
 """Hermitian/PSD matrix algebra tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -364,9 +366,16 @@ class TestTwoDecompositionPaths:
     @settings(max_examples=200)
     @given(psd_pairs())
     def test_hilbert_distance_is_the_kernel_bitwise(self, pair):
+        # on each matrix divided by the power of four 4^s that brings its
+        # largest entry into [0.25, 1)
+        def spectrum(m):
+            m = require_hermitian(m)
+            top = np.abs(m).max()
+            s = -(-math.frexp(top)[1] // 2) if top else 0
+            return _psd_spectrum(m * 4.0 ** -s)
+
         a, b = pair
-        expected = _hilbert_distance(_psd_spectrum(require_hermitian(a)),
-                                     _psd_spectrum(require_hermitian(b)))
+        expected = _hilbert_distance(spectrum(a), spectrum(b))
         assert repr(hilbert_distance(a, b)) == repr(expected)
 
 

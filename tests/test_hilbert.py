@@ -194,6 +194,96 @@ class TestSamePart:
         assert stacked.same_part.all() and (stacked.value == d.value).all()
 
 
+def _rotation(n, i, j, angle):
+    """The rotation by ``angle`` in the plane of basis vectors i and j."""
+    r = np.eye(n)
+    r[[i, j], [i, j]] = math.cos(angle)
+    r[i, j], r[j, i] = -math.sin(angle), math.sin(angle)
+    return r
+
+
+class TestPartDecision:
+    """Two PSD matrices share a part when each range lies in the other,
+    tested with each matrix's own cutoff, whatever their scales."""
+
+    def test_orthogonal_projectors_at_any_scale_ratio(self):
+        a, b = np.diag([0.0, 1.0]), np.diag([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in range(-100, 101):
+                d = hilbert_distance(math.ldexp(1.0, t) * a, b)
+                assert (d.value, d.same_part) == (math.inf, False), t
+
+    def test_tilted_range_of_equal_rank(self):
+        # range(A) = span(e1, u) with u = e2 tilted 0.05 rad toward e3, and
+        # range(B) = span(e1, e2): the tilt's weight in A, 2.5e-11, is below
+        # A's cutoff, but B's weight off range(A), 2.5e-3, is far above B's
+        u = _rotation(3, 1, 2, 0.05)[:, 1]
+        a = np.diag([1.0, 0.0, 0.0]) + 1e-8 * np.outer(u, u)
+        b = np.diag([1.0, 1.0, 0.0])
+        assert numerical_rank(a) == numerical_rank(b) == 2
+        for x, y in ((a, b), (b, a)):
+            d = hilbert_distance(x, y)
+            assert (d.value, d.same_part) == (math.inf, False)
+
+    @settings(max_examples=150)
+    @given(n=st.integers(2, 5), data=st.data(), seed=st.integers(0, 2**32 - 1),
+           log_angle=st.floats(-7.0, -1.0))
+    def test_same_part_is_symmetric(self, n, data, seed, log_angle):
+        # two matrices of rank r on one random range, one of them rotated
+        # out of it by an angle near where their cutoffs tell the ranges
+        # apart, with spread eigenvalues so the two cutoffs differ
+        r = data.draw(st.integers(1, n - 1))
+        rng = np.random.default_rng(seed)
+        basis = np.linalg.qr(rng.standard_normal((n, n))
+                             + 1j * rng.standard_normal((n, n)))[0]
+        a, b = ((basis[:, :r] * 10.0 ** rng.uniform(-9.0, 0.0, r)) @ basis[:, :r].conj().T
+                for _ in range(2))
+        tilt = basis @ _rotation(n, r - 1, r, 10.0 ** log_angle) @ basis.conj().T
+        b = hermitian_part(tilt @ b @ tilt.conj().T)
+        a = hermitian_part(a)
+        assert hilbert_distance(a, b).same_part == hilbert_distance(b, a).same_part
+
+
+class TestPowersOfFour:
+    """``hilbert_distance`` and ``m_ratio`` divide each input by the power of
+    four at its largest entry, so their values follow the scales exactly."""
+
+    def test_pair_at_opposite_extreme_scales(self):
+        a, b = np.diag([1.0, 0.5]), np.diag([0.3, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sa, sb in ((1e-200, 1e200), (1e200, 1e-200)):
+                for x, y in ((sa * a, sb * b), (sb * b, sa * a)):
+                    d = hilbert_distance(x, y)
+                    assert d.same_part
+                    assert d.value == pytest.approx(math.log(1.0 / 0.15), rel=1e-14)
+            assert m_ratio(1e200 * a, 1e-200 * b) == math.inf
+            assert m_ratio(1e-200 * a, 1e200 * b) == 0.0
+
+    @settings(max_examples=100)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           relation=st.sampled_from(["same", "nested", "different"]),
+           ta=st.integers(-250, 250), tb=st.integers(-250, 250))
+    def test_scaled_by_powers_of_four(self, n, seed, relation, ta, tb):
+        rng = np.random.default_rng(seed)
+        a, b = shared_range_pair(n, int(rng.integers(1, n + 1)), rng)
+        if relation == "nested":
+            b = b + random_psd(n, int(rng.integers(1, n + 1)), rng)
+        elif relation == "different":
+            b = random_psd(n, int(rng.integers(1, n + 1)), rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sa, sb = 4.0 ** ta, 4.0 ** tb
+            assert repr(hilbert_distance(sa * a, sb * b)) == repr(hilbert_distance(a, b))
+            ratio = m_ratio(sa * a, sb * b)
+            try:
+                expected = math.ldexp(m_ratio(a, b), 2 * (ta - tb))
+            except OverflowError:
+                expected = math.inf
+            assert ratio == expected
+
+
 class TestDiameterEstimate:
     def test_depolarizing_constant_direction(self):
         rep = estimate_diameter(depolarizing_channel(3), samples=32, seed=0)

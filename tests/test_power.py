@@ -201,6 +201,20 @@ class TestRunPowerMethod:
         assert res.status is IterationStatus.MAX_ITER_REACHED
         assert res.trace.termination_reason is None
 
+    @pytest.mark.parametrize("p,q,tols,reason", [
+        (3, 2, {"tol_fixed_point": 1e-3, "tol_objective": 1e-15}, "objective_stall"),
+        (2, 3, {"tol_fixed_point": 1e-3, "tol_objective": 1e-15}, "both"),
+        (3, 2, {}, "fixed_point"),
+    ])
+    def test_termination_reason(self, p, q, tols, reason):
+        # the criterion that held last names the reason: here the objective
+        # stalls after the iterate settles, both hold at once, and the
+        # iterate settles after the objective stalls
+        phi = random_cpmap(2, 2, 1, 0)
+        res = run_power_method(phi, PowerConfig(p=p, q=q, with_contraction=False, **tols))
+        assert res.status is IterationStatus.CONVERGED
+        assert res.trace.termination_reason == reason
+
     def test_unproven_regime_warning(self):
         res = run_power_method(identity_channel(2), PowerConfig(p=2, q=2))
         assert any("unproven regime" in w for w in res.warnings)
