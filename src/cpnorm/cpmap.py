@@ -318,18 +318,19 @@ def check_positively_improving(phi: CPMap, trials: int = 256, seed=0) -> Structu
     vectors, then refines the worst sample by alternating eigenvector updates
     (``_rank_one_extreme``). Probabilistic: never certifies. Its witnesses
     are rigorous, and it is the search that runs on maps whose Kraus matrix
-    has no Choi tier (``hilbert.run_diagnostics``).
+    has no Choi tier (``hilbert.run_diagnostics``). Its ``trials`` counts
+    the samples drawn, and the refinement, if no sample hit, as one more.
     """
     require_count(trials, "trials")
     n = phi.input_dim
     rng = subseed(seed, "positively-improving")
     worst_val = np.inf
     worst_x = found = None
-    for _ in range(trials):
+    for t in range(trials):
         x = random_unit_vector(n, rng)
         vals = np.linalg.eigvalsh(phi._apply(_projector(x)))
         if vals[0] <= _spectral_cutoff(vals):
-            count, margin, found = trials, float(vals[0]), x
+            count, margin, found = t + 1, float(vals[0]), x
             break
         if vals[0] < worst_val:
             worst_val = float(vals[0])

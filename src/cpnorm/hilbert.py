@@ -386,7 +386,8 @@ def sampled_contraction_ratio(phi: CPMap, pairs: int = 500, seed=0) -> float:
     as a universal bound. The pairs are full-rank ``random_psd`` draws,
     sampled and mapped in blocks by ``_sampled_blocks``. Pairs closer than
     1e-9, or too ill-conditioned for their distance to resolve, are
-    skipped; an image pair in different parts gives inf.
+    skipped, and so are image pairs in different parts: a CP map sends all
+    PD inputs onto one range, so these are rank-cutoff artefacts.
     """
     require_count(pairs, "pairs")
     n = phi.input_dim
@@ -395,11 +396,8 @@ def sampled_contraction_ratio(phi: CPMap, pairs: int = 500, seed=0) -> float:
                                              subseed(seed, "contraction-ratio")):
         for (d, _), (d_out, same_out) in zip(_pair_distances(inputs),
                                              _pair_distances(images)):
-            if not 1e-9 <= d < math.inf:
-                continue
-            if not same_out:
-                return math.inf
-            worst = max(worst, d_out / d)
+            if 1e-9 <= d < math.inf and same_out:
+                worst = max(worst, d_out / d)
     return worst
 
 
@@ -423,9 +421,10 @@ def run_diagnostics(phi: CPMap, p, q, trials: int = 64, samples: int = 64,
     positive definite, so both are positively improving and adjoint(phi) o
     phi raises every rank: all three verdicts are ``CERTIFIED`` and no trial
     runs. Otherwise the sampled checks search for counterexamples: the full
-    indecomposability search runs ``trials`` trials, and each positivity
-    search, of the map and of its adjoint, 4 x ``trials``. ``trials`` must
-    be at least 1 either way; ``samples`` = 0 samples no diameters.
+    indecomposability search runs ``trials`` trials per rank below n, and
+    each positivity search, of the map and of its adjoint, 4 x ``trials``,
+    each up to its first counterexample. ``trials`` must be at least 1
+    either way; ``samples`` = 0 samples no diameters.
     """
     require_count(trials, "trials")
     sp = as_exponent(p)

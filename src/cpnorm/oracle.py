@@ -21,9 +21,9 @@ stop rule, and stacking changes no bit of any start's path. A start stops
 when the first-order gain of its next step falls to the rounding floor of
 F, 4 eps F, and the ascent runs on values and gradients times one exact
 power of two, so its path and its stops do not depend on the scale of the
-map. A spectral-grid reduction handles maps that preserve diagonality, on the
-vector map lam -> M lam that they restrict to, and the same ascent on the
-map kernel refines it.
+map. A spectral grid searches the diagonal inputs of maps that preserve
+diagonality, on the vector map lam -> M lam that they restrict to, and the
+same ascent over all Hermitian X, on the map kernel, refines it.
 The classical nonnegative-matrix power iteration is included for
 embedding cross-checks. The ascent is the module's only optimizer.
 """
@@ -331,17 +331,20 @@ def oracle_max(phi: CPMap, p, q, budget: int = 4000, seed=0) -> OracleResult:
 
 
 def spectral_grid_max(phi: CPMap, p, q, grid: int = 64) -> OracleResult:
-    """Exact-reduction oracle for maps that send diagonals to diagonals.
+    """Spectral-grid oracle for maps that send diagonals to diagonals.
 
     Such a map sends each basis projector E_jj to a diagonal image (else
     ``NotApplicable``), and phi(diag(lam)) = diag(M lam) with M[i, j] =
-    phi(E_jj)_ii. The maximizer can be taken diagonal with a nonnegative
-    spectrum lam; scaled to largest entry 1, lam lies on one of the n faces
-    of the unit cube that touch the all-ones corner. The grid takes the
-    corner, then each face's grid^(n-1) points as one array expression
-    ||M lam||_q / ||lam||_p; ties keep the earlier point. ``_ascend`` over
-    diagonal X refines the best point with a share of 400 n evaluations.
-    ``budget_used`` counts the n projectors and the ascent's evaluations.
+    phi(E_jj)_ii. Scaled to largest entry 1, a nonnegative lam lies on one
+    of the n faces of the unit cube that touch the all-ones corner. The grid
+    takes the corner, then each face's grid^(n-1) points as one array
+    expression ||M lam||_q / ||lam||_p; ties keep the earlier point.
+    ``oracle_max``'s ascent, over all Hermitian X, refines the best point
+    with 400 n evaluations; ``budget_used`` counts them and the n projectors.
+    Diagonal X suffice when phi(E_jk) = 0 for j != k (pinching does not
+    raise ||X||_p) and for unitarily covariant maps; otherwise, as for
+    phi(X) = (1'X1) E_11, the ascent leaves the diagonal, and the result of
+    its one start is a lower bound (most often short at p < q).
     """
     require_count(grid, "grid")
     n = phi.input_dim
@@ -365,7 +368,8 @@ def spectral_grid_max(phi: CPMap, p, q, grid: int = 64) -> OracleResult:
                 / (points**sp.p).sum(axis=1) ** (1.0 / sp.p))
 
     best_value = float(ratios(np.ones((1, n)))[0])
-    best_lam = np.ones(n) / np.linalg.norm(np.ones(n), ord=sp.p)
+    # the best point's diagonal, or all its coordinates once the ascent wins
+    best = np.ones(n) / np.linalg.norm(np.ones(n), ord=sp.p)
     used = n
     if n > 1:
         grid = max(2, min(grid, int(round((200000 / n) ** (1.0 / (n - 1))))))
@@ -378,22 +382,17 @@ def spectral_grid_max(phi: CPMap, p, q, grid: int = 64) -> OracleResult:
             i = int(np.argmax(values))
             if values[i] > best_value:
                 best_value = float(values[i])
-                best_lam = points[i] / np.linalg.norm(points[i], ord=sp.p)
-
-        def evaluate(theta: np.ndarray):
-            # a zero off-diagonal gradient keeps the ascent on diagonal X
-            rows, values, grads, applied = _round(phi, phi._apply, sp.p, sq.p, theta)
-            grads[:, n:] = 0.0
-            return rows, values, grads, applied
-
-        points, values, evals = _ascend(evaluate, _herm_to_vec(np.diag(best_lam)[None]),
-                                        400 * n)
+                best = points[i] / np.linalg.norm(points[i], ord=sp.p)
+        points, values, evals = _ascend(functools.partial(_round, phi, phi._apply, sp.p, sq.p),
+                                        _herm_to_vec(np.diag(best)[None]), 400 * n)
         used += evals
         if values[0] > best_value:
-            best_value, best_lam = values[0], points[0, :n]
+            best_value, best = values[0], points[0]
     return OracleResult(
         best_value=best_value,
-        best_point=np.diag(best_lam).astype(np.complex128),
+        # np.diag keeps the +0.0 imaginary parts of a point on the diagonal
+        best_point=(_vec_to_herm(best, n) if best[n:].any()
+                    else np.diag(best[:n]).astype(np.complex128)),
         restarts=1,
         budget_used=used,
         method=OracleMethod.SPECTRAL_GRID,

@@ -254,7 +254,8 @@ def sampled_diameter_reference(phi, samples, seed):
 def contraction_ratio_reference(phi, pairs, seed):
     """Reference: ``sampled_contraction_ratio`` as it ran before it shared
     the blocked sampler, one pair at a time with two public
-    ``hilbert_distance`` and two public ``phi.apply`` calls each."""
+    ``hilbert_distance`` and two public ``phi.apply`` calls each, and
+    skipping image pairs in different parts."""
     n = phi.input_dim
     rng = subseed(seed, "contraction-ratio")
     worst = 0.0
@@ -265,13 +266,12 @@ def contraction_ratio_reference(phi, pairs, seed):
         if not d_in.same_part or d_in.value < 1e-9:
             continue
         d_out = hilbert_distance(phi.apply(a), phi.apply(b))
-        if not d_out.same_part:
-            return math.inf
-        worst = max(worst, d_out.value / d_in.value)
+        if d_out.same_part:
+            worst = max(worst, d_out.value / d_in.value)
     return worst
 
 
-def sequential_ascent(phi, apply, p, q, theta, cap, diagonal=False):
+def sequential_ascent(phi, apply, p, q, theta, cap):
     """Reference for one row of ``oracle._ascend``: the projected quasi-Newton
     ascent from the coordinates ``theta`` alone, through ``oracle._round``
     with B = 1, on values and gradients times the power of two that brings
@@ -279,18 +279,14 @@ def sequential_ascent(phi, apply, p, q, theta, cap, diagonal=False):
     the rank-two form, its approximation restarted at the next gain after
     its first rejected step and its step length halved on a loss and
     doubled up to 1 on a gain, stopping when the first-order gain g'step
-    falls to 4 eps F and capped at ``cap`` map applications; ``diagonal``
-    zeroes the off-diagonal gradient, as ``spectral_grid_max`` does. Returns
+    falls to 4 eps F and capped at ``cap`` map applications. Returns
     (point, value, applications)."""
-    n = phi.input_dim
     used = 0
     scale = None
 
     def fg(t):
         nonlocal used, scale
         rows, values, grads, applied = oracle._round(phi, apply, p, q, t[None])
-        if diagonal:
-            grads[:, n:] = 0.0
         used += int(applied[0])
         if scale is None:
             scale = 2.0 ** -math.frexp(values[0])[1]
@@ -356,10 +352,12 @@ def spectral_grid_reference(phi, p, q, grid):
                 best_value, best_lam = val, lam
 
     point, value, used = sequential_ascent(
-        phi, phi.apply, sp.p, sq.p, oracle._herm_to_vec(np.diag(best_lam)), 400 * n,
-        diagonal=True)
-    best = (value, point[:n]) if value > best_value else (best_value, best_lam)
-    return best_lam, best[0], np.diag(best[1]).astype(np.complex128), n + used
+        phi, phi.apply, sp.p, sq.p, oracle._herm_to_vec(np.diag(best_lam)), 400 * n)
+    if value <= best_value:
+        value, point = best_value, best_lam
+    if point[n:].any():
+        return best_lam, value, oracle._vec_to_herm(point, n), n + used
+    return best_lam, value, np.diag(point[:n]).astype(np.complex128), n + used
 
 
 def ascent_start(monkeypatch):

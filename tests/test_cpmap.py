@@ -34,6 +34,7 @@ from cpnorm.cpmap import _rank_one_extreme
 
 from helpers import (
     ENTRY_KINDS,
+    count_calls,
     count_validations,
     hermitian_part_formula,
     loop_apply,
@@ -64,6 +65,9 @@ class TestConstruction:
     def test_dims(self):
         phi = CPMap([np.zeros((3, 2)) + np.eye(3, 2)])
         assert phi.input_dim == 2 and phi.output_dim == 3 and phi.kraus_count == 1
+
+    def test_repr_names_the_dimensions(self):
+        assert repr(random_cpmap(2, 3, 4, 0)) == "CPMap(n=2, m=3, k=4)"
 
     def test_adjoint_roundtrip(self):
         phi = random_cpmap(2, 3, 2, 0)
@@ -261,6 +265,18 @@ class TestPositivelyImproving:
         w = verdict.witness
         assert np.array_equal(w, w.conj().T)
         assert not np.diag(w).imag.any()
+
+    @pytest.mark.parametrize("make", [lambda: identity_channel(3),
+                                      lambda: random_cpmap(4, 4, 1, 0)])
+    def test_counts_the_trials_it_ran(self, monkeypatch, make):
+        # the first sample of either map is singular, so the search stops
+        # there, as check_fully_indecomposable does, and says so
+        phi = make()
+        applies = count_calls(monkeypatch, CPMap, "_apply")
+        verdict = check_positively_improving(phi, trials=256, seed=0)
+        assert verdict.verdict is Verdict.COUNTEREXAMPLE_FOUND
+        assert verdict.trials == applies["_apply"] == 1
+        assert check_fully_indecomposable(phi, trials=256, seed=0).trials == 1
 
     def test_single_full_rank_kraus_fails_for_n_ge_2(self):
         phi = CPMap([np.array([[1.0, 2.0], [0.5, 1.5]])])

@@ -48,6 +48,7 @@ BAD_INPUTS = {
     "hermitian-part-string": (InvalidInput, lambda: hermitian_part("x")),
     "hermitian-part-ragged": (InvalidInput, lambda: hermitian_part([[1, 2], [3]])),
     "inner-string": (InvalidInput, lambda: frobenius_inner("x", EYE)),
+    "inner-ragged": (InvalidInput, lambda: frobenius_inner([[1, 2], [3]], EYE)),
     "start-dimension-string": (InvalidInput, lambda: default_start("x", 3)),
     "kappa-string": (InvalidInput, lambda: step_contraction_bound("x", 0.5, 3, 2)),
     "map-text-int": (InvalidInput, lambda: parse_map(5)),

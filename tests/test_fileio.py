@@ -223,6 +223,10 @@ class TestCanonicalJson:
         assert json.loads(canonical_json(mat)) == [
             [["inf", 0.0], [0.5, "-inf"]], [["nan", 0.0], [-0.0, 0.0]]]
 
+    def test_rejects_an_object_it_cannot_serialize(self):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            canonical_json(object())
+
     def test_sorted_and_stable(self):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
 

@@ -597,6 +597,15 @@ class TestSampledContractionRatio:
         ratio = sampled_contraction_ratio(phi, pairs=100, seed=0)
         assert 0.0 < ratio < 1.0
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("exponent", [3.0, 4.5, 5.0])
+    def test_invertible_congruence_is_an_isometry(self, exponent, seed):
+        # X -> D X D with D = diag(1, 10^-e) keeps every Hilbert distance, so
+        # kappa = 1; an image pair that the rank cutoff splits into two parts
+        # is skipped, not read as an infinite ratio
+        phi = CPMap([np.diag([1.0, 10.0**-exponent])])
+        assert sampled_contraction_ratio(phi, pairs=200, seed=seed) <= 1.0 + 1e-12
+
     @pytest.mark.parametrize("pairs", [2.5, -1, 0, True])
     def test_rejects_bad_pair_counts(self, pairs):
         with pytest.raises(InvalidInput):

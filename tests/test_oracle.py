@@ -534,6 +534,42 @@ class TestSpectralGrid:
         with pytest.raises(NotApplicable):
             spectral_grid_max(CPMap(ops + [leak]), 3, 2)
 
+    @pytest.mark.parametrize("p, q", [(3, 2), (2, 3)])
+    def test_leaves_the_diagonal_for_an_off_diagonal_maximizer(self, p, q):
+        # phi(X) = (1'X1) E_11 sends each E_jj to E_11, so it passes the
+        # probe, but its norm ||11'||_{p*} = 2 is attained at 11'/2, off the
+        # diagonal; diagonal X reach only 2^(1 - 1/p)
+        phi = CPMap([[[1.0, 1.0], [0.0, 0.0]]])
+        res = spectral_grid_max(phi, p, q)
+        assert res.best_value == pytest.approx(2.0, rel=1e-12)
+        assert np.abs(res.best_point[0, 1]) > 0.1
+        assert objective(phi, res.best_point, p, q) == pytest.approx(res.best_value, rel=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        m=st.integers(1, 3),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        q=st.floats(1.2, 3.0),
+        gap=st.floats(0.5, 2.5),
+    )
+    def test_reaches_the_norm_of_measure_and_prepare_maps(self, n, m, k, seed, q, gap):
+        """phi(X) = sum_l (w_l'X w_l) E_(i_l i_l) sends each E_jj to a
+        diagonal image, and peaks off the diagonal. At p > q the power
+        method's value is the norm, and the grid's ascent must reach it."""
+        assume(k <= n * m)
+        p = min(4.0, q + gap)
+        rng = np.random.default_rng(seed)
+        ops = np.zeros((k, m, n), dtype=np.complex128)
+        ops[np.arange(k), rng.integers(0, m, k)] = (
+            rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+        phi = CPMap(ops)
+        power = run_power_method(phi, PowerConfig(p=p, q=q, with_contraction=False))
+        res = spectral_grid_max(phi, p, q, grid=16)
+        assert res.best_value >= power.norm_estimate * (1.0 - 1e-9)
+        assert objective(phi, res.best_point, p, q) == pytest.approx(res.best_value, rel=1e-12)
+
     # every case above, with the two of acceptance criterion 1
     REFERENCE_CASES = {
         "identity-4-2": (lambda: identity_channel(2), 4, 2, 64),
@@ -546,6 +582,8 @@ class TestSpectralGrid:
             lambda seed=seed: embed_nonnegative_matrix(
                 np.random.default_rng(seed).uniform(0.0, 1.0, (3, 3))), 3, 2, 24)
            for seed in range(4)},
+        **{f"off-diagonal-{p}-{q}": (lambda: CPMap([[[1.0, 1.0], [0.0, 0.0]]]), p, q, 64)
+           for p, q in [(3, 2), (2, 3)]},
     }
 
     @pytest.mark.parametrize("case", list(REFERENCE_CASES))

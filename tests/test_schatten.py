@@ -35,6 +35,9 @@ class TestSchattenNorm:
     def test_identity_flat_spectrum(self, p):
         assert schatten_norm(np.eye(4), p) == pytest.approx(4 ** (1.0 / p), abs=1e-12)
 
+    def test_takes_a_validated_exponent(self):
+        assert schatten_norm(np.eye(2), as_exponent(3)) == schatten_norm(np.eye(2), 3)
+
     def test_frobenius_3_4_5(self):
         assert schatten_norm(np.diag([3.0, -4.0]), 2) == pytest.approx(5.0, abs=1e-12)
 
