@@ -344,7 +344,7 @@ def spectral_grid_max(phi: CPMap, p, q, grid: int = 64) -> OracleResult:
     Diagonal X suffice when phi(E_jk) = 0 for j != k (pinching does not
     raise ||X||_p) and for unitarily covariant maps; otherwise, as for
     phi(X) = (1'X1) E_11, the ascent leaves the diagonal, and the result of
-    its one start is a lower bound (most often short at p < q).
+    its one start is a lower bound, as ``oracle_max``'s is.
     """
     require_count(grid, "grid")
     n = phi.input_dim
@@ -368,8 +368,7 @@ def spectral_grid_max(phi: CPMap, p, q, grid: int = 64) -> OracleResult:
                 / (points**sp.p).sum(axis=1) ** (1.0 / sp.p))
 
     best_value = float(ratios(np.ones((1, n)))[0])
-    # the best point's diagonal, or all its coordinates once the ascent wins
-    best = np.ones(n) / np.linalg.norm(np.ones(n), ord=sp.p)
+    lam = np.ones(n) / np.linalg.norm(np.ones(n), ord=sp.p)
     used = n
     if n > 1:
         grid = max(2, min(grid, int(round((200000 / n) ** (1.0 / (n - 1))))))
@@ -382,17 +381,17 @@ def spectral_grid_max(phi: CPMap, p, q, grid: int = 64) -> OracleResult:
             i = int(np.argmax(values))
             if values[i] > best_value:
                 best_value = float(values[i])
-                best = points[i] / np.linalg.norm(points[i], ord=sp.p)
+                lam = points[i] / np.linalg.norm(points[i], ord=sp.p)
+    best = _herm_to_vec(np.diag(lam)[None])[0]
+    if n > 1:
         points, values, evals = _ascend(functools.partial(_round, phi, phi._apply, sp.p, sq.p),
-                                        _herm_to_vec(np.diag(best)[None]), 400 * n)
+                                        best[None], 400 * n)
         used += evals
         if values[0] > best_value:
             best_value, best = values[0], points[0]
     return OracleResult(
         best_value=best_value,
-        # np.diag keeps the +0.0 imaginary parts of a point on the diagonal
-        best_point=(_vec_to_herm(best, n) if best[n:].any()
-                    else np.diag(best[:n]).astype(np.complex128)),
+        best_point=_vec_to_herm(best, n),
         restarts=1,
         budget_used=used,
         method=OracleMethod.SPECTRAL_GRID,

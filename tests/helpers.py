@@ -354,10 +354,8 @@ def spectral_grid_reference(phi, p, q, grid):
     point, value, used = sequential_ascent(
         phi, phi.apply, sp.p, sq.p, oracle._herm_to_vec(np.diag(best_lam)), 400 * n)
     if value <= best_value:
-        value, point = best_value, best_lam
-    if point[n:].any():
-        return best_lam, value, oracle._vec_to_herm(point, n), n + used
-    return best_lam, value, np.diag(point[:n]).astype(np.complex128), n + used
+        value, point = best_value, oracle._herm_to_vec(np.diag(best_lam))
+    return best_lam, value, oracle._vec_to_herm(point, n), n + used
 
 
 def ascent_start(monkeypatch):
